@@ -1,6 +1,6 @@
 """Deterministic multi-UAV sweep-coverage simulator and benchmark harness."""
 
-from .arena import ArenaSpec, BoundaryProbe, CoverageGrid, boundary_probe, cell_of
+from .arena import ArenaSpec, CoverageGrid
 from .harness import (
     DECENTRALIZED,
     STRATEGIES,
@@ -10,7 +10,6 @@ from .harness import (
     export,
     place_decentralized,
     run_experiment,
-    run_single,
 )
 from .metrics import RunRecord, StrategySummary, cpr, lcu, summarize, tcu, uniformity
 from .world import AgentState, SimConfig, World, agent_stream, harness_stream
@@ -18,7 +17,6 @@ from .world import AgentState, SimConfig, World, agent_stream, harness_stream
 __all__ = [
     "AgentState",
     "ArenaSpec",
-    "BoundaryProbe",
     "CoverageGrid",
     "DECENTRALIZED",
     "ExperimentConfig",
@@ -29,16 +27,13 @@ __all__ = [
     "StrategySummary",
     "World",
     "agent_stream",
-    "boundary_probe",
     "build_world",
-    "cell_of",
     "cpr",
     "export",
     "harness_stream",
     "lcu",
     "place_decentralized",
     "run_experiment",
-    "run_single",
     "summarize",
     "tcu",
     "uniformity",

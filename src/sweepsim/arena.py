@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,11 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class ArenaSpec:
-    """The arena square, its cell decomposition, and the local-metric region size."""
+    """The arena square, its cell decomposition, and the local-metric region size.
+
+    The derived values (half side, grid shape, corners) are computed on first
+    use and cached; they are not fields, so they stay out of asdict().
+    """
 
     side_length: float = 40.0
     cell_size: float = 1.0
@@ -25,65 +30,37 @@ class ArenaSpec:
     region_size: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.side_length <= 0 or self.cell_size <= 0:
-            raise ValueError("side_length and cell_size must be positive")
+        lengths = (self.side_length, self.cell_size, self.region_size)
+        if not all(math.isfinite(v) and v > 0 for v in lengths):
+            raise ValueError("side_length, cell_size and region_size must be positive and finite")
         if abs(round(self.side_length / self.cell_size) - self.side_length / self.cell_size) > 1e-9:
             raise ValueError("side_length must be an integer multiple of cell_size")
         if abs(round(self.side_length / self.region_size) - self.side_length / self.region_size) > 1e-9:
             raise ValueError("side_length must be an integer multiple of region_size")
 
-    @property
+    @cached_property
     def half_side(self) -> float:
         return self.side_length / 2.0
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return round(self.side_length / self.cell_size)
 
-    @property
+    @cached_property
     def rows(self) -> int:
-        return round(self.side_length / self.cell_size)
+        return self.cols
 
-    @property
+    @cached_property
     def cell_count(self) -> int:
         return self.cols * self.rows
 
-    @property
+    @cached_property
     def min_corner(self) -> tuple[float, float]:
         return (self.center[0] - self.half_side, self.center[1] - self.half_side)
 
-    @property
+    @cached_property
     def max_corner(self) -> tuple[float, float]:
         return (self.center[0] + self.half_side, self.center[1] + self.half_side)
-
-    def contains(self, x: float, y: float) -> bool:
-        return (
-            abs(x - self.center[0]) <= self.half_side
-            and abs(y - self.center[1]) <= self.half_side
-        )
-
-
-def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
-    """Map a point to its (col, row) cell, or None when outside the arena.
-
-    Points on the maximum edges belong to the last cell; points on the
-    minimum edges to cell 0 (plain floor).
-    """
-    x, y = position
-    minx, miny = arena.min_corner
-    if x < minx or y < miny:
-        return None
-    maxx, maxy = arena.max_corner
-    if x > maxx or y > maxy:
-        return None
-    col = int((x - minx) / arena.cell_size)
-    row = int((y - miny) / arena.cell_size)
-    last = arena.cols - 1
-    if col > last:
-        col = last
-    if row > last:
-        row = last
-    return (col, row)
 
 
 # Inward unit normals of the four edges, indexed east, west, north, south.
@@ -97,50 +74,10 @@ def _edge_distances(x: float, y: float, arena: ArenaSpec) -> tuple[float, float,
     return (h - (x - cx), (x - cx) + h, h - (y - cy), (y - cy) + h)
 
 
-@dataclass(frozen=True)
-class BoundaryProbe:
-    """What an agent senses about the nearest arena edge."""
-
-    distance: float  # perpendicular distance to the nearest edge line
-    inward_normal: tuple[float, float]
-    outside_depth: float  # Euclidean distance to the arena; 0 when inside
-
-
-def boundary_probe(position: tuple[float, float], arena: ArenaSpec) -> BoundaryProbe:
-    x, y = position
-    dists = _edge_distances(x, y, arena)
-    nearest = min(range(4), key=lambda i: abs(dists[i]))
-    ex = max(0.0, -dists[0], -dists[1])
-    ey = max(0.0, -dists[2], -dists[3])
-    depth = math.hypot(ex, ey)
-    return BoundaryProbe(
-        distance=abs(dists[nearest]),
-        inward_normal=_EDGE_NORMALS[nearest],
-        outside_depth=depth,
-    )
-
-
-def edges_within(
-    position: tuple[float, float], arena: ArenaSpec, trigger: float
-) -> list[tuple[float, float]]:
-    """Inward normals of every edge whose line lies within trigger distance."""
-    dists = _edge_distances(position[0], position[1], arena)
-    return [_EDGE_NORMALS[i] for i in range(4) if dists[i] <= trigger]
-
-
 def edges_outside(position: tuple[float, float], arena: ArenaSpec) -> list[tuple[tuple[float, float], float]]:
     """(inward normal, excess) for every edge the position lies beyond."""
     dists = _edge_distances(position[0], position[1], arena)
     return [(_EDGE_NORMALS[i], -dists[i]) for i in range(4) if dists[i] < 0.0]
-
-
-def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, float]:
-    """Project a point onto the arena (identity for interior points)."""
-    cx, cy = arena.center
-    h = arena.half_side
-    x = min(max(position[0], cx - h), cx + h)
-    y = min(max(position[1], cy - h), cy + h)
-    return (x, y)
 
 
 class CoverageGrid:
@@ -148,34 +85,25 @@ class CoverageGrid:
 
     def __init__(self, arena: ArenaSpec):
         self.arena = arena
-        self.cols = arena.cols
-        self.rows = arena.rows
-        self.visits: list[int] = [0] * (self.cols * self.rows)
+        self.visits: list[int] = [0] * arena.cell_count
         self.visited_count = 0
 
     def flat_index(self, cell: Cell) -> int:
         col, row = cell
-        return row * self.cols + col
+        return row * self.arena.cols + col
 
-    def record(self, cell: Cell) -> bool:
-        """Add one visit; True when the cell was previously unvisited."""
-        idx = self.flat_index(cell)
+    def record(self, idx: int) -> None:
+        """Add one visit to the cell at flat index idx."""
         count = self.visits[idx]
         self.visits[idx] = count + 1
         if count == 0:
             self.visited_count += 1
-            return True
-        return False
-
-    @property
-    def cell_count(self) -> int:
-        return self.cols * self.rows
 
     def is_complete(self) -> bool:
-        return self.visited_count == self.cell_count
+        return self.visited_count == self.arena.cell_count
 
     def coverage_fraction(self) -> float:
-        return self.visited_count / self.cell_count
+        return self.visited_count / self.arena.cell_count
 
     def counts_array(self) -> np.ndarray:
         return np.asarray(self.visits, dtype=np.int64)

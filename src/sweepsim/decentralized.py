@@ -29,7 +29,7 @@ from .angles import (
     wrap_angle,
     wrap_pi,
 )
-from .arena import ArenaSpec, cell_of
+from .arena import ArenaSpec, Cell
 from .world import HOLD, Motion, Unicycle, World
 
 
@@ -82,11 +82,9 @@ LDR_REPULSIVE = LdrParams(
 class PmParams:
     """Pheromone-response add-on riding on the RB core.
 
-    suppress_after_ahead controls whether a sampled go-straight decision also
-    starts the 25-step quiet window, or only completed turns do. The default
-    treats only executed turns as reactions, so an agent facing covered
-    ground keeps re-deciding each step until it turns or the way ahead
-    clears.
+    Only executed turns start the 25-step quiet window; a sampled
+    go-straight decision does not, so an agent facing covered ground keeps
+    re-deciding each step until it turns or the way ahead clears.
     """
 
     turn_angle: float = math.radians(45.0)
@@ -94,7 +92,6 @@ class PmParams:
     post_avoidance_suppression: int = 50
     deposit_amount: float = 5000.0
     evaporation_rate: float = 1.0
-    suppress_after_ahead: bool = False
 
 
 class PheromoneField:
@@ -205,13 +202,13 @@ def compass_index(heading: float) -> int:
     return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
 
 
-def pm_sense(field: PheromoneField, step: int, position, heading: float, arena: ArenaSpec):
-    """Pheromone levels in the cells ahead and 45 degrees left/right.
+def pm_sense(field: PheromoneField, step: int, cell: Cell | None, heading: float, arena: ArenaSpec):
+    """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
 
-    Directions are taken in the nearest compass frame; cells beyond the grid
-    read as zero.
+    Directions are taken in the nearest compass frame; cells beyond the grid,
+    and every neighbour of a None cell (outside the arena, or no step taken
+    yet), read as zero.
     """
-    cell = cell_of(position, arena)
     if cell is None:
         return (0.0, 0.0, 0.0)
     col, row = cell
@@ -317,12 +314,11 @@ class DecentralizedController:
 
     # -- reaction bookkeeping -------------------------------------------------
 
-    def _begin_turn(self, i: int, agent, target: float, direction: float, kind: str) -> None:
+    def _begin_turn(self, i: int, target: float, direction: float, kind: str) -> None:
         self.phase[i] = _TURNING
         self.turn_target[i] = target
         self.turn_dir[i] = direction
         self.turn_kind[i] = kind
-        agent.mode = "turning"
 
     def _finish_reaction(self, i: int, kind: str, now: int) -> None:
         if kind in ("boundary", "avoid"):
@@ -410,7 +406,6 @@ class DecentralizedController:
                 if remaining <= turn_rate * dt + 1e-12:
                     moves.append(Unicycle(0.0, self.turn_dir[i] * remaining / dt))
                     self.phase[i] = _CRUISE
-                    agent.mode = "cruise"
                     self._finish_reaction(i, self.turn_kind[i], now)
                 else:
                     moves.append(Unicycle(0.0, self.turn_dir[i] * turn_rate))
@@ -454,7 +449,7 @@ class DecentralizedController:
             if trigger:
                 target = boundary_escape_heading(h, constraints, agent.rng, rb.reciprocal_exclusion)
                 direction = 1.0 if ccw_distance(h, target) <= math.pi else -1.0
-                self._begin_turn(i, agent, target, direction, "boundary")
+                self._begin_turn(i, target, direction, "boundary")
                 if self.collect_events:
                     self.events.append(
                         ReactionEvent(now, agent.id, "boundary", target, normals=tuple(constraints))
@@ -467,7 +462,7 @@ class DecentralizedController:
                 dodge = avoidance_turn(h, near[i], rb, agent.rng)
                 if dodge is not None:
                     target, direction, tier = dodge
-                    self._begin_turn(i, agent, target, direction, "avoid")
+                    self._begin_turn(i, target, direction, "avoid")
                     if self.collect_events:
                         self.events.append(ReactionEvent(now, agent.id, "avoid_" + tier, target))
                     moves.append(HOLD)
@@ -497,13 +492,13 @@ class DecentralizedController:
                     lo, hi = self.ldr.random_turn
                     target = wrap_angle(h - agent.rng.uniform(lo, hi))
                     direction = -1.0
-                self._begin_turn(i, agent, target, direction, "density")
+                self._begin_turn(i, target, direction, "density")
                 moves.append(HOLD)
                 continue
 
             if self.pm is not None:
                 suppressed = now <= self.pheromone_until[i]
-                readings = pm_sense(self.pheromone, now - 1, (x, y), h, arena)
+                readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
                 outcome = pm_choose(readings, suppressed, agent.rng)
                 if outcome != "no_reaction":
                     if self.collect_events:
@@ -517,16 +512,12 @@ class DecentralizedController:
                                 outcome=outcome,
                             )
                         )
-                    if outcome == "ahead":
-                        if self.pm.suppress_after_ahead:
-                            self._finish_reaction(i, "pheromone", now)
-                        moves.append(Unicycle(v_target, 0.0))
+                    if outcome != "ahead":
+                        direction = 1.0 if outcome == "turn_left_45" else -1.0
+                        target = wrap_angle(h + direction * self.pm.turn_angle)
+                        self._begin_turn(i, target, direction, "pheromone")
+                        moves.append(HOLD)
                         continue
-                    direction = 1.0 if outcome == "turn_left_45" else -1.0
-                    target = wrap_angle(h + direction * self.pm.turn_angle)
-                    self._begin_turn(i, agent, target, direction, "pheromone")
-                    moves.append(HOLD)
-                    continue
 
             moves.append(Unicycle(v_target, 0.0))
         return moves

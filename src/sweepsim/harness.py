@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ValueError("runs must be at least 1")
         if self.n_uavs < 1:
             raise ValueError("n_uavs must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
     def split_roles(self) -> tuple[int, int]:
         """Supervisor/sampler split for the hierarchy strategies (1:4 of the swarm)."""
@@ -144,13 +146,9 @@ def build_world(config: ExperimentConfig, seed: int, collect_events: bool = Fals
     return World(config.arena, sim, agents, controller)
 
 
-def run_single(config: ExperimentConfig, seed: int) -> RunRecord:
-    return build_world(config, seed).run()
-
-
 def _run_index(args: tuple[ExperimentConfig, int]) -> RunRecord:
     config, index = args
-    return run_single(config, config.base_seed + index)
+    return build_world(config, config.base_seed + index).run()
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], "object"]:
@@ -204,7 +202,7 @@ def _summary_payload(summary) -> dict:
 
 def export(
     records: list[RunRecord],
-    summaries,
+    summary,
     out_dir,
     config: ExperimentConfig,
 ) -> list[Path]:
@@ -219,11 +217,9 @@ def export(
     written = []
     arena = config.arena
 
-    if not isinstance(summaries, (list, tuple)):
-        summaries = [summaries]
     summary_doc = {
         "config": _config_echo(config),
-        "strategies": {s.strategy: _summary_payload(s) for s in summaries},
+        "strategies": {summary.strategy: _summary_payload(summary)},
     }
     path = out / "summary.json"
     path.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -16,13 +16,9 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .arena import ArenaSpec, Cell, CoverageGrid, cell_of
+from .arena import ArenaSpec, Cell, CoverageGrid
 
 SPEED_EPS = 1e-9
-
-# Sentinel previous-cell marker: the first step of a run always counts as
-# entering whatever cell the agent ends it in.
-_RUN_START = ("start",)
 
 
 @dataclass
@@ -45,12 +41,12 @@ class SimConfig:
     turn_rate_default: float = math.pi / 6.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        if self.target_sampling_velocity <= 0:
-            raise ValueError("target_sampling_velocity must be positive")
+        if not (math.isfinite(self.target_sampling_velocity) and self.target_sampling_velocity > 0):
+            raise ValueError("target_sampling_velocity must be positive and finite")
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
@@ -75,7 +71,9 @@ class AgentState:
     """Pose and sampling status of one UAV.
 
     Position is unbounded; only the grid is bounded. speed is the magnitude
-    actually flown this step, which is what gates visit scoring.
+    actually flown this step, which is what gates visit scoring. prev_cell is
+    the cell World.step placed the agent in at the end of its last step; None
+    before the first step and outside the arena.
     """
 
     id: int
@@ -83,10 +81,9 @@ class AgentState:
     heading: float
     altitude: float
     speed: float = 0.0
-    mode: str = "cruise"
     sampling_active: bool = True
     rng: np.random.Generator | None = None
-    prev_cell: object = _RUN_START
+    prev_cell: Cell | None = None
 
     def __post_init__(self) -> None:
         self.heading = wrap_angle(self.heading)
@@ -110,63 +107,6 @@ class PoseTarget(NamedTuple):
 Motion = Unicycle | PoseTarget
 
 HOLD = Unicycle(0.0, 0.0)
-
-
-def step_kinematics(agent: AgentState, command: Unicycle, dt: float) -> None:
-    """Integrate one unicycle step in place: heading first, then position."""
-    if command.linear_speed < 0:
-        raise ValueError("linear_speed must be non-negative")
-    heading = wrap_angle(agent.heading + command.angular_rate * dt)
-    x, y = agent.position
-    v = command.linear_speed
-    agent.position = (x + v * dt * math.cos(heading), y + v * dt * math.sin(heading))
-    agent.heading = heading
-    agent.speed = v
-
-
-def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell | None:
-    """Score the cell the agent ended this step in, entry-gated.
-
-    A visit requires entering a new cell (or the run's first step) inside the
-    arena with sampling active, at sampling altitude, at or under the target
-    velocity. Returns the credited cell, or None.
-    """
-    cell = cell_of(agent.position, grid.arena)
-    entered = cell != agent.prev_cell
-    agent.prev_cell = cell
-    if (
-        entered
-        and cell is not None
-        and agent.sampling_active
-        and agent.altitude == cfg.sampling_altitude
-        and agent.speed <= cfg.target_sampling_velocity + SPEED_EPS
-    ):
-        grid.record(cell)
-        return cell
-    return None
-
-
-def neighbors_within(
-    agents: Sequence[AgentState], self_id: int, comm_range: float, cfg: SimConfig
-) -> list[tuple[int, tuple[float, float]]]:
-    """Other agents on the same altitude plane within horizontal range.
-
-    Positions come back in the querying agent's frame. Delivery is
-    synchronous, reliable, and symmetric inside one step.
-    """
-    if comm_range > cfg.comm_range_max:
-        raise ValueError("requested range exceeds comm_range_max")
-    me = next(a for a in agents if a.id == self_id)
-    x, y = me.position
-    out = []
-    for other in agents:
-        if other.id == self_id or other.altitude != me.altitude:
-            continue
-        dx = other.position[0] - x
-        dy = other.position[1] - y
-        if math.hypot(dx, dy) <= comm_range:
-            out.append((other.id, (dx, dy)))
-    return out
 
 
 class Controller(Protocol):
@@ -197,16 +137,16 @@ class World:
         self.step_count = 0
         self.clamp_count = 0
         self.visit_events: list[tuple[int, Cell]] = []
-        self._minx, self._miny = arena.min_corner
-        self._maxx, self._maxy = arena.max_corner
-        self._inv_cell = 1.0 / arena.cell_size
 
     def step(self) -> None:
         """Advance the whole swarm by one synchronous round.
 
-        The motion/visit handling is a fused, constant-cached rendering of
-        step_kinematics and record_visit; the unit suite pins the two paths
-        to each other.
+        Each agent turns, then translates (or takes its PoseTarget), and the
+        cell it ends the step in is scored with entry semantics: a visit
+        needs a new cell inside the arena, sampling active, the sampling
+        altitude, and at most the target velocity. This is the one place a
+        position is mapped to a cell; the unit suite pins it to reference
+        implementations.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -217,10 +157,11 @@ class World:
             moves = None
             clamp = False
         grid = self.grid
-        visits = grid.visits
-        cols = grid.cols
-        minx, miny, maxx, maxy = self._minx, self._miny, self._maxx, self._maxy
-        inv_cell = self._inv_cell
+        arena = self.arena
+        cols = arena.cols
+        cell_size = arena.cell_size
+        minx, miny = arena.min_corner
+        maxx, maxy = arena.max_corner
         last = cols - 1
         sampling_altitude = cfg.sampling_altitude
         speed_cap = cfg.target_sampling_velocity + SPEED_EPS
@@ -258,8 +199,8 @@ class World:
                     agent.speed = v
             x, y = agent.position
             if minx <= x <= maxx and miny <= y <= maxy:
-                col = int((x - minx) * inv_cell)
-                row = int((y - miny) * inv_cell)
+                col = int((x - minx) / cell_size)
+                row = int((y - miny) / cell_size)
                 if col > last:
                     col = last
                 if row > last:
@@ -276,10 +217,7 @@ class World:
                     and agent.speed <= speed_cap
                 ):
                     idx = row * cols + col
-                    count = visits[idx]
-                    visits[idx] = count + 1
-                    if count == 0:
-                        grid.visited_count += 1
+                    grid.record(idx)
                     events.append((agent.id, cell))
                     if pheromone is not None:
                         pheromone.deposit(idx, step_idx)

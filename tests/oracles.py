@@ -1,0 +1,136 @@
+"""Reference implementations that the unit suite pins the simulator to.
+
+World.step maps positions to cells, integrates unicycle commands and scores
+visits in one fused loop; these are the same rules written one at a time,
+plus the boundary and neighbour queries the decentralized controller inlines.
+Nothing in the package uses them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from sweepsim.angles import wrap_angle
+from sweepsim.arena import _EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, _edge_distances
+from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle
+
+
+def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
+    """Map a point to its (col, row) cell, or None when outside the arena.
+
+    Points on the maximum edges belong to the last cell; points on the
+    minimum edges to cell 0 (plain floor).
+    """
+    x, y = position
+    minx, miny = arena.min_corner
+    if x < minx or y < miny:
+        return None
+    maxx, maxy = arena.max_corner
+    if x > maxx or y > maxy:
+        return None
+    col = int((x - minx) / arena.cell_size)
+    row = int((y - miny) / arena.cell_size)
+    last = arena.cols - 1
+    if col > last:
+        col = last
+    if row > last:
+        row = last
+    return (col, row)
+
+
+@dataclass(frozen=True)
+class BoundaryProbe:
+    """What an agent senses about the nearest arena edge."""
+
+    distance: float  # perpendicular distance to the nearest edge line
+    inward_normal: tuple[float, float]
+    outside_depth: float  # Euclidean distance to the arena; 0 when inside
+
+
+def boundary_probe(position: tuple[float, float], arena: ArenaSpec) -> BoundaryProbe:
+    x, y = position
+    dists = _edge_distances(x, y, arena)
+    nearest = min(range(4), key=lambda i: abs(dists[i]))
+    ex = max(0.0, -dists[0], -dists[1])
+    ey = max(0.0, -dists[2], -dists[3])
+    return BoundaryProbe(
+        distance=abs(dists[nearest]),
+        inward_normal=_EDGE_NORMALS[nearest],
+        outside_depth=math.hypot(ex, ey),
+    )
+
+
+def edges_within(
+    position: tuple[float, float], arena: ArenaSpec, trigger: float
+) -> list[tuple[float, float]]:
+    """Inward normals of every edge whose line lies within trigger distance."""
+    dists = _edge_distances(position[0], position[1], arena)
+    return [_EDGE_NORMALS[i] for i in range(4) if dists[i] <= trigger]
+
+
+def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, float]:
+    """Project a point onto the arena (identity for interior points)."""
+    cx, cy = arena.center
+    h = arena.half_side
+    x = min(max(position[0], cx - h), cx + h)
+    y = min(max(position[1], cy - h), cy + h)
+    return (x, y)
+
+
+def step_kinematics(agent: AgentState, command: Unicycle, dt: float) -> None:
+    """Integrate one unicycle step in place: heading first, then position."""
+    if command.linear_speed < 0:
+        raise ValueError("linear_speed must be non-negative")
+    heading = wrap_angle(agent.heading + command.angular_rate * dt)
+    x, y = agent.position
+    v = command.linear_speed
+    agent.position = (x + v * dt * math.cos(heading), y + v * dt * math.sin(heading))
+    agent.heading = heading
+    agent.speed = v
+
+
+def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell | None:
+    """Score the cell the agent ended this step in, entry-gated.
+
+    A visit requires entering a new cell (a fresh agent has none) inside the
+    arena with sampling active, at sampling altitude, at or under the target
+    velocity. Returns the credited cell, or None.
+    """
+    cell = cell_of(agent.position, grid.arena)
+    entered = cell != agent.prev_cell
+    agent.prev_cell = cell
+    if (
+        entered
+        and cell is not None
+        and agent.sampling_active
+        and agent.altitude == cfg.sampling_altitude
+        and agent.speed <= cfg.target_sampling_velocity + SPEED_EPS
+    ):
+        grid.record(grid.flat_index(cell))
+        return cell
+    return None
+
+
+def neighbors_within(
+    agents: Sequence[AgentState], self_id: int, comm_range: float, cfg: SimConfig
+) -> list[tuple[int, tuple[float, float]]]:
+    """Other agents on the same altitude plane within horizontal range.
+
+    Positions come back in the querying agent's frame. Delivery is
+    synchronous, reliable, and symmetric inside one step.
+    """
+    if comm_range > cfg.comm_range_max:
+        raise ValueError("requested range exceeds comm_range_max")
+    me = next(a for a in agents if a.id == self_id)
+    x, y = me.position
+    out = []
+    for other in agents:
+        if other.id == self_id or other.altitude != me.altitude:
+            continue
+        dx = other.position[0] - x
+        dy = other.position[1] - y
+        if math.hypot(dx, dy) <= comm_range:
+            out.append((other.id, (dx, dy)))
+    return out

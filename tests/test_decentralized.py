@@ -188,16 +188,18 @@ class TestPmSense:
     def test_nearly_east_heading_reads_compass_neighbors(self):
         # agent in cell (20, 20); heading 3 degrees quantizes to east
         field = self.make_field_with([(21, 20), (21, 21), (21, 19)], value=7.0)
-        ahead, left, right = pm_sense(field, 1, (0.5, 0.5), math.radians(3.0), ARENA)
+        ahead, left, right = pm_sense(field, 1, (20, 20), math.radians(3.0), ARENA)
         assert (ahead, left, right) == (7.0, 7.0, 7.0)
         field2 = self.make_field_with([(21, 21)], value=9.0)
-        ahead, left, right = pm_sense(field2, 1, (0.5, 0.5), math.radians(3.0), ARENA)
+        ahead, left, right = pm_sense(field2, 1, (20, 20), math.radians(3.0), ARENA)
         assert (ahead, left, right) == (0.0, 9.0, 0.0)
 
     def test_corner_reads_zero_outside_grid(self):
         field = PheromoneField(ARENA.cell_count)
-        readings = pm_sense(field, 1, (19.5, 19.5), math.radians(45.0), ARENA)
+        readings = pm_sense(field, 1, (39, 39), math.radians(45.0), ARENA)
         assert readings == (0.0, 0.0, 0.0)
+        # no recorded cell (before the first step, or outside the arena)
+        assert pm_sense(field, 1, None, 0.0, ARENA) == (0.0, 0.0, 0.0)
 
     def test_compass_quantization(self):
         assert compass_index(math.radians(3.0)) == 0

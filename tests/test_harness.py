@@ -74,6 +74,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(strategy="rb", runs=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_positive(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            ExperimentConfig(strategy="rb", jobs=jobs)
+
+    @pytest.mark.parametrize("option", ["dt", "target_sampling_velocity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_sim_non_finite_rejected(self, option, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimConfig(**{option: value})
+
 
 def small_config(strategy="rb", runs=2, max_steps=600, heatmaps=False, out="results", jobs=1):
     return ExperimentConfig(

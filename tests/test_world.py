@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sweepsim.arena import (
-    ArenaSpec,
-    CoverageGrid,
+from oracles import (
     boundary_probe,
     cell_of,
     clamp_into,
-    edges_outside,
     edges_within,
+    neighbors_within,
+    record_visit,
+    step_kinematics,
 )
+from sweepsim.arena import ArenaSpec, CoverageGrid, edges_outside
 from sweepsim.world import (
     SPEED_EPS,
     AgentState,
@@ -26,9 +27,6 @@ from sweepsim.world import (
     World,
     agent_stream,
     harness_stream,
-    neighbors_within,
-    record_visit,
-    step_kinematics,
 )
 
 ARENA = ArenaSpec()
@@ -67,6 +65,12 @@ class TestArenaSpec:
     def test_side_must_divide_region(self):
         with pytest.raises(ValueError):
             ArenaSpec(side_length=25.0, region_size=10.0)
+
+    @pytest.mark.parametrize("length", ["side_length", "cell_size", "region_size"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_lengths_rejected(self, length, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ArenaSpec(**{length: value})
 
 
 class TestCellOf:
@@ -315,37 +319,54 @@ class ScriptedController:
         return [command]
 
 
+def assert_step_matches_oracles(arena, start, heading, commands):
+    """Run commands through World.step and through the oracles; compare."""
+    fused = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
+    world = World(arena, CFG, [fused], ScriptedController(commands))
+    manual = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
+    grid = CoverageGrid(arena)
+    for command in commands:
+        world.step()
+        step_kinematics(manual, command, CFG.dt)
+        record_visit(manual, grid, CFG)
+        # pm_sense reads prev_cell, so it must be the oracle's cell too
+        assert fused.prev_cell == manual.prev_cell, (arena.cell_size, start)
+    assert fused.position == manual.position
+    assert fused.heading == manual.heading
+    assert world.grid.visits == grid.visits
+    assert world.grid.visited_count == grid.visited_count
+
+
+# Cell sizes 0.1 and 0.2 are where dividing by cell_size and multiplying by
+# its inverse put grid-line positions in different cells.
+SIZED_ARENAS = [ArenaSpec(side_length=40.0, cell_size=c, region_size=10.0) for c in (1.0, 0.1, 0.2)]
+
+
 class TestFusedStepEquivalence:
     def test_step_matches_public_kinematics_and_visit_functions(self):
         # World.step fuses step_kinematics and record_visit for speed; the
-        # fused path must stay pinned to the public functions
-        from sweepsim.arena import CoverageGrid
-
+        # fused path must stay pinned to the oracles
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            start = (rng.uniform(-21, 21), rng.uniform(-21, 21))
-            heading = rng.uniform(0, 2 * math.pi)
-            commands = [
-                Unicycle(float(rng.uniform(0, 1.3)), float(rng.uniform(-3, 3)))
-                for _ in range(40)
-            ]
-            fused = AgentState(
-                id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0)
-            )
-            world = World(ARENA, CFG, [fused], ScriptedController(commands))
-            for _ in range(40):
-                world.step()
-            manual = AgentState(
-                id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0)
-            )
-            grid = CoverageGrid(ARENA)
-            for command in commands:
-                step_kinematics(manual, command, CFG.dt)
-                record_visit(manual, grid, CFG)
-            assert fused.position == manual.position
-            assert fused.heading == manual.heading
-            assert world.grid.visits == grid.visits
-            assert world.grid.visited_count == grid.visited_count
+        for arena in SIZED_ARENAS:
+            for _ in range(100):
+                start = (rng.uniform(-21, 21), rng.uniform(-21, 21))
+                heading = rng.uniform(0, 2 * math.pi)
+                commands = [
+                    Unicycle(float(rng.uniform(0, 1.3)), float(rng.uniform(-3, 3)))
+                    for _ in range(40)
+                ]
+                assert_step_matches_oracles(arena, start, heading, commands)
+
+    @pytest.mark.parametrize("arena", SIZED_ARENAS[1:], ids=lambda a: f"cell{a.cell_size}")
+    def test_grid_line_starts(self, arena):
+        # Starts exactly on grid lines, x = min_x + k * cell_size (and the
+        # same for y), held for a step so the start cell is scored, then moved.
+        minx, miny = arena.min_corner
+        commands = [Unicycle(0.0, 1.0), Unicycle(1.0, 0.0), Unicycle(0.0, -2.0), Unicycle(1.0, 0.0)]
+        for k in range(arena.cols + 1):
+            line = minx + k * arena.cell_size
+            for start in ((line, 0.05), (0.05, miny + k * arena.cell_size)):
+                assert_step_matches_oracles(arena, start, 0.0, commands)
 
 
 class TestRandomStreams:
