@@ -42,10 +42,6 @@ def cw_distance(from_angle: float, to_angle: float) -> float:
     return wrap_angle(from_angle - to_angle)
 
 
-def heading_vector(theta: float) -> tuple[float, float]:
-    return (math.cos(theta), math.sin(theta))
-
-
 # An arc is (start, width) with start in [0, 2*pi) and 0 < width <= 2*pi,
 # covering angles start..start+width counterclockwise (possibly wrapping).
 Arc = tuple[float, float]
@@ -96,6 +92,18 @@ def intersect_arcs(a: list[Arc], b: list[Arc]) -> list[Arc]:
     return out
 
 
+def interior_arcs(inward_normals) -> list[Arc]:
+    """Directions with a positive component along every given inward normal.
+
+    The full circle is intersected with each normal's half-plane arc in the
+    order given.
+    """
+    arcs = full_circle()
+    for nx, ny in inward_normals:
+        arcs = intersect_arcs(arcs, half_plane_arc(math.atan2(ny, nx)))
+    return arcs
+
+
 def subtract_arc(arcs: list[Arc], center: float, half_width: float) -> list[Arc]:
     """Remove the cone of the given half-width around center from an arc set."""
     width = 2.0 * half_width
@@ -127,11 +135,3 @@ def sample_arcs(arcs: list[Arc], rng) -> float:
         u -= width
     start, width = arcs[-1]
     return wrap_angle(start + width)
-
-
-def contains_angle(arcs: list[Arc], theta: float) -> bool:
-    theta = wrap_angle(theta)
-    for start, width in arcs:
-        if ccw_distance(start, theta) <= width:
-            return True
-    return False

@@ -64,10 +64,10 @@ class ArenaSpec:
 
 
 # Inward unit normals of the four edges, indexed east, west, north, south.
-_EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 
 
-def _edge_distances(x: float, y: float, arena: ArenaSpec) -> tuple[float, float, float, float]:
+def edge_distances(x: float, y: float, arena: ArenaSpec) -> tuple[float, float, float, float]:
     """Signed distances to the four edge lines (positive inside), order E, W, N, S."""
     cx, cy = arena.center
     h = arena.half_side
@@ -76,8 +76,8 @@ def _edge_distances(x: float, y: float, arena: ArenaSpec) -> tuple[float, float,
 
 def edges_outside(position: tuple[float, float], arena: ArenaSpec) -> list[tuple[tuple[float, float], float]]:
     """(inward normal, excess) for every edge the position lies beyond."""
-    dists = _edge_distances(position[0], position[1], arena)
-    return [(_EDGE_NORMALS[i], -dists[i]) for i in range(4) if dists[i] < 0.0]
+    dists = edge_distances(position[0], position[1], arena)
+    return [(EDGE_NORMALS[i], -dists[i]) for i in range(4) if dists[i] < 0.0]
 
 
 class CoverageGrid:

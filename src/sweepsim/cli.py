@@ -3,7 +3,7 @@
 Runs one strategy (or all six) for a batch of seeded simulations and writes
 summary.json, runs.csv, cpr.csv, and optional per-run heatmaps. Exit code 0
 means every run reached full coverage, 2 means some runs hit the step
-budget, 1 means the invocation itself failed.
+budget, 1 means the invocation or a strategy failed (--all still runs the rest).
 """
 
 from __future__ import annotations
@@ -87,32 +87,37 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         options = _resolve_options(args)
-        run_all = args.all or options.get("all")
-        if run_all:
-            strategies = list(STRATEGIES)
-        elif options["strategy"]:
-            strategies = [options["strategy"]]
-        else:
-            print("error: provide --strategy or --all", file=sys.stderr)
-            return 1
-
-        incomplete = 0
         out_root = Path(options["out"])
-        for strategy in strategies:
-            out_dir = out_root / strategy if run_all else out_root
-            config = _experiment(options, strategy, str(out_dir))
-            records, summary = run_experiment(config)
-            export(records, summary, out_dir, config)
-            incomplete += summary.incomplete_runs
-            mean_cct = "incomplete" if summary.mean_cct is None else f"{summary.mean_cct:.1f}"
-            print(
-                f"{strategy}: {summary.complete_runs}/{config.runs} complete, "
-                f"mean CCT {mean_cct} -> {out_dir}"
-            )
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2 if incomplete else 0
+    run_all = args.all or options.get("all")
+    if run_all:
+        strategies = list(STRATEGIES)
+    elif options["strategy"]:
+        strategies = [options["strategy"]]
+    else:
+        print("error: provide --strategy or --all", file=sys.stderr)
+        return 1
+
+    incomplete = failed = 0
+    for strategy in strategies:
+        out_dir = out_root / strategy if run_all else out_root
+        try:
+            config = _experiment(options, strategy, str(out_dir))
+            records, summary = run_experiment(config)
+            export(records, summary, out_dir, config)
+        except Exception as exc:  # noqa: BLE001 - one strategy's failure does not stop the rest
+            print(f"error: {strategy}: {exc}", file=sys.stderr)
+            failed += 1
+            continue
+        incomplete += summary.incomplete_runs
+        mean_cct = "incomplete" if summary.mean_cct is None else f"{summary.mean_cct:.1f}"
+        print(
+            f"{strategy}: {summary.complete_runs}/{config.runs} complete, "
+            f"mean CCT {mean_cct} -> {out_dir}"
+        )
+    return 1 if failed else (2 if incomplete else 0)
 
 
 if __name__ == "__main__":

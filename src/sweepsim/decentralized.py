@@ -14,22 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .angles import (
     ccw_distance,
     cw_distance,
-    full_circle,
-    half_plane_arc,
-    intersect_arcs,
+    interior_arcs,
     sample_arcs,
     subtract_arc,
     wrap_angle,
     wrap_pi,
 )
-from .arena import ArenaSpec, Cell
+from .arena import EDGE_NORMALS, ArenaSpec, Cell, edge_distances
 from .world import HOLD, Motion, Unicycle, World
 
 
@@ -119,11 +116,6 @@ class PheromoneField:
         self._level[idx] = value if value > 0.0 else 0.0
         self._stamp[idx] = step
 
-    def snapshot(self, step: int) -> np.ndarray:
-        """Full field as of the end of the given step."""
-        raw = self._level - self.evaporation_rate * (step - self._stamp)
-        return np.maximum(raw, 0.0)
-
 
 def boundary_escape_heading(
     heading: float, inward_normals, rng, exclusion_half_angle: float = math.radians(5.0)
@@ -134,10 +126,9 @@ def boundary_escape_heading(
     half-planes, excluding the given offset either side of the reciprocal
     heading. Falls back to the (mean) inward normal if that set is empty.
     """
-    admissible = full_circle()
-    for nx, ny in inward_normals:
-        admissible = intersect_arcs(admissible, half_plane_arc(math.atan2(ny, nx)))
-    admissible = subtract_arc(admissible, wrap_angle(heading + math.pi), exclusion_half_angle)
+    admissible = subtract_arc(
+        interior_arcs(inward_normals), wrap_angle(heading + math.pi), exclusion_half_angle
+    )
     if not admissible:
         mx = sum(n[0] for n in inward_normals)
         my = sum(n[1] for n in inward_normals)
@@ -223,23 +214,6 @@ def pm_sense(field: PheromoneField, step: int, cell: Cell | None, heading: float
         else:
             out.append(0.0)
     return tuple(out)
-
-
-def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact move probabilities (p_ahead, p_right, p_left).
-
-    Each is (total - that_reading) / (2 * total); they sum to one by
-    construction. Requires total > 0.
-    """
-    a, l, r = Fraction(ahead), Fraction(left), Fraction(right)
-    total = a + l + r
-    if total <= 0:
-        raise ValueError("pm_probabilities requires total > 0")
-    return (
-        (total - a) / (2 * total),
-        (total - r) / (2 * total),
-        (total - l) / (2 * total),
-    )
 
 
 def pm_choose(readings, suppressed: bool, rng) -> str:
@@ -435,11 +409,8 @@ class DecentralizedController:
                 nx = x + step_len * cos_h
                 ny = y + step_len * sin_h
                 constraints = []
-                for n_vec, dist_now, dist_next in (
-                    ((-1.0, 0.0), half - (x - cx), half - (nx - cx)),
-                    ((1.0, 0.0), (x - cx) + half, (nx - cx) + half),
-                    ((0.0, -1.0), half - (y - cy), half - (ny - cy)),
-                    ((0.0, 1.0), (y - cy) + half, (ny - cy) + half),
+                for n_vec, dist_now, dist_next in zip(
+                    EDGE_NORMALS, edge_distances(x, y, arena), edge_distances(nx, ny, arena)
                 ):
                     if dist_now <= rb.boundary_trigger or dist_next < 0.0:
                         constraints.append(n_vec)
@@ -523,27 +494,19 @@ class DecentralizedController:
         return moves
 
 
+# Each decentralized strategy's LDR add-on; PM is RB plus the pheromone field.
+_LDR_ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": None}
+
+
 def make_controller(name: str, agents, arena: ArenaSpec, collect_events: bool = False):
     """Build the controller (and pheromone field, for PM) for a strategy name."""
-    if name == "rb":
-        return DecentralizedController("rb", agents, collect_events=collect_events), None
-    if name == "ldr_random":
-        return (
-            DecentralizedController("ldr_random", agents, ldr=LDR_RANDOM, collect_events=collect_events),
-            None,
-        )
-    if name == "ldr_repulsive":
-        return (
-            DecentralizedController(
-                "ldr_repulsive", agents, ldr=LDR_REPULSIVE, collect_events=collect_events
-            ),
-            None,
-        )
+    if name not in _LDR_ADD_ON:
+        raise ValueError(f"unknown decentralized strategy: {name}")
+    pm = field = None
     if name == "pm":
-        params = PmParams()
-        field = PheromoneField(arena.cell_count, params.deposit_amount, params.evaporation_rate)
-        controller = DecentralizedController(
-            "pm", agents, pm=params, pheromone=field, collect_events=collect_events
-        )
-        return controller, field
-    raise ValueError(f"unknown decentralized strategy: {name}")
+        pm = PmParams()
+        field = PheromoneField(arena.cell_count, pm.deposit_amount, pm.evaporation_rate)
+    controller = DecentralizedController(
+        name, agents, ldr=_LDR_ADD_ON[name], pm=pm, pheromone=field, collect_events=collect_events
+    )
+    return controller, field

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .arena import ArenaSpec
@@ -54,6 +54,9 @@ def place_decentralized(
     layout that stalls is scrapped and redrawn; only the global reject budget
     makes the placement fail.
     """
+    if max(spec.width, spec.depth) > arena.side_length:
+        box = f"{spec.width:g} m x {spec.depth:g} m"
+        raise ValueError(f"start box {box} does not fit the {arena.side_length:g} m arena")
     sep = spec.min_spacing / math.sqrt(2.0)
     capacity = (math.floor(spec.width / sep) + 1) * (math.floor(spec.depth / sep) + 1)
     if n > capacity:
@@ -129,7 +132,7 @@ class ExperimentConfig:
 
 def build_world(config: ExperimentConfig, seed: int, collect_events: bool = False) -> World:
     """Assemble one seeded, ready-to-run world for the configured strategy."""
-    sim = config.sim.with_seed(seed)
+    sim = replace(config.sim, seed=seed)
     if config.strategy in DECENTRALIZED:
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
@@ -176,23 +179,6 @@ def _round9(value):
     return value
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {
-        "strategy": config.strategy,
-        "runs": config.runs,
-        "base_seed": config.base_seed,
-        "n_uavs": config.n_uavs,
-        "output_dir": str(config.output_dir),
-        "heatmaps": config.heatmaps,
-        "jobs": config.jobs,
-        "arena": asdict(config.arena),
-        "sim": asdict(config.sim),
-        "placement": asdict(config.placement),
-    }
-    echo["arena"]["center"] = list(config.arena.center)
-    return echo
-
-
 def _summary_payload(summary) -> dict:
     payload = {}
     for key, value in asdict(summary).items():
@@ -218,7 +204,7 @@ def export(
     arena = config.arena
 
     summary_doc = {
-        "config": _config_echo(config),
+        "config": {**asdict(config), "output_dir": str(config.output_dir)},
         "strategies": {summary.strategy: _summary_payload(summary)},
     }
     path = out / "summary.json"

@@ -11,13 +11,13 @@ control is kinematically rigid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .angles import (
     ccw_distance,
     cw_distance,
-    full_circle,
     half_plane_arc,
+    interior_arcs,
     intersect_arcs,
     sample_arcs,
     subtract_arc,
@@ -45,8 +45,6 @@ class SonsFormation:
     sampler_ids: tuple[int, ...]
     offsets: dict[int, tuple[float, float]]
     sampler_spacing: float
-    supervisory_altitude: float
-    sampling_altitude: float
     parent: dict[int, int]
 
     @property
@@ -66,17 +64,13 @@ class SonsFormation:
 
 
 def build_line_formation(
-    n_supervisors: int,
-    n_samplers: int,
-    sampler_spacing: float = 1.0,
-    supervisory_altitude: float = 4.0,
-    sampling_altitude: float = 1.5,
+    n_supervisors: int, n_samplers: int, sampler_spacing: float = 1.0
 ) -> SonsFormation:
     """Caterpillar-tree line formation: brain and supervisors over a sampler line.
 
     n_supervisors counts the brain. Supervisors form the spine; samplers hang
     off them in contiguous groups. Supervisors sit evenly spaced over the
-    sampler line at the supervisory altitude.
+    sampler line.
     """
     if n_supervisors < 1 or n_samplers < 1:
         raise ValueError("need at least one supervisor (the brain) and one sampler")
@@ -104,8 +98,6 @@ def build_line_formation(
         sampler_ids=sampler_ids,
         offsets=offsets,
         sampler_spacing=sampler_spacing,
-        supervisory_altitude=supervisory_altitude,
-        sampling_altitude=sampling_altitude,
         parent=parent,
     )
 
@@ -146,13 +138,7 @@ def spawn_formation(
     corner with a random interior-facing heading. Returns the agent states
     plus the brain pose.
     """
-    formation = build_line_formation(
-        n_supervisors,
-        n_samplers,
-        sampler_spacing=arena.cell_size,
-        supervisory_altitude=cfg.supervisory_altitude,
-        sampling_altitude=cfg.sampling_altitude,
-    )
+    formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
     if formation.span > arena.side_length:
         raise ValueError("formation span exceeds the arena side")
     cx, cy = arena.center
@@ -190,7 +176,6 @@ class BrainStateBS:
     phase: str = "sweep"
     sweep_dir: float = 1.0  # +1 north, -1 south
     shift_remaining: float = 0.0
-    transitions: list = field(default_factory=list)
 
 
 @dataclass
@@ -212,7 +197,6 @@ class BrainStateRW:
     d_rand: float = 1.0
     d_adjust: float = 1.0
     align_target: float = 0.0
-    transitions: list = field(default_factory=list)
 
 
 class SonsController:
@@ -259,7 +243,6 @@ class SonsBsController(SonsController):
             if st.phase == "sweep":
                 if (st.sweep_dir > 0 and y >= cy + h) or (st.sweep_dir < 0 and y <= cy - h):
                     st.phase = "exit_boundary"
-                    st.transitions.append((world.step_count, "exit_boundary"))
                     continue
                 dy = st.sweep_dir * step_len
                 self.brain_pos = (x, y + dy)
@@ -269,14 +252,12 @@ class SonsBsController(SonsController):
                 if beyond >= self.exit_margin:
                     st.phase = "shift"
                     st.shift_remaining = self.stride
-                    st.transitions.append((world.step_count, "shift"))
                     continue
                 self.brain_pos = (x, y + st.sweep_dir * step_len)
                 break
             if st.phase == "shift":
                 if st.shift_remaining <= 1e-12:
                     st.phase = "turn"
-                    st.transitions.append((world.step_count, "turn"))
                     if x + self.formation.span / 2.0 < arena.min_corner[0]:
                         raise SweepGeometryError(
                             "sweep shifted fully past the arena before completing coverage"
@@ -289,7 +270,6 @@ class SonsBsController(SonsController):
             # turn: reverse direction and resume sweeping, instantaneous
             st.sweep_dir = -st.sweep_dir
             st.phase = "sweep"
-            st.transitions.append((world.step_count, "sweep"))
 
         return self._emit(world, sampling_active=True)
 
@@ -323,14 +303,11 @@ class SonsRwController(SonsController):
         self.brain_rng = brain_rng
         self.events: list[CrossingEvent] = []
 
-    def _select_crossing(self, world: World) -> None:
+    def _select_crossing(self, world: World, outside) -> None:
         st = self.state
         h = self.brain_heading
-        outside = edges_outside(self.brain_pos, world.arena)
         normals = [n for n, _ in outside]
-        interior = full_circle()
-        for nx, ny in normals:
-            interior = intersect_arcs(interior, half_plane_arc(math.atan2(ny, nx)))
+        interior = interior_arcs(normals)
         admissible = subtract_arc(
             interior, wrap_angle(h + math.pi), self.exclusion_half_angle
         )
@@ -356,7 +333,6 @@ class SonsRwController(SonsController):
         st.d_adjust = best[2]
         aligned = st.d_rand == st.d_adjust
         st.phase = "align" if aligned else "prepare"
-        st.transitions.append((world.step_count, st.phase))
         self.events.append(
             CrossingEvent(
                 step=world.step_count,
@@ -370,26 +346,23 @@ class SonsRwController(SonsController):
             )
         )
 
+    def _remaining(self, target: float, direction: float) -> float:
+        """Angle left to turn toward target in the given rotation direction."""
+        if direction > 0:
+            return ccw_distance(self.brain_heading, target)
+        return cw_distance(self.brain_heading, target)
+
     def _rotation_done(self, target: float, direction: float) -> bool:
         # the final partial step can land an ulp past the target, which reads
         # as a nearly full lap in the rotation direction
-        remaining = (
-            ccw_distance(self.brain_heading, target)
-            if direction > 0
-            else cw_distance(self.brain_heading, target)
-        )
+        remaining = self._remaining(target, direction)
         if remaining <= 1e-12 or remaining >= 2.0 * math.pi - 1e-9:
             self.brain_heading = wrap_angle(target)
             return True
         return False
 
     def _rotate_toward(self, target: float, direction: float, rate: float, dt: float) -> None:
-        remaining = (
-            ccw_distance(self.brain_heading, target)
-            if direction > 0
-            else cw_distance(self.brain_heading, target)
-        )
-        omega = min(rate, remaining / dt)
+        omega = min(rate, self._remaining(target, direction) / dt)
         self.brain_heading = wrap_angle(self.brain_heading + direction * omega * dt)
 
     def decide(self, world: World) -> list[Motion]:
@@ -400,7 +373,8 @@ class SonsRwController(SonsController):
         ex = max(0.0, abs(self.brain_pos[0] - arena.center[0]) - arena.half_side)
         ey = max(0.0, abs(self.brain_pos[1] - arena.center[1]) - arena.half_side)
         depth = math.hypot(ex, ey)
-        exceeded = frozenset(n for n, _ in edges_outside(self.brain_pos, arena))
+        outside = edges_outside(self.brain_pos, arena)
+        exceeded = frozenset(n for n, _ in outside)
         if not st.armed and (depth < st.prev_depth - 1e-15 or not exceeded <= st.fired_edges):
             st.armed = True
         sampling = True
@@ -409,7 +383,7 @@ class SonsRwController(SonsController):
                 if st.armed and exceeded and depth > self.crossing_depth and depth >= st.prev_depth:
                     st.armed = False
                     st.fired_edges = exceeded
-                    self._select_crossing(world)
+                    self._select_crossing(world, outside)
                     continue
                 step_len = cfg.target_sampling_velocity * dt
                 x, y = self.brain_pos
@@ -421,7 +395,6 @@ class SonsRwController(SonsController):
             if st.phase == "align":
                 if self._rotation_done(st.align_target, st.d_adjust):
                     st.phase = "prepare"
-                    st.transitions.append((world.step_count, "prepare"))
                     continue
                 self._rotate_toward(st.align_target, st.d_adjust, self.omega_max, dt)
                 break
@@ -429,7 +402,6 @@ class SonsRwController(SonsController):
             sampling = False
             if self._rotation_done(st.theta_rand, st.d_rand):
                 st.phase = "cruise"
-                st.transitions.append((world.step_count, "cruise"))
                 sampling = True
                 continue
             self._rotate_toward(st.theta_rand, st.d_rand, cfg.turn_rate_default, dt)

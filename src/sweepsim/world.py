@@ -10,13 +10,14 @@ seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .arena import ArenaSpec, Cell, CoverageGrid
+from .metrics import RunRecord
 
 SPEED_EPS = 1e-9
 
@@ -47,9 +48,6 @@ class SimConfig:
             raise ValueError("max_steps must be positive")
         if not (math.isfinite(self.target_sampling_velocity) and self.target_sampling_velocity > 0):
             raise ValueError("target_sampling_velocity must be positive and finite")
-
-    def with_seed(self, seed: int) -> "SimConfig":
-        return replace(self, seed=seed)
 
 
 def agent_stream(seed: int, agent_id: int) -> np.random.Generator:
@@ -229,14 +227,12 @@ class World:
     def budget_exhausted(self) -> bool:
         return self.step_count >= self.cfg.max_steps and not self.is_complete()
 
-    def run(self, on_step: Callable[["World"], None] | None = None):
+    def run(self, on_step: Callable[["World"], None] | None = None) -> RunRecord:
         """Step until full coverage or the step budget runs out."""
-        from .metrics import RunRecord
-
-        fractions: list[float] = []
+        coverage: list[float] = []
         while not self.is_complete() and self.step_count < self.cfg.max_steps:
             self.step()
-            fractions.append(self.grid.coverage_fraction())
+            coverage.append(self.grid.coverage_fraction())
             if on_step is not None:
                 on_step(self)
         cct = self.step_count if self.is_complete() else None
@@ -245,6 +241,6 @@ class World:
             strategy=strategy,
             seed=self.cfg.seed,
             cct=cct,
-            coverage_fraction=np.asarray(fractions, dtype=np.float64),
+            coverage_fraction=np.asarray(coverage, dtype=np.float64),
             final_visits=self.grid.counts_array(),
         )

@@ -2,19 +2,36 @@
 
 World.step maps positions to cells, integrates unicycle commands and scores
 visits in one fused loop; these are the same rules written one at a time,
-plus the boundary and neighbour queries the decentralized controller inlines.
-Nothing in the package uses them.
+plus the boundary and neighbour queries the decentralized controller inlines,
+arc membership, the exact PM move probabilities and a full pheromone-field
+read. Nothing in the package uses them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from sweepsim.angles import wrap_angle
-from sweepsim.arena import _EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, _edge_distances
+import numpy as np
+
+from sweepsim.angles import Arc, ccw_distance, wrap_angle
+from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
+from sweepsim.decentralized import PheromoneField
 from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle
+
+
+def heading_vector(theta: float) -> tuple[float, float]:
+    return (math.cos(theta), math.sin(theta))
+
+
+def contains_angle(arcs: list[Arc], theta: float) -> bool:
+    theta = wrap_angle(theta)
+    for start, width in arcs:
+        if ccw_distance(start, theta) <= width:
+            return True
+    return False
 
 
 def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
@@ -51,13 +68,13 @@ class BoundaryProbe:
 
 def boundary_probe(position: tuple[float, float], arena: ArenaSpec) -> BoundaryProbe:
     x, y = position
-    dists = _edge_distances(x, y, arena)
+    dists = edge_distances(x, y, arena)
     nearest = min(range(4), key=lambda i: abs(dists[i]))
     ex = max(0.0, -dists[0], -dists[1])
     ey = max(0.0, -dists[2], -dists[3])
     return BoundaryProbe(
         distance=abs(dists[nearest]),
-        inward_normal=_EDGE_NORMALS[nearest],
+        inward_normal=EDGE_NORMALS[nearest],
         outside_depth=math.hypot(ex, ey),
     )
 
@@ -66,8 +83,8 @@ def edges_within(
     position: tuple[float, float], arena: ArenaSpec, trigger: float
 ) -> list[tuple[float, float]]:
     """Inward normals of every edge whose line lies within trigger distance."""
-    dists = _edge_distances(position[0], position[1], arena)
-    return [_EDGE_NORMALS[i] for i in range(4) if dists[i] <= trigger]
+    dists = edge_distances(position[0], position[1], arena)
+    return [EDGE_NORMALS[i] for i in range(4) if dists[i] <= trigger]
 
 
 def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, float]:
@@ -134,3 +151,26 @@ def neighbors_within(
         if math.hypot(dx, dy) <= comm_range:
             out.append((other.id, (dx, dy)))
     return out
+
+
+def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact move probabilities (p_ahead, p_right, p_left) that pm_choose samples.
+
+    Each is (total - that_reading) / (2 * total); they sum to one by
+    construction. Requires total > 0.
+    """
+    a, l, r = Fraction(ahead), Fraction(left), Fraction(right)
+    total = a + l + r
+    if total <= 0:
+        raise ValueError("pm_probabilities requires total > 0")
+    return (
+        (total - a) / (2 * total),
+        (total - r) / (2 * total),
+        (total - l) / (2 * total),
+    )
+
+
+def pheromone_snapshot(field: PheromoneField, step: int) -> np.ndarray:
+    """The whole field as of the end of the given step."""
+    raw = field._level - field.evaporation_rate * (step - field._stamp)
+    return np.maximum(raw, 0.0)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import contains_angle
 from sweepsim.angles import (
     arc_around,
     ccw_distance,
-    contains_angle,
     cw_distance,
     full_circle,
     half_plane_arc,

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from sweepsim.angles import ccw_distance, cw_distance, heading_vector, wrap_angle
+
+from oracles import heading_vector, pheromone_snapshot, pm_probabilities
+from sweepsim.angles import ccw_distance, cw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
     LDR_RANDOM,
@@ -19,7 +21,6 @@ from sweepsim.decentralized import (
     boundary_escape_heading,
     compass_index,
     pm_choose,
-    pm_probabilities,
     pm_sense,
     repulsive_escape,
 )
@@ -160,16 +161,16 @@ class TestPheromoneField:
         field = PheromoneField(10)
         field.deposit(2, step=1)
         field.deposit(5, step=4)
-        snap = field.snapshot(step=9)
+        snap = pheromone_snapshot(field, step=9)
         for idx in range(10):
             assert snap[idx] == pytest.approx(field.level(idx, step=9))
 
     def test_decreases_by_exactly_one_per_step(self):
         field = PheromoneField(10)
         field.deposit(3, step=2)
-        previous = field.snapshot(step=2)
+        previous = pheromone_snapshot(field, step=2)
         for step in range(3, 5010):
-            current = field.snapshot(step)
+            current = pheromone_snapshot(field, step)
             assert (current >= 0.0).all()
             expected = np.maximum(previous - 1.0, 0.0)
             assert np.array_equal(current, expected)
@@ -251,21 +252,28 @@ class TestPmChoose:
         assert counts["turn_right_45"] == pytest.approx(5 * n / 16, abs=5 * math.sqrt(n))
 
 
-def short_world(strategy, seed=2, max_steps=4000, collect=True):
-    cfg = ExperimentConfig(strategy=strategy, runs=1, sim=SimConfig(max_steps=max_steps))
+def short_world(strategy, seed=2, max_steps=4000, collect=True, arena=ARENA):
+    cfg = ExperimentConfig(
+        strategy=strategy, runs=1, arena=arena, sim=SimConfig(max_steps=max_steps)
+    )
     return build_world(cfg, seed=seed, collect_events=collect), cfg
+
+
+OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
 
 
 class TestControllerTraces:
     def test_no_agent_ends_step_outside_and_clamp_never_fires(self):
-        world, _ = short_world("rb")
-        half = ARENA.half_side
-        while not world.is_complete() and world.step_count < 4000:
-            world.step()
-            for agent in world.agents:
-                x, y = agent.position
-                assert abs(x) <= half and abs(y) <= half
-        assert world.clamp_count == 0
+        cases = [(ARENA, "rb")] + [(OFF_CENTRE, s) for s in ("rb", "ldr_repulsive", "pm")]
+        for arena, strategy in cases:
+            world, _ = short_world(strategy, arena=arena, collect=False)
+            (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
+            while not world.is_complete() and world.step_count < 4000:
+                world.step()
+                for agent in world.agents:
+                    x, y = agent.position
+                    assert minx <= x <= maxx and miny <= y <= maxy, (arena.center, strategy)
+            assert world.clamp_count == 0
 
     def test_boundary_reactions_point_inward(self):
         world, _ = short_world("rb", seed=4)
@@ -378,4 +386,4 @@ class TestPmRunState:
         for _ in range(1200):
             world.step()
             if world.step_count % 100 == 0:
-                assert (world.pheromone.snapshot(world.step_count) >= 0.0).all()
+                assert (pheromone_snapshot(world.pheromone, world.step_count) >= 0.0).all()

@@ -54,6 +54,11 @@ class TestPlacement:
         assert [p.position for p in a] == [p.position for p in b]
         assert [p.heading for p in a] == [p.heading for p in b]
 
+    def test_start_box_wider_than_arena_rejected(self):
+        small = ArenaSpec(side_length=10.0, region_size=10.0)
+        with pytest.raises(ValueError, match="20 m x 3 m .* 10 m arena"):
+            place_decentralized(PlacementSpec(), 25, small, CFG, harness_stream(1))
+
     def test_many_seeds_succeed(self):
         for seed in range(40):
             agents = place_decentralized(PlacementSpec(), 25, ARENA, CFG, harness_stream(seed))
@@ -161,6 +166,14 @@ class TestExport:
         last_step, last_value = lines[-1].split(",")
         assert int(last_step) == max(r.cct for r in records)
         assert float(last_value) == 1.0
+
+    def test_path_output_dir_echoed_as_string(self, tmp_path):
+        cfg = small_config(runs=1, max_steps=20, out=tmp_path)
+        records, summary = run_experiment(cfg)
+        export(records, summary, tmp_path, cfg)
+        doc = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert doc["config"]["output_dir"] == str(tmp_path)
+        assert doc["config"]["arena"]["center"] == [0.0, 0.0]
 
     def test_summary_echoes_config(self, exported):
         out, cfg, _, _ = exported
@@ -281,6 +294,24 @@ class TestCli:
         for strategy in ("rb", "ldr_random", "ldr_repulsive", "pm", "sons_bs", "sons_rw"):
             assert (tmp_path / strategy / "summary.json").exists()
             assert (tmp_path / strategy / "runs.csv").exists()
+
+    def test_small_arena_rejected(self, tmp_path, capsys):
+        code = main(
+            ["--strategy", "rb", "--arena-side", "10", "--runs", "1", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "does not fit the 10 m arena" in capsys.readouterr().err
+
+    def test_all_keeps_going_past_a_failing_strategy(self, tmp_path, capsys):
+        code = main(
+            ["--all", "--uavs", "1", "--runs", "1", "--max-steps", "5", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        for strategy in ("rb", "ldr_random", "ldr_repulsive", "pm"):
+            assert (tmp_path / strategy / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "error: sons_bs: " in err
+        assert "error: sons_rw: " in err
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["--strategy", "rb", "--runs", "2", "--seed", "11", "--max-steps", "400",
