@@ -88,10 +88,6 @@ class CoverageGrid:
         self.visits: list[int] = [0] * arena.cell_count
         self.visited_count = 0
 
-    def flat_index(self, cell: Cell) -> int:
-        col, row = cell
-        return row * self.arena.cols + col
-
     def record(self, idx: int) -> None:
         """Add one visit to the cell at flat index idx."""
         count = self.visits[idx]

@@ -19,35 +19,53 @@ from .world import SimConfig
 
 _DEFAULTS = {
     "strategy": None,
-    "runs": 30,
-    "seed": 1,
-    "arena_side": 40.0,
-    "uavs": 25,
-    "dt": 0.1,
-    "max_steps": 60_000,
-    "out": "results",
-    "heatmaps": False,
-    "jobs": 1,
+    "runs": ExperimentConfig.runs,
+    "seed": ExperimentConfig.base_seed,
+    "arena_side": ArenaSpec.side_length,
+    "uavs": ExperimentConfig.n_uavs,
+    "dt": SimConfig.dt,
+    "max_steps": SimConfig.max_steps,
+    "out": ExperimentConfig.output_dir,
+    "heatmaps": ExperimentConfig.heatmaps,
+    "jobs": ExperimentConfig.jobs,
+}
+
+# The JSON type each --config key must have; a boolean is never a number.
+_CONFIG_TYPES = {
+    "strategy": ((str, type(None)), "a string or null"),
+    "all": (bool, "a boolean"),
+    "runs": (int, "an integer"),
+    "seed": (int, "an integer"),
+    "arena_side": ((int, float), "a number"),
+    "uavs": (int, "an integer"),
+    "dt": ((int, float), "a number"),
+    "max_steps": (int, "an integer"),
+    "out": (str, "a string"),
+    "heatmaps": (bool, "a boolean"),
+    "jobs": (int, "an integer"),
 }
 
 
 def _parser() -> argparse.ArgumentParser:
+    d = _DEFAULTS
     parser = argparse.ArgumentParser(
         prog="sweepsim",
         description="Deterministic multi-UAV sweep-coverage benchmark harness.",
     )
     parser.add_argument("--strategy", choices=STRATEGIES, help="strategy to run")
     parser.add_argument("--all", action="store_true", help="run every strategy")
-    parser.add_argument("--runs", type=int, help="runs per strategy (default 30)")
-    parser.add_argument("--seed", type=int, help="base seed; run i uses seed+i (default 1)")
-    parser.add_argument("--arena-side", type=float, help="arena side length in m (default 40)")
-    parser.add_argument("--uavs", type=int, help="swarm size (default 25)")
-    parser.add_argument("--dt", type=float, help="step duration in s (default 0.1)")
-    parser.add_argument("--max-steps", type=int, help="per-run step budget (default 60000)")
-    parser.add_argument("--out", help="output directory (default results)")
+    parser.add_argument("--runs", type=int, help=f"runs per strategy (default {d['runs']})")
+    parser.add_argument("--seed", type=int, help=f"base seed; run i uses seed+i (default {d['seed']})")
+    parser.add_argument("--arena-side", type=float,
+                        help=f"arena side length in m (default {d['arena_side']:g})")
+    parser.add_argument("--uavs", type=int, help=f"swarm size (default {d['uavs']})")
+    parser.add_argument("--dt", type=float, help=f"step duration in s (default {d['dt']:g})")
+    parser.add_argument("--max-steps", type=int,
+                        help=f"per-run step budget (default {d['max_steps']})")
+    parser.add_argument("--out", help=f"output directory (default {d['out']})")
     parser.add_argument("--heatmaps", action="store_true", default=None,
                         help="also write per-run visit-count heatmaps")
-    parser.add_argument("--jobs", type=int, help="parallel runs (default 1)")
+    parser.add_argument("--jobs", type=int, help=f"parallel runs (default {d['jobs']})")
     parser.add_argument("--config", help="JSON file with the flat option schema; flags override")
     return parser
 
@@ -56,9 +74,13 @@ def _resolve_options(args: argparse.Namespace) -> dict:
     options = dict(_DEFAULTS)
     if args.config:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = set(loaded) - set(_DEFAULTS) - {"all"}
+        unknown = set(loaded) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            types, expected = _CONFIG_TYPES[key]
+            if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         options.update(loaded)
     for key in _DEFAULTS:
         value = getattr(args, key, None)
@@ -69,17 +91,17 @@ def _resolve_options(args: argparse.Namespace) -> dict:
 
 def _experiment(options: dict, strategy: str, out_dir: str) -> ExperimentConfig:
     arena = ArenaSpec(side_length=float(options["arena_side"]))
-    sim = SimConfig(dt=float(options["dt"]), max_steps=int(options["max_steps"]))
+    sim = SimConfig(dt=float(options["dt"]), max_steps=options["max_steps"])
     return ExperimentConfig(
         strategy=strategy,
-        runs=int(options["runs"]),
-        base_seed=int(options["seed"]),
+        runs=options["runs"],
+        base_seed=options["seed"],
         arena=arena,
-        n_uavs=int(options["uavs"]),
+        n_uavs=options["uavs"],
         sim=sim,
         output_dir=out_dir,
-        heatmaps=bool(options["heatmaps"]),
-        jobs=int(options["jobs"]),
+        heatmaps=options["heatmaps"],
+        jobs=options["jobs"],
     )
 
 

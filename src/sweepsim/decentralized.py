@@ -87,8 +87,6 @@ class PmParams:
     turn_angle: float = math.radians(45.0)
     post_pheromone_suppression: int = 25
     post_avoidance_suppression: int = 50
-    deposit_amount: float = 5000.0
-    evaporation_rate: float = 1.0
 
 
 class PheromoneField:
@@ -99,9 +97,11 @@ class PheromoneField:
     zero. Observationally identical to decrementing every cell once per step.
     """
 
-    def __init__(self, cell_count: int, deposit_amount: float = 5000.0, evaporation_rate: float = 1.0):
-        self.deposit_amount = deposit_amount
-        self.evaporation_rate = evaporation_rate
+    def __init__(self, cell_count: int):
+        # Instance attributes, not class attributes: level() reads them on
+        # every pheromone sense, and the instance lookup is the faster one.
+        self.deposit_amount = 5000.0
+        self.evaporation_rate = 1.0
         self._level = np.zeros(cell_count, dtype=np.float64)
         self._stamp = np.zeros(cell_count, dtype=np.int64)
 
@@ -265,14 +265,13 @@ class DecentralizedController:
         self,
         name: str,
         agents,
-        rb: RbParams | None = None,
         ldr: LdrParams | None = None,
         pm: PmParams | None = None,
         pheromone: PheromoneField | None = None,
         collect_events: bool = False,
     ):
         self.name = name
-        self.rb = rb or RbParams()
+        self.rb = RbParams()
         self.ldr = ldr
         self.pm = pm
         self.pheromone = pheromone
@@ -495,18 +494,19 @@ class DecentralizedController:
 
 
 # Each decentralized strategy's LDR add-on; PM is RB plus the pheromone field.
-_LDR_ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": None}
+LDR_ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": None}
 
 
-def make_controller(name: str, agents, arena: ArenaSpec, collect_events: bool = False):
-    """Build the controller (and pheromone field, for PM) for a strategy name."""
-    if name not in _LDR_ADD_ON:
+def make_controller(
+    name: str, agents, arena: ArenaSpec, collect_events: bool = False
+) -> DecentralizedController:
+    """Build the controller for a strategy name; PM's carries its pheromone field."""
+    if name not in LDR_ADD_ON:
         raise ValueError(f"unknown decentralized strategy: {name}")
     pm = field = None
     if name == "pm":
         pm = PmParams()
-        field = PheromoneField(arena.cell_count, pm.deposit_amount, pm.evaporation_rate)
-    controller = DecentralizedController(
-        name, agents, ldr=_LDR_ADD_ON[name], pm=pm, pheromone=field, collect_events=collect_events
+        field = PheromoneField(arena.cell_count)
+    return DecentralizedController(
+        name, agents, ldr=LDR_ADD_ON[name], pm=pm, pheromone=field, collect_events=collect_events
     )
-    return controller, field

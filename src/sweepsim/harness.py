@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .arena import ArenaSpec
-from .decentralized import make_controller
+from .decentralized import LDR_ADD_ON, make_controller
 from .metrics import (
     RunRecord,
     block_uniformities,
@@ -26,8 +26,8 @@ from .metrics import (
 from .sons import make_sons_controller
 from .world import AgentState, SimConfig, World, agent_stream, harness_stream
 
-STRATEGIES = ("rb", "ldr_random", "ldr_repulsive", "pm", "sons_bs", "sons_rw")
-DECENTRALIZED = ("rb", "ldr_random", "ldr_repulsive", "pm")
+DECENTRALIZED = tuple(LDR_ADD_ON)
+STRATEGIES = DECENTRALIZED + ("sons_bs", "sons_rw")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ def place_decentralized(
 
     Positions are rejection-sampled uniformly subject to the pairwise
     spacing; headings are uniform in [0, 180] degrees measured from east, so
-    every agent faces into the arena. Deterministic for a given stream.
+    every agent faces into the arena. Deterministic for a given stream. Each
+    agent gets its own stream, split from (cfg.seed, id).
 
     Sequential dart-throwing jams well below the theoretical capacity, so a
     layout that stalls is scrapped and redrawn; only the global reject budget
@@ -91,6 +92,7 @@ def place_decentralized(
                 position=(x, y),
                 heading=rng.uniform(0.0, math.pi),
                 altitude=cfg.sampling_altitude,
+                rng=agent_stream(cfg.seed, i),
             )
         )
     return agents
@@ -120,6 +122,15 @@ class ExperimentConfig:
             raise ValueError("n_uavs must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
+        # Visits are scored where a step ends, so a longer step skips cells.
+        step_len = self.sim.target_sampling_velocity * self.sim.dt
+        if step_len > self.arena.cell_size:
+            raise ValueError(
+                f"step length {step_len:g} m (target_sampling_velocity x dt) "
+                f"exceeds the cell size {self.arena.cell_size:g} m"
+            )
 
     def split_roles(self) -> tuple[int, int]:
         """Supervisor/sampler split for the hierarchy strategies (1:4 of the swarm)."""
@@ -137,15 +148,13 @@ def build_world(config: ExperimentConfig, seed: int, collect_events: bool = Fals
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
         )
-        for agent in agents:
-            agent.rng = agent_stream(seed, agent.id)
-        controller, pheromone = make_controller(
+        controller = make_controller(
             config.strategy, agents, config.arena, collect_events=collect_events
         )
-        return World(config.arena, sim, agents, controller, pheromone=pheromone)
-    supervisors, samplers = config.split_roles()
-    variant = "bs" if config.strategy == "sons_bs" else "rw"
-    agents, controller = make_sons_controller(variant, config.arena, sim, supervisors, samplers)
+    else:
+        agents, controller = make_sons_controller(
+            config.strategy, config.arena, sim, *config.split_roles()
+        )
     return World(config.arena, sim, agents, controller)
 
 

@@ -126,33 +126,33 @@ def max_formation_omega(formation: SonsFormation, v_max: float) -> float:
 def spawn_formation(
     arena: ArenaSpec,
     cfg: SimConfig,
-    variant: str,
+    strategy: str,
     n_supervisors: int,
     n_samplers: int,
     rng,
 ) -> tuple[list[AgentState], SonsFormation, tuple[float, float], float]:
-    """Place the formation at the variant's start pose.
+    """Place the formation at the strategy's start pose.
 
-    The sweep variant starts centered on the easternmost strip, hugging the
-    southern boundary; the random-walk variant starts on the southeastern
-    corner with a random interior-facing heading. Returns the agent states
-    plus the brain pose.
+    sons_bs starts centered on the easternmost strip, hugging the southern
+    boundary; sons_rw starts on the southeastern corner with a random
+    interior-facing heading drawn from rng. Returns the agent states plus
+    the brain pose.
     """
     formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
     if formation.span > arena.side_length:
         raise ValueError("formation span exceeds the arena side")
     cx, cy = arena.center
     h = arena.half_side
-    if variant == "bs":
+    if strategy == "sons_bs":
         stride = formation.span + arena.cell_size
         brain_pos = (cx + h - stride / 2.0, cy - h + arena.cell_size / 2.0)
         brain_heading = math.pi / 2.0
-    elif variant == "rw":
+    elif strategy == "sons_rw":
         brain_pos = (cx + h, cy - h)
         interior = intersect_arcs(half_plane_arc(math.pi), half_plane_arc(math.pi / 2.0))
         brain_heading = sample_arcs(interior, rng)
     else:
-        raise ValueError(f"unknown formation variant: {variant}")
+        raise ValueError(f"unknown formation strategy: {strategy}")
     targets = follow_formation(brain_pos, brain_heading, formation)
     agents = []
     for member in formation.all_ids:
@@ -163,7 +163,6 @@ def spawn_formation(
                 position=targets[member],
                 heading=brain_heading,
                 altitude=cfg.sampling_altitude if sampler else cfg.supervisory_altitude,
-                rng=agent_stream(cfg.seed, member),
             )
         )
     return agents, formation, brain_pos, brain_heading
@@ -203,6 +202,7 @@ class SonsController:
     """Shared plumbing: one brain decides, every member is pose-assigned."""
 
     clamp_to_arena = False
+    pheromone = None
 
     def __init__(self, formation: SonsFormation, brain_pos, brain_heading):
         self.formation = formation
@@ -412,14 +412,14 @@ class SonsRwController(SonsController):
 
 
 def make_sons_controller(
-    variant: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int
+    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int
 ) -> tuple[list[AgentState], SonsController]:
-    """Spawn the formation and wire up the requested brain."""
+    """Spawn the formation and wire up the brain of sons_bs or sons_rw."""
     brain_rng = agent_stream(cfg.seed, 0)
     agents, formation, brain_pos, brain_heading = spawn_formation(
-        arena, cfg, variant, n_supervisors, n_samplers, brain_rng
+        arena, cfg, strategy, n_supervisors, n_samplers, brain_rng
     )
-    if variant == "bs":
+    if strategy == "sons_bs":
         controller = SonsBsController(formation, brain_pos, brain_heading, arena)
     else:
         controller = SonsRwController(formation, brain_pos, brain_heading, cfg, brain_rng)

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .arena import ArenaSpec, Cell, CoverageGrid
 from .metrics import RunRecord
+
+if TYPE_CHECKING:
+    from .decentralized import PheromoneField
 
 SPEED_EPS = 1e-9
 
@@ -108,30 +111,35 @@ HOLD = Unicycle(0.0, 0.0)
 
 
 class Controller(Protocol):
-    """Strategy plug-in: senses the pre-step world and commands every agent."""
+    """Strategy plug-in: senses the pre-step world and commands every agent.
 
+    name labels the run's record; pheromone is the field the world deposits
+    into on every credited visit, or None for strategies without one.
+    """
+
+    name: str
     clamp_to_arena: bool
+    pheromone: "PheromoneField | None"
 
     def decide(self, world: "World") -> list[Motion]: ...
 
 
 class World:
-    """One seeded run: agents, grid, optional pheromone, and the step loop."""
+    """One seeded run: agents, grid, the controller that steers them, and the step loop."""
 
     def __init__(
         self,
         arena: ArenaSpec,
         cfg: SimConfig,
         agents: Sequence[AgentState],
-        controller: Controller | None = None,
-        pheromone=None,
+        controller: Controller,
     ):
         self.arena = arena
         self.cfg = cfg
         self.agents = sorted(agents, key=lambda a: a.id)
         self.controller = controller
         self.grid = CoverageGrid(arena)
-        self.pheromone = pheromone
+        self.pheromone = controller.pheromone
         self.step_count = 0
         self.clamp_count = 0
         self.visit_events: list[tuple[int, Cell]] = []
@@ -144,16 +152,13 @@ class World:
         needs a new cell inside the arena, sampling active, the sampling
         altitude, and at most the target velocity. This is the one place a
         position is mapped to a cell; the unit suite pins it to reference
-        implementations.
+        implementations. The controller must command every agent exactly
+        once; any other number of moves raises ValueError.
         """
         cfg = self.cfg
         dt = cfg.dt
-        if self.controller is not None:
-            moves = self.controller.decide(self)
-            clamp = self.controller.clamp_to_arena
-        else:
-            moves = None
-            clamp = False
+        moves = self.controller.decide(self)
+        clamp = self.controller.clamp_to_arena
         grid = self.grid
         arena = self.arena
         cols = arena.cols
@@ -167,35 +172,32 @@ class World:
         step_idx = self.step_count
         pheromone = self.pheromone
         events = []
-        for i, agent in enumerate(self.agents):
-            if moves is not None:
-                motion = moves[i]
-                if motion.__class__ is PoseTarget:
-                    px, py = agent.position
-                    x = motion.x
-                    y = motion.y
-                    agent.position = (x, y)
-                    agent.heading = wrap_angle(motion.heading)
-                    agent.speed = math.hypot(x - px, y - py) / dt
-                else:
-                    v = motion.linear_speed
-                    if v < 0:
-                        raise ValueError("linear_speed must be non-negative")
-                    h = agent.heading + motion.angular_rate * dt
-                    if not 0.0 <= h < TWO_PI:
-                        h = wrap_angle(h)
-                    x, y = agent.position
-                    if v != 0.0:
-                        x += v * dt * math.cos(h)
-                        y += v * dt * math.sin(h)
-                        if clamp and not (minx <= x <= maxx and miny <= y <= maxy):
-                            x = minx if x < minx else (maxx if x > maxx else x)
-                            y = miny if y < miny else (maxy if y > maxy else y)
-                            self.clamp_count += 1
-                    agent.position = (x, y)
-                    agent.heading = h
-                    agent.speed = v
-            x, y = agent.position
+        for agent, motion in zip(self.agents, moves, strict=True):
+            if motion.__class__ is PoseTarget:
+                px, py = agent.position
+                x = motion.x
+                y = motion.y
+                agent.position = (x, y)
+                agent.heading = wrap_angle(motion.heading)
+                agent.speed = math.hypot(x - px, y - py) / dt
+            else:
+                v = motion.linear_speed
+                if v < 0:
+                    raise ValueError("linear_speed must be non-negative")
+                h = agent.heading + motion.angular_rate * dt
+                if not 0.0 <= h < TWO_PI:
+                    h = wrap_angle(h)
+                x, y = agent.position
+                if v != 0.0:
+                    x += v * dt * math.cos(h)
+                    y += v * dt * math.sin(h)
+                    if clamp and not (minx <= x <= maxx and miny <= y <= maxy):
+                        x = minx if x < minx else (maxx if x > maxx else x)
+                        y = miny if y < miny else (maxy if y > maxy else y)
+                        self.clamp_count += 1
+                agent.position = (x, y)
+                agent.heading = h
+                agent.speed = v
             if minx <= x <= maxx and miny <= y <= maxy:
                 col = int((x - minx) / cell_size)
                 row = int((y - miny) / cell_size)
@@ -224,9 +226,6 @@ class World:
     def is_complete(self) -> bool:
         return self.grid.is_complete()
 
-    def budget_exhausted(self) -> bool:
-        return self.step_count >= self.cfg.max_steps and not self.is_complete()
-
     def run(self, on_step: Callable[["World"], None] | None = None) -> RunRecord:
         """Step until full coverage or the step budget runs out."""
         coverage: list[float] = []
@@ -236,9 +235,8 @@ class World:
             if on_step is not None:
                 on_step(self)
         cct = self.step_count if self.is_complete() else None
-        strategy = getattr(self.controller, "name", "none")
         return RunRecord(
-            strategy=strategy,
+            strategy=self.controller.name,
             seed=self.cfg.seed,
             cct=cct,
             coverage_fraction=np.asarray(coverage, dtype=np.float64),

@@ -2,9 +2,10 @@
 
 World.step maps positions to cells, integrates unicycle commands and scores
 visits in one fused loop; these are the same rules written one at a time,
-plus the boundary and neighbour queries the decentralized controller inlines,
-arc membership, the exact PM move probabilities and a full pheromone-field
-read. Nothing in the package uses them.
+plus the cell-to-index map, the boundary and neighbour queries the
+decentralized controller inlines, arc membership, the exact PM move
+probabilities and a full pheromone-field read. Nothing in the package uses
+them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def contains_angle(arcs: list[Arc], theta: float) -> bool:
         if ccw_distance(start, theta) <= width:
             return True
     return False
+
+
+def flat_index(cell: Cell, arena: ArenaSpec) -> int:
+    """Row-major index of a (col, row) cell, as CoverageGrid.visits stores it."""
+    col, row = cell
+    return row * arena.cols + col
 
 
 def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
@@ -125,7 +132,7 @@ def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell 
         and agent.altitude == cfg.sampling_altitude
         and agent.speed <= cfg.target_sampling_velocity + SPEED_EPS
     ):
-        grid.record(grid.flat_index(cell))
+        grid.record(flat_index(cell, grid.arena))
         return cell
     return None
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import heading_vector, pheromone_snapshot, pm_probabilities
+from oracles import flat_index, heading_vector, pheromone_snapshot, pm_probabilities
 from sweepsim.angles import ccw_distance, cw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
@@ -318,7 +318,7 @@ class TestControllerTraces:
         for _ in range(500):
             world.step()
             for _, cell in world.visit_events:
-                idx = world.grid.flat_index(cell)
+                idx = flat_index(cell, world.arena)
                 assert world.pheromone.level(idx, world.step_count) > 0.0
 
     def test_ldr_random_density_turn_is_clockwise_70_to_90(self):

@@ -4,6 +4,11 @@ For every benchmark workload, the default seed's batch 0 is rerun through
 bench/workloads.py exactly as `bench/run.py --write-golden` ran it; the
 artifact digest and the count block must equal bench/golden.json. The batch
 writes into a temporary directory; bench/ is only read.
+
+The benchmark also reaches into the package by name: bench/tracing.py patches
+the attributes in its TARGETS, and bench/test_bench.py edits one line of
+sons.py. The last two tests fail here, not only under `pytest bench`, when a
+change renames what either relies on.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+from sweepsim import sons  # noqa: E402
 
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 
@@ -34,3 +41,15 @@ def test_default_batch_matches_golden(name, tmp_path):
     assert batch.problems == []
     assert batch.digest == GOLDEN[name]["digest"]
     assert run.count_block(batch) == GOLDEN[name]["counts"]
+
+
+@pytest.mark.parametrize("target", tracing.TARGETS, ids=lambda t: f"{t[0].__name__}.{t[1]}")
+def test_traced_attribute_is_defined_on_its_owner(target):
+    # Tracer.patched looks each attribute up in the owner's own namespace.
+    owner, attr, _, _ = target
+    assert attr in owner.__dict__
+
+
+def test_exit_margin_literal_the_benchmark_rewrites_appears_once():
+    # bench/test_bench.py perturbs the formation output by editing this text.
+    assert Path(sons.__file__).read_text(encoding="utf-8").count("self.exit_margin = 0.5") == 1

@@ -90,6 +90,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             SimConfig(**{option: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed must be non-negative"):
+            ExperimentConfig(strategy="rb", base_seed=-1)
+        assert ExperimentConfig(strategy="rb", base_seed=0).base_seed == 0
+
+    def test_step_longer_than_cell_rejected(self):
+        with pytest.raises(ValueError, match=r"step length 2 m .* exceeds the cell size 1 m"):
+            ExperimentConfig(strategy="rb", sim=SimConfig(dt=2.0))
+        with pytest.raises(ValueError, match=r"step length 0\.5 m .* cell size 0\.25 m"):
+            ExperimentConfig(strategy="pm", arena=ArenaSpec(cell_size=0.25), sim=SimConfig(dt=0.5))
+        # a step of exactly one cell still scores every cell it enters
+        ExperimentConfig(strategy="rb", sim=SimConfig(dt=1.0))
+
 
 def small_config(strategy="rb", runs=2, max_steps=600, heatmaps=False, out="results", jobs=1):
     return ExperimentConfig(
@@ -253,6 +266,30 @@ class TestCli:
             ["--strategy", "rb", "--runs", "1", "--max-steps", "60", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("heatmaps", "false"), ("runs", 1.9), ("uavs", "25"), ("dt", True)]
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        config_file = tmp_path / "exp.json"
+        doc = {"strategy": "rb", "runs": 1, "max_steps": 50, "heatmaps": True, "out": str(out)}
+        config_file.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+        assert main(["--config", str(config_file)]) == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["--strategy", "rb", "--seed", "-1", "--runs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: rb: base_seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_step_longer_than_cell_rejected(self, tmp_path, capsys):
+        code = main(["--strategy", "rb", "--runs", "1", "--dt", "2.0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "exceeds the cell size 1 m" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_arena_returns_1(self, tmp_path, capsys):
         code = main(

@@ -118,7 +118,7 @@ class TestMaxFormationOmega:
 class TestSpawn:
     def test_bs_start_pose(self):
         rng = agent_stream(1, 0)
-        agents, formation, brain_pos, heading = spawn_formation(ARENA, CFG, "bs", 5, 20, rng)
+        agents, formation, brain_pos, heading = spawn_formation(ARENA, CFG, "sons_bs", 5, 20, rng)
         assert brain_pos == (pytest.approx(10.0), pytest.approx(-19.5))
         assert heading == pytest.approx(math.pi / 2)
         xs = sorted(a.position[0] for a in agents if a.id in formation.sampler_ids)
@@ -132,7 +132,7 @@ class TestSpawn:
 
     def test_bs_altitudes_by_role(self):
         rng = agent_stream(1, 0)
-        agents, formation, _, _ = spawn_formation(ARENA, CFG, "bs", 5, 20, rng)
+        agents, formation, _, _ = spawn_formation(ARENA, CFG, "sons_bs", 5, 20, rng)
         for agent in agents:
             if agent.id in formation.sampler_ids:
                 assert agent.altitude == CFG.sampling_altitude
@@ -142,14 +142,14 @@ class TestSpawn:
     def test_rw_starts_on_corner_facing_interior(self):
         for seed in range(8):
             rng = agent_stream(seed, 0)
-            _, _, brain_pos, heading = spawn_formation(ARENA, CFG, "rw", 5, 20, rng)
+            _, _, brain_pos, heading = spawn_formation(ARENA, CFG, "sons_rw", 5, 20, rng)
             assert brain_pos == (pytest.approx(20.0), pytest.approx(-20.0))
             assert math.pi / 2 < heading < math.pi
 
     def test_oversized_formation_rejected(self):
         rng = agent_stream(1, 0)
         with pytest.raises(ValueError):
-            spawn_formation(ArenaSpec(side_length=10.0, region_size=10.0), CFG, "bs", 5, 20, rng)
+            spawn_formation(ArenaSpec(side_length=10.0, region_size=10.0), CFG, "sons_bs", 5, 20, rng)
 
 
 def run_sons(strategy, seed, arena=None, on_step=None, max_steps=60_000):

@@ -14,6 +14,7 @@ from oracles import (
     cell_of,
     clamp_into,
     edges_within,
+    flat_index,
     neighbors_within,
     record_visit,
     step_kinematics,
@@ -215,7 +216,7 @@ class TestRecordVisit:
         assert record_visit(agent, grid, CFG) is not None
         # same cell next step: no new credit
         assert record_visit(agent, grid, CFG) is None
-        assert grid.visits[grid.flat_index((20, 20))] == 1
+        assert grid.visits[flat_index((20, 20), ARENA)] == 1
 
     def test_reentry_credits_again(self):
         grid = CoverageGrid(ARENA)
@@ -225,7 +226,7 @@ class TestRecordVisit:
         record_visit(agent, grid, CFG)
         agent.position = (0.5, 0.5)
         record_visit(agent, grid, CFG)
-        assert grid.visits[grid.flat_index((20, 20))] == 2
+        assert grid.visits[flat_index((20, 20), ARENA)] == 2
 
 
 class TestNeighbors:
@@ -263,10 +264,17 @@ class TestNeighbors:
 
 class TestStepLoop:
     def test_empty_world_advances_clock(self):
-        world = World(ARENA, CFG, [])
+        world = World(ARENA, CFG, [], ScriptedController([[]]))
         world.step()
         assert world.step_count == 1
         assert world.grid.visited_count == 0
+
+    @pytest.mark.parametrize("n_moves", [1, 3])
+    def test_wrong_number_of_moves_raises(self, n_moves):
+        agents = [make_agent((0.5, 0.5), agent_id=i) for i in range(2)]
+        world = World(ARENA, CFG, agents, ScriptedController([[Unicycle(1.0, 0.0)] * n_moves]))
+        with pytest.raises(ValueError):
+            world.step()
 
     def test_two_agents_same_new_cell(self):
         a = make_agent((0.4, 0.5), agent_id=0)
@@ -275,7 +283,7 @@ class TestStepLoop:
         for agent in (a, b):
             cell = record_visit(agent, grid, CFG)
             assert cell == (20, 20)
-        assert grid.visits[grid.flat_index((20, 20))] == 2
+        assert grid.visits[flat_index((20, 20), ARENA)] == 2
         assert grid.visited_count == 1
 
     def test_visit_counts_monotonic(self):
@@ -304,25 +312,26 @@ class TestStepLoop:
 
 
 class ScriptedController:
-    """Replays a fixed command list for a single agent."""
+    """Replays a fixed list of per-step move lists."""
 
     clamp_to_arena = False
     name = "scripted"
+    pheromone = None
 
-    def __init__(self, commands):
-        self.commands = list(commands)
+    def __init__(self, steps):
+        self.steps = list(steps)
         self.cursor = 0
 
     def decide(self, world):
-        command = self.commands[self.cursor]
+        moves = self.steps[self.cursor]
         self.cursor += 1
-        return [command]
+        return moves
 
 
 def assert_step_matches_oracles(arena, start, heading, commands):
     """Run commands through World.step and through the oracles; compare."""
     fused = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
-    world = World(arena, CFG, [fused], ScriptedController(commands))
+    world = World(arena, CFG, [fused], ScriptedController([[c] for c in commands]))
     manual = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
     grid = CoverageGrid(arena)
     for command in commands:
