@@ -42,6 +42,21 @@ def cw_distance(from_angle: float, to_angle: float) -> float:
     return wrap_angle(from_angle - to_angle)
 
 
+def turn_direction(from_angle: float, to_angle: float) -> float:
+    """+1.0 (counterclockwise) or -1.0 (clockwise), whichever turn is shorter.
+
+    An exact half turn goes counterclockwise.
+    """
+    return 1.0 if ccw_distance(from_angle, to_angle) <= math.pi else -1.0
+
+
+def turn_remaining(from_angle: float, to_angle: float, direction: float) -> float:
+    """Angle left to turn from one heading to another in the given direction."""
+    if direction > 0:
+        return ccw_distance(from_angle, to_angle)
+    return cw_distance(from_angle, to_angle)
+
+
 # An arc is (start, width) with start in [0, 2*pi) and 0 < width <= 2*pi,
 # covering angles start..start+width counterclockwise (possibly wrapping).
 Arc = tuple[float, float]

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import (
-    ccw_distance,
-    cw_distance,
     interior_arcs,
     sample_arcs,
     subtract_arc,
+    turn_direction,
+    turn_remaining,
     wrap_angle,
     wrap_pi,
 )
@@ -87,6 +87,9 @@ class PmParams:
     turn_angle: float = math.radians(45.0)
     post_pheromone_suppression: int = 25
     post_avoidance_suppression: int = 50
+
+
+PM = PmParams()
 
 
 class PheromoneField:
@@ -256,7 +259,8 @@ class DecentralizedController:
 
     All sensing reads the swarm state from before the step began; per-agent
     decisions never see each other's same-step reactions, so agents can be
-    evaluated in any order.
+    evaluated in any order. An ldr adds density dispersal; a pheromone field
+    adds PM's sensing and turns, with the PM constants.
     """
 
     clamp_to_arena = True
@@ -266,14 +270,12 @@ class DecentralizedController:
         name: str,
         agents,
         ldr: LdrParams | None = None,
-        pm: PmParams | None = None,
         pheromone: PheromoneField | None = None,
         collect_events: bool = False,
     ):
         self.name = name
         self.rb = RbParams()
         self.ldr = ldr
-        self.pm = pm
         self.pheromone = pheromone
         n = len(agents)
         self.phase = [_CRUISE] * n
@@ -297,12 +299,12 @@ class DecentralizedController:
         if kind in ("boundary", "avoid"):
             if self.ldr is not None:
                 self.density_until[i] = now + self.ldr.post_avoidance_suppression
-            if self.pm is not None:
-                self.pheromone_until[i] = now + self.pm.post_avoidance_suppression
+            if self.pheromone is not None:
+                self.pheromone_until[i] = now + PM.post_avoidance_suppression
         elif kind == "density":
             self.density_until[i] = now + self.ldr.post_reaction_suppression
         elif kind == "pheromone":
-            self.pheromone_until[i] = now + self.pm.post_pheromone_suppression
+            self.pheromone_until[i] = now + PM.post_pheromone_suppression
 
     def suppression_remaining(self, kind: str, i: int, now: int) -> int:
         until = self.density_until[i] if kind == "density" else self.pheromone_until[i]
@@ -371,11 +373,7 @@ class DecentralizedController:
         for i in range(n):
             agent = agents[i]
             if self.phase[i] == _TURNING:
-                remaining = (
-                    ccw_distance(hs[i], self.turn_target[i])
-                    if self.turn_dir[i] > 0
-                    else cw_distance(hs[i], self.turn_target[i])
-                )
+                remaining = turn_remaining(hs[i], self.turn_target[i], self.turn_dir[i])
                 if remaining <= turn_rate * dt + 1e-12:
                     moves.append(Unicycle(0.0, self.turn_dir[i] * remaining / dt))
                     self.phase[i] = _CRUISE
@@ -418,8 +416,7 @@ class DecentralizedController:
                             trigger = True
             if trigger:
                 target = boundary_escape_heading(h, constraints, agent.rng, rb.reciprocal_exclusion)
-                direction = 1.0 if ccw_distance(h, target) <= math.pi else -1.0
-                self._begin_turn(i, target, direction, "boundary")
+                self._begin_turn(i, target, turn_direction(h, target), "boundary")
                 if self.collect_events:
                     self.events.append(
                         ReactionEvent(now, agent.id, "boundary", target, normals=tuple(constraints))
@@ -457,7 +454,7 @@ class DecentralizedController:
                         self.density_until[i] = now + self.ldr.post_reaction_suppression
                         moves.append(Unicycle(v_target, 0.0))
                         continue
-                    direction = 1.0 if ccw_distance(h, target) <= math.pi else -1.0
+                    direction = turn_direction(h, target)
                 else:
                     lo, hi = self.ldr.random_turn
                     target = wrap_angle(h - agent.rng.uniform(lo, hi))
@@ -466,7 +463,7 @@ class DecentralizedController:
                 moves.append(HOLD)
                 continue
 
-            if self.pm is not None:
+            if self.pheromone is not None:
                 suppressed = now <= self.pheromone_until[i]
                 readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
                 outcome = pm_choose(readings, suppressed, agent.rng)
@@ -484,7 +481,7 @@ class DecentralizedController:
                         )
                     if outcome != "ahead":
                         direction = 1.0 if outcome == "turn_left_45" else -1.0
-                        target = wrap_angle(h + direction * self.pm.turn_angle)
+                        target = wrap_angle(h + direction * PM.turn_angle)
                         self._begin_turn(i, target, direction, "pheromone")
                         moves.append(HOLD)
                         continue
@@ -503,10 +500,7 @@ def make_controller(
     """Build the controller for a strategy name; PM's carries its pheromone field."""
     if name not in LDR_ADD_ON:
         raise ValueError(f"unknown decentralized strategy: {name}")
-    pm = field = None
-    if name == "pm":
-        pm = PmParams()
-        field = PheromoneField(arena.cell_count)
+    field = PheromoneField(arena.cell_count) if name == "pm" else None
     return DecentralizedController(
-        name, agents, ldr=LDR_ADD_ON[name], pm=pm, pheromone=field, collect_events=collect_events
+        name, agents, ldr=LDR_ADD_ON[name], pheromone=field, collect_events=collect_events
     )

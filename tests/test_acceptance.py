@@ -249,7 +249,7 @@ def test_c7_random_walk_formation_invariants():
     world = build_world(config, seed=BASE_SEED)
     controller = world.controller
     formation = controller.formation
-    ids = sorted(formation.all_ids)
+    ids = [a.id for a in world.agents]
     base: dict | None = None
     max_rigidity = 0.0
     max_align_speed = 0.0
@@ -269,7 +269,7 @@ def test_c7_random_walk_formation_invariants():
                 err = abs(d - base[key])
                 if err > max_rigidity:
                     max_rigidity = err
-        phase = controller.state.phase
+        phase = controller.phase
         if phase == "align":
             for a in w.agents:
                 if a.id in formation.sampler_ids and a.speed > max_align_speed:

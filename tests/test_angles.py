@@ -20,6 +20,8 @@ from sweepsim.angles import (
     sample_arcs,
     subtract_arc,
     total_width,
+    turn_direction,
+    turn_remaining,
     wrap_angle,
     wrap_pi,
 )
@@ -45,6 +47,26 @@ def test_distances():
     assert ccw_distance(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
     assert cw_distance(0.0, math.pi / 2) == pytest.approx(3 * math.pi / 2)
     assert ccw_distance(3 * math.pi / 2, 0.0) == pytest.approx(math.pi / 2)
+
+
+def test_turn_direction_takes_the_shorter_way():
+    assert turn_direction(0.0, math.pi / 2) == 1.0
+    assert turn_direction(0.0, 3 * math.pi / 2) == -1.0
+    assert turn_direction(3 * math.pi / 2, 0.1) == 1.0
+
+
+def test_turn_direction_half_turn_goes_counterclockwise():
+    assert turn_direction(0.0, math.pi) == 1.0
+    assert turn_direction(0.0, math.nextafter(math.pi, 4.0)) == -1.0
+
+
+def test_turn_remaining_in_both_directions():
+    assert turn_remaining(0.0, math.pi / 2, 1.0) == pytest.approx(math.pi / 2)
+    assert turn_remaining(0.0, math.pi / 2, -1.0) == pytest.approx(3 * math.pi / 2)
+    assert turn_remaining(3 * math.pi / 2, 0.0, 1.0) == pytest.approx(math.pi / 2)
+    assert turn_remaining(3 * math.pi / 2, 0.0, -1.0) == pytest.approx(3 * math.pi / 2)
+    assert turn_remaining(1.0, 1.0, 1.0) == 0.0
+    assert turn_remaining(1.0, 1.0, -1.0) == 0.0
 
 
 def test_half_plane_arc_width():

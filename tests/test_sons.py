@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,21 +18,22 @@ from sweepsim.sons import (
     SonsRwController,
     build_line_formation,
     follow_formation,
+    make_sons_controller,
     max_formation_omega,
-    spawn_formation,
 )
 from sweepsim.world import SPEED_EPS, SimConfig, agent_stream
 
 ARENA = ArenaSpec()
+OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
 CFG = SimConfig()
 
 
 class TestFormation:
     def test_default_roster(self):
         f = build_line_formation(5, 20)
-        assert f.brain_id == 0
-        assert len(f.supervisor_ids) == 4
-        assert len(f.sampler_ids) == 20
+        assert f.offsets[0] == (0.0, 0.0)  # the brain
+        assert len(f.offsets) == 25
+        assert f.sampler_ids == tuple(range(5, 25))
         assert f.span == pytest.approx(19.0)
 
     def test_sampler_chain_collinear_with_unit_spacing(self):
@@ -48,22 +50,12 @@ class TestFormation:
         laterals = sorted(f.offsets[s][1] for s in f.sampler_ids)
         assert laterals == [pytest.approx(-1.0), pytest.approx(1.0)]
 
-    def test_caterpillar_tree_routes_to_brain(self):
+    def test_supervisors_evenly_spaced_over_the_line(self):
         f = build_line_formation(5, 20)
-        for member in f.all_ids:
-            path = f.route_to_brain(member)
-            assert path[-1] == f.brain_id
-            # leaf hop plus at most the whole supervisor spine
-            assert len(path) <= 2 + len(f.supervisor_ids)
-        # supervisors chain along the spine starting at the brain
-        assert f.parent[f.supervisor_ids[0]] == f.brain_id
-        for prev, nxt in zip(f.supervisor_ids, f.supervisor_ids[1:]):
-            assert f.parent[nxt] == prev
-
-    def test_every_sampler_has_a_supervisor_parent(self):
-        f = build_line_formation(5, 20)
-        hosts = {f.parent[s] for s in f.sampler_ids}
-        assert hosts <= set(f.supervisor_ids)
+        supervisors = f.offsets[1:5]
+        assert all(ox == 0.0 for ox, _ in supervisors)
+        laterals = [oy for _, oy in supervisors]
+        assert laterals == [pytest.approx(-9.5 + k * 19.0 / 5) for k in range(1, 5)]
 
 
 class TestFollowFormation:
@@ -71,7 +63,7 @@ class TestFollowFormation:
         f = build_line_formation(5, 20)
         a = follow_formation((0.0, 0.0), math.pi / 2, f)
         b = follow_formation((0.0, 0.1), math.pi / 2, f)
-        for member in f.all_ids:
+        for member in range(len(f.offsets)):
             dx = b[member][0] - a[member][0]
             dy = b[member][1] - a[member][1]
             assert math.hypot(dx, dy) == pytest.approx(0.1)
@@ -81,7 +73,7 @@ class TestFollowFormation:
         omega = 0.1
         a = follow_formation((0.0, 0.0), 0.0, f)
         b = follow_formation((0.0, 0.0), omega * 1.0, f)
-        for member in f.all_ids:
+        for member in range(len(f.offsets)):
             radius = math.hypot(*f.offsets[member])
             chord = math.hypot(b[member][0] - a[member][0], b[member][1] - a[member][1])
             assert chord == pytest.approx(2 * radius * math.sin(omega / 2), abs=1e-12)
@@ -91,7 +83,7 @@ class TestFollowFormation:
         f = build_line_formation(5, 20)
         base = follow_formation((3.0, -7.0), 0.3, f)
         moved = follow_formation((-11.0, 5.0), 4.1, f)
-        for i, j in itertools.combinations(f.all_ids, 2):
+        for i, j in itertools.combinations(range(len(f.offsets)), 2):
             d0 = math.dist(base[i], base[j])
             d1 = math.dist(moved[i], moved[j])
             assert abs(d0 - d1) <= 1e-9
@@ -117,10 +109,11 @@ class TestMaxFormationOmega:
 
 class TestSpawn:
     def test_bs_start_pose(self):
-        rng = agent_stream(1, 0)
-        agents, formation, brain_pos, heading = spawn_formation(ARENA, CFG, "sons_bs", 5, 20, rng)
-        assert brain_pos == (pytest.approx(10.0), pytest.approx(-19.5))
-        assert heading == pytest.approx(math.pi / 2)
+        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 5, 20)
+        formation = controller.formation
+        assert controller.brain_pos == (pytest.approx(10.0), pytest.approx(-19.5))
+        assert controller.brain_heading == pytest.approx(math.pi / 2)
+        assert agents[0].position == controller.brain_pos
         xs = sorted(a.position[0] for a in agents if a.id in formation.sampler_ids)
         assert xs[0] == pytest.approx(0.5)
         assert xs[-1] == pytest.approx(19.5)
@@ -131,25 +124,33 @@ class TestSpawn:
         )
 
     def test_bs_altitudes_by_role(self):
-        rng = agent_stream(1, 0)
-        agents, formation, _, _ = spawn_formation(ARENA, CFG, "sons_bs", 5, 20, rng)
+        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 5, 20)
+        assert [a.id for a in agents] == list(range(25))
         for agent in agents:
-            if agent.id in formation.sampler_ids:
+            if agent.id in controller.formation.sampler_ids:
                 assert agent.altitude == CFG.sampling_altitude
             else:
                 assert agent.altitude == CFG.supervisory_altitude
 
     def test_rw_starts_on_corner_facing_interior(self):
         for seed in range(8):
-            rng = agent_stream(seed, 0)
-            _, _, brain_pos, heading = spawn_formation(ARENA, CFG, "sons_rw", 5, 20, rng)
-            assert brain_pos == (pytest.approx(20.0), pytest.approx(-20.0))
-            assert math.pi / 2 < heading < math.pi
+            agents, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=seed), 5, 20)
+            assert controller.brain_pos == (pytest.approx(20.0), pytest.approx(-20.0))
+            assert math.pi / 2 < controller.brain_heading < math.pi
+            assert all(a.heading == controller.brain_heading for a in agents)
+
+    def test_rw_start_heading_is_the_first_brain_draw(self):
+        _, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=5), 5, 20)
+        u = agent_stream(5, 0).uniform(0.0, math.pi / 2)
+        assert controller.brain_heading == math.pi / 2 + u
 
     def test_oversized_formation_rejected(self):
-        rng = agent_stream(1, 0)
         with pytest.raises(ValueError):
-            spawn_formation(ArenaSpec(side_length=10.0, region_size=10.0), CFG, "sons_bs", 5, 20, rng)
+            make_sons_controller("sons_bs", ArenaSpec(side_length=10.0, region_size=10.0), CFG, 5, 20)
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown formation strategy"):
+            make_sons_controller("sons_xy", ARENA, CFG, 5, 20)
 
 
 def run_sons(strategy, seed, arena=None, on_step=None, max_steps=60_000):
@@ -166,7 +167,7 @@ def run_sons(strategy, seed, arena=None, on_step=None, max_steps=60_000):
 
 def record_phase(phases):
     """World.run callback appending the brain's phase at the end of each step."""
-    return lambda world: phases.append(world.controller.state.phase)
+    return lambda world: phases.append(world.controller.phase)
 
 
 class TestBoustrophedon:
@@ -204,10 +205,9 @@ class TestBoustrophedon:
 
     def test_brain_never_samples(self):
         world, record = run_sons("sons_bs", seed=1)
-        brain = world.controller.formation.brain_id
         # every visit event belongs to a sampler
         assert record.final_visits.sum() == ARENA.cell_count
-        assert world.agents[brain].altitude == CFG.supervisory_altitude
+        assert world.agents[0].altitude == CFG.supervisory_altitude
 
 
 class AuditRW:
@@ -226,7 +226,7 @@ class AuditRW:
         self.max_brain_depth = 0.0
 
     def __call__(self, world):
-        phase = self.controller.state.phase
+        phase = self.controller.phase
         self.phases_seen.add(phase)
         positions = {a.id: a.position for a in world.agents}
         pairs = list(itertools.combinations(sorted(positions), 2))
@@ -242,23 +242,28 @@ class AuditRW:
                     self.max_align_speed = max(self.max_align_speed, agent.speed)
         if phase == "prepare":
             self.prepare_visits += len(world.visit_events)
+        cx, cy = world.arena.center
         half = world.arena.half_side
-        bx, by = positions[0]
-        brain_depth = math.hypot(max(0.0, abs(bx) - half), max(0.0, abs(by) - half))
-        self.max_brain_depth = max(self.max_brain_depth, brain_depth)
+
+        def depth(x, y):
+            return math.hypot(max(0.0, abs(x - cx) - half), max(0.0, abs(y - cy) - half))
+
+        self.max_brain_depth = max(self.max_brain_depth, depth(*positions[0]))
         for agent in world.agents:
-            x, y = agent.position
-            excess = math.hypot(max(0.0, abs(x) - half), max(0.0, abs(y) - half))
-            self.max_member_excess = max(self.max_member_excess, excess)
+            self.max_member_excess = max(self.max_member_excess, depth(*agent.position))
+
+
+def audit_rw(seed, arena=ARENA):
+    config = ExperimentConfig(strategy="sons_rw", runs=1, arena=arena, sim=SimConfig())
+    world = build_world(config, seed=seed)
+    audit = AuditRW(world)
+    record = world.run(on_step=audit)
+    return world, record, audit
 
 
 @pytest.fixture(scope="module")
 def audited_run():
-    config = ExperimentConfig(strategy="sons_rw", runs=1, sim=SimConfig())
-    world = build_world(config, seed=3)
-    audit = AuditRW(world)
-    record = world.run(on_step=audit)
-    return world, record, audit
+    return audit_rw(seed=3)
 
 
 class TestRandomWalk:
@@ -320,5 +325,26 @@ class TestRandomWalk:
 
     def test_sampling_resumes_after_prepare(self, audited_run):
         world, _, _ = audited_run
-        assert world.controller.state.phase in ("cruise", "align", "prepare")
+        assert world.controller.phase in ("cruise", "align", "prepare")
         assert all(a.sampling_active for a in world.agents) or not world.is_complete()
+
+
+class TestOffCentreArena:
+    """The brains read the arena's centre, not the origin."""
+
+    def test_sons_bs_every_cell_exactly_once(self):
+        _, record = run_sons("sons_bs", seed=1, arena=OFF_CENTRE)
+        assert record.complete
+        assert record.final_visits.min() == 1
+        assert record.final_visits.max() == 1
+
+    def test_sons_rw_starts_on_the_southeastern_corner(self):
+        _, controller = make_sons_controller("sons_rw", OFF_CENTRE, CFG, 5, 20)
+        assert controller.brain_pos == (OFF_CENTRE.max_corner[0], OFF_CENTRE.min_corner[1])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sons_rw_completes_with_brain_depth_bounded(self, seed):
+        world, record, audit = audit_rw(seed, arena=OFF_CENTRE)
+        assert record.complete
+        step_travel = world.cfg.target_sampling_velocity * world.cfg.dt
+        assert audit.max_brain_depth <= SonsRwController.crossing_depth + step_travel + 1e-9
