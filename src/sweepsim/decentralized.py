@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angles import (
     interior_arcs,
     sample_arcs,
@@ -92,32 +90,57 @@ class PmParams:
 PM = PmParams()
 
 
+# Compass offsets for pheromone reads, counterclockwise from east.
+_COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
 class PheromoneField:
     """Per-cell pheromone with fixed deposits and unit-per-step evaporation.
 
     Evaporation is applied lazily: each cell stores its level at the step it
     was last written and reads subtract the steps elapsed since, floored at
     zero. Observationally identical to decrementing every cell once per step.
+
+    The levels live in plain lists over the arena's grid widened by one cell
+    on every side. Nothing deposits in that border, so a read one cell past
+    the arena's edge lands there and reads zero without a bounds check.
+    Every stored value is an integer-valued double, so the arithmetic is exact.
     """
 
-    def __init__(self, cell_count: int):
-        # Instance attributes, not class attributes: level() reads them on
-        # every pheromone sense, and the instance lookup is the faster one.
+    def __init__(self, arena: ArenaSpec):
+        # Instance attributes, not class attributes: the reads below look them
+        # up on every pheromone sense, and the instance lookup is the faster one.
         self.deposit_amount = 5000.0
         self.evaporation_rate = 1.0
-        self._level = np.zeros(cell_count, dtype=np.float64)
-        self._stamp = np.zeros(cell_count, dtype=np.int64)
+        self._cols = arena.cols
+        stride = arena.cols + 2
+        size = stride * (arena.rows + 2)
+        self._level = [0.0] * size
+        self._stamp = [0] * size
+        # Slot offsets of the ahead, left and right cells for each compass index.
+        offsets = [dx + dy * stride for dx, dy in _COMPASS]
+        self._sense_offsets = tuple(
+            (offsets[k], offsets[(k + 1) % 8], offsets[(k - 1) % 8]) for k in range(8)
+        )
+
+    def _slot(self, idx: int) -> int:
+        """Padded-list slot of the grid cell at row-major flat index idx."""
+        cols = self._cols
+        return idx + 2 * (idx // cols) + cols + 3
+
+    def _read(self, slot: int, step: int) -> float:
+        raw = self._level[slot] - self.evaporation_rate * (step - self._stamp[slot])
+        return raw if raw > 0.0 else 0.0
 
     def level(self, idx: int, step: int) -> float:
-        raw = self._level[idx] - self.evaporation_rate * (step - self._stamp[idx])
-        return raw if raw > 0.0 else 0.0
+        return self._read(self._slot(idx), step)
 
     def deposit(self, idx: int, step: int) -> None:
         # The deposit lands before this step's evaporation tick.
-        prior = self.level(idx, step - 1)
-        value = prior + self.deposit_amount - self.evaporation_rate
-        self._level[idx] = value if value > 0.0 else 0.0
-        self._stamp[idx] = step
+        slot = self._slot(idx)
+        value = self._read(slot, step - 1) + self.deposit_amount - self.evaporation_rate
+        self._level[slot] = value if value > 0.0 else 0.0
+        self._stamp[slot] = step
 
 
 def boundary_escape_heading(
@@ -187,10 +210,6 @@ def repulsive_escape(rel_positions) -> float | None:
     return wrap_angle(math.atan2(-my, -mx))
 
 
-# Compass offsets for pheromone reads, counterclockwise from east.
-_COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
 def compass_index(heading: float) -> int:
     """Quantize a heading to the nearest of 8 compass directions."""
     return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
@@ -206,17 +225,10 @@ def pm_sense(field: PheromoneField, step: int, cell: Cell | None, heading: float
     if cell is None:
         return (0.0, 0.0, 0.0)
     col, row = cell
-    k = compass_index(heading)
-    cols = arena.cols
-    out = []
-    for dk in (0, 1, -1):  # ahead, left, right
-        dx, dy = _COMPASS[(k + dk) % 8]
-        c, r = col + dx, row + dy
-        if 0 <= c < cols and 0 <= r < arena.rows:
-            out.append(field.level(r * cols + c, step))
-        else:
-            out.append(0.0)
-    return tuple(out)
+    center = field._slot(row * arena.cols + col)
+    ahead, left, right = field._sense_offsets[compass_index(heading)]
+    read = field._read
+    return (read(center + ahead, step), read(center + left, step), read(center + right, step))
 
 
 def pm_choose(readings, suppressed: bool, rng) -> str:
@@ -500,7 +512,7 @@ def make_controller(
     """Build the controller for a strategy name; PM's carries its pheromone field."""
     if name not in LDR_ADD_ON:
         raise ValueError(f"unknown decentralized strategy: {name}")
-    field = PheromoneField(arena.cell_count) if name == "pm" else None
+    field = PheromoneField(arena) if name == "pm" else None
     return DecentralizedController(
         name, agents, ldr=LDR_ADD_ON[name], pheromone=field, collect_events=collect_events
     )

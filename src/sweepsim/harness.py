@@ -24,7 +24,7 @@ from .metrics import (
     tcu,
 )
 from .sons import make_sons_controller
-from .world import AgentState, SimConfig, World, agent_stream, harness_stream
+from .world import AgentState, SimConfig, World, agent_stream, check_step_length, harness_stream
 
 DECENTRALIZED = tuple(LDR_ADD_ON)
 STRATEGIES = DECENTRALIZED + ("sons_bs", "sons_rw")
@@ -124,13 +124,7 @@ class ExperimentConfig:
             raise ValueError("jobs must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
-        # Visits are scored where a step ends, so a longer step skips cells.
-        step_len = self.sim.target_sampling_velocity * self.sim.dt
-        if step_len > self.arena.cell_size:
-            raise ValueError(
-                f"step length {step_len:g} m (target_sampling_velocity x dt) "
-                f"exceeds the cell size {self.arena.cell_size:g} m"
-            )
+        check_step_length(self.sim, self.arena)
 
     def split_roles(self) -> tuple[int, int]:
         """Supervisor/sampler split for the hierarchy strategies (1:4 of the swarm)."""

@@ -53,6 +53,20 @@ class SimConfig:
             raise ValueError("target_sampling_velocity must be positive and finite")
 
 
+def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
+    """Reject a cruise step longer than a cell.
+
+    Visits are scored where a step ends, so a longer step skips cells
+    without crediting them.
+    """
+    step_len = cfg.target_sampling_velocity * cfg.dt
+    if step_len > arena.cell_size:
+        raise ValueError(
+            f"step length {step_len:g} m (target_sampling_velocity x dt) "
+            f"exceeds the cell size {arena.cell_size:g} m"
+        )
+
+
 def agent_stream(seed: int, agent_id: int) -> np.random.Generator:
     """Per-agent random stream, split from (run seed, agent id).
 
@@ -134,6 +148,7 @@ class World:
         agents: Sequence[AgentState],
         controller: Controller,
     ):
+        check_step_length(cfg, arena)
         self.arena = arena
         self.cfg = cfg
         self.agents = sorted(agents, key=lambda a: a.id)

@@ -4,8 +4,8 @@ World.step maps positions to cells, integrates unicycle commands and scores
 visits in one fused loop; these are the same rules written one at a time,
 plus the cell-to-index map, the boundary and neighbour queries the
 decentralized controller inlines, arc membership, the exact PM move
-probabilities and a full pheromone-field read. Nothing in the package uses
-them.
+probabilities, the bounds-checked pheromone sense and a full
+pheromone-field read. Nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
-from sweepsim.decentralized import PheromoneField
+from sweepsim.decentralized import _COMPASS, PheromoneField, compass_index
 from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle
 
 
@@ -177,7 +177,31 @@ def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-def pheromone_snapshot(field: PheromoneField, step: int) -> np.ndarray:
-    """The whole field as of the end of the given step."""
-    raw = field._level - field.evaporation_rate * (step - field._stamp)
-    return np.maximum(raw, 0.0)
+def pm_sense_reference(field: PheromoneField, step: int, cell: Cell | None, heading: float, arena: ArenaSpec):
+    """pm_sense with an explicit bounds check on each of its three reads.
+
+    The ahead, left and right cells of the nearest compass direction are
+    read through field.level; a cell beyond the grid reads zero.
+    """
+    if cell is None:
+        return (0.0, 0.0, 0.0)
+    col, row = cell
+    k = compass_index(heading)
+    cols = arena.cols
+    out = []
+    for dk in (0, 1, -1):  # ahead, left, right
+        dx, dy = _COMPASS[(k + dk) % 8]
+        c, r = col + dx, row + dy
+        if 0 <= c < cols and 0 <= r < arena.rows:
+            out.append(field.level(r * cols + c, step))
+        else:
+            out.append(0.0)
+    return tuple(out)
+
+
+def pheromone_snapshot(field: PheromoneField, arena: ArenaSpec, step: int) -> np.ndarray:
+    """The whole field as of the end of the given step, in grid (row-major) order."""
+    slots = [field._slot(idx) for idx in range(arena.cell_count)]
+    level = np.asarray(field._level)[slots]
+    stamp = np.asarray(field._stamp)[slots]
+    return np.maximum(level - field.evaporation_rate * (step - stamp), 0.0)

@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import flat_index, heading_vector, pheromone_snapshot, pm_probabilities
+from oracles import (
+    flat_index,
+    heading_vector,
+    pheromone_snapshot,
+    pm_probabilities,
+    pm_sense_reference,
+)
 from sweepsim.angles import ccw_distance, cw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
@@ -28,6 +36,15 @@ from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.world import AgentState, SimConfig, World, agent_stream
 
 ARENA = ArenaSpec()
+SMALL = ArenaSpec(side_length=3.0, region_size=1.0)  # 3 x 3 cells: one interior, four edges, four corners
+HALF_METRE = ArenaSpec(side_length=20.0, cell_size=0.5, center=(7.0, -3.0), region_size=10.0)
+# The 8 compass headings, the 22.5 degree rounding boundaries between them,
+# and the nearest floats either side of each.
+SENSE_HEADINGS = [
+    h
+    for boundary in (j * math.pi / 8.0 for j in range(16))
+    for h in (math.nextafter(boundary, -math.inf), boundary, math.nextafter(boundary, math.inf))
+]
 RB = RbParams()
 
 
@@ -138,7 +155,7 @@ class TestRepulsiveEscape:
 
 class TestPheromoneField:
     def test_deposit_then_three_steps_of_evaporation(self):
-        field = PheromoneField(100)
+        field = PheromoneField(ARENA)
         field.deposit(7, step=10)
         # deposits land before the step's own evaporation tick
         assert field.level(7, step=10) == pytest.approx(4999.0)
@@ -146,31 +163,31 @@ class TestPheromoneField:
         assert field.level(7, step=12) == pytest.approx(4997.0)
 
     def test_level_floors_at_zero(self):
-        field = PheromoneField(100)
+        field = PheromoneField(ARENA)
         field.deposit(7, step=0)
         assert field.level(7, step=6000) == 0.0
 
     def test_double_deposit_same_step_adds(self):
-        field = PheromoneField(100)
+        field = PheromoneField(ARENA)
         field.deposit(7, step=3)
         field.deposit(7, step=3)
         # two deposits, one evaporation tick for that step
         assert field.level(7, step=3) == pytest.approx(2 * 5000.0 - 1.0)
 
     def test_snapshot_matches_pointwise_levels(self):
-        field = PheromoneField(10)
+        field = PheromoneField(SMALL)
         field.deposit(2, step=1)
         field.deposit(5, step=4)
-        snap = pheromone_snapshot(field, step=9)
-        for idx in range(10):
+        snap = pheromone_snapshot(field, SMALL, step=9)
+        for idx in range(SMALL.cell_count):
             assert snap[idx] == pytest.approx(field.level(idx, step=9))
 
     def test_decreases_by_exactly_one_per_step(self):
-        field = PheromoneField(10)
+        field = PheromoneField(SMALL)
         field.deposit(3, step=2)
-        previous = pheromone_snapshot(field, step=2)
+        previous = pheromone_snapshot(field, SMALL, step=2)
         for step in range(3, 5010):
-            current = pheromone_snapshot(field, step)
+            current = pheromone_snapshot(field, SMALL, step)
             assert (current >= 0.0).all()
             expected = np.maximum(previous - 1.0, 0.0)
             assert np.array_equal(current, expected)
@@ -179,11 +196,11 @@ class TestPheromoneField:
 
 class TestPmSense:
     def make_field_with(self, cells, value=100.0, step=1):
-        field = PheromoneField(ARENA.cell_count)
-        for col, row in cells:
-            idx = row * ARENA.cols + col
-            field._level[idx] = value
-            field._stamp[idx] = step
+        field = PheromoneField(ARENA)
+        for cell in cells:
+            slot = field._slot(flat_index(cell, ARENA))
+            field._level[slot] = value
+            field._stamp[slot] = step
         return field
 
     def test_nearly_east_heading_reads_compass_neighbors(self):
@@ -196,7 +213,7 @@ class TestPmSense:
         assert (ahead, left, right) == (0.0, 9.0, 0.0)
 
     def test_corner_reads_zero_outside_grid(self):
-        field = PheromoneField(ARENA.cell_count)
+        field = PheromoneField(ARENA)
         readings = pm_sense(field, 1, (39, 39), math.radians(45.0), ARENA)
         assert readings == (0.0, 0.0, 0.0)
         # no recorded cell (before the first step, or outside the arena)
@@ -207,6 +224,85 @@ class TestPmSense:
         assert compass_index(math.radians(44.0)) == 1
         assert compass_index(math.radians(90.0)) == 2
         assert compass_index(math.radians(359.0)) == 0
+
+    @pytest.mark.parametrize("arena", [ARENA, HALF_METRE], ids=["default", "half_metre_off_centre"])
+    def test_matches_bounds_checked_reference(self, arena):
+        rng = np.random.default_rng(8)
+        field = PheromoneField(arena)
+        for step in np.sort(rng.integers(1, 8000, size=3000)):
+            field.deposit(int(rng.integers(arena.cell_count)), int(step))
+        for row in range(arena.rows):
+            for col in range(arena.cols):
+                for heading in SENSE_HEADINGS:
+                    args = (field, 8000, (col, row), heading, arena)
+                    assert pm_sense(*args) == pm_sense_reference(*args), (col, row, heading)
+
+    def test_border_slots_stay_zero_over_a_pm_run(self):
+        world, _ = short_world("pm", seed=1, max_steps=3000, collect=False)
+        for _ in range(3000):
+            world.step()
+        field = world.pheromone
+        inside = {field._slot(idx) for idx in range(ARENA.cell_count)}
+        border = [slot for slot in range(len(field._level)) if slot not in inside]
+        assert len(border) == 4 * ARENA.cols + 4
+        assert all(field._level[slot] == 0.0 and field._stamp[slot] == 0 for slot in border)
+        assert any(field._level[slot] > 0.0 for slot in inside)
+
+
+class EagerPheromone:
+    """Every cell's level decremented once per step: the rule lazy evaporation stands in for."""
+
+    def __init__(self, cell_count):
+        self.levels = [0.0] * cell_count
+
+    def deposit(self, idx):
+        self.levels[idx] += 5000.0
+
+    def tick(self):
+        self.levels = [v - 1.0 if v > 1.0 else 0.0 for v in self.levels]
+
+    def level(self, idx, step):
+        return self.levels[idx]
+
+
+# A deposit schedule on SMALL: (steps since the previous deposit, flat cell,
+# deposits in that step). A gap of 0 or several copies puts more than one
+# deposit in a step; gaps near 5000 reach the floor at zero.
+DEPOSIT_SCHEDULES = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 3), st.integers(4995, 5005)),
+        st.integers(0, SMALL.cell_count - 1),
+        st.integers(1, 2),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(DEPOSIT_SCHEDULES)
+def test_lazy_evaporation_matches_eager_model(schedule):
+    field = PheromoneField(SMALL)
+    eager = EagerPheromone(SMALL.cell_count)
+    due: dict[int, list[int]] = {}
+    step = 1
+    for gap, idx, copies in schedule:
+        step += gap
+        due.setdefault(step, []).extend([idx] * copies)
+    cells = [(col, row) for row in range(SMALL.rows) for col in range(SMALL.cols)]
+    last = step + 5002
+    for step in range(1, last + 1):
+        for idx in due.get(step, ()):
+            field.deposit(idx, step)
+            eager.deposit(idx)
+        eager.tick()
+        assert [field.level(idx, step) for idx in range(SMALL.cell_count)] == eager.levels, step
+        if step in due or step % 250 == 0 or step == last:
+            for cell in cells:
+                for k in range(8):
+                    heading = k * math.pi / 4.0
+                    assert pm_sense(field, step, cell, heading, SMALL) == pm_sense_reference(
+                        eager, step, cell, heading, SMALL
+                    ), (step, cell, k)
 
 
 class TestPmChoose:
@@ -386,4 +482,4 @@ class TestPmRunState:
         for _ in range(1200):
             world.step()
             if world.step_count % 100 == 0:
-                assert (pheromone_snapshot(world.pheromone, world.step_count) >= 0.0).all()
+                assert (pheromone_snapshot(world.pheromone, world.arena, world.step_count) >= 0.0).all()

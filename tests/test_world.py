@@ -269,6 +269,13 @@ class TestStepLoop:
         assert world.step_count == 1
         assert world.grid.visited_count == 0
 
+    def test_step_longer_than_cell_rejected(self):
+        # a World built by hand checks the step length, not only ExperimentConfig
+        with pytest.raises(ValueError, match=r"step length 2 m .* exceeds the cell size 1 m"):
+            World(ARENA, SimConfig(dt=2.0), [], ScriptedController([]))
+        with pytest.raises(ValueError, match=r"step length 0\.5 m .* cell size 0\.25 m"):
+            World(ArenaSpec(cell_size=0.25), SimConfig(dt=0.5), [], ScriptedController([]))
+
     @pytest.mark.parametrize("n_moves", [1, 3])
     def test_wrong_number_of_moves_raises(self, n_moves):
         agents = [make_agent((0.5, 0.5), agent_id=i) for i in range(2)]
