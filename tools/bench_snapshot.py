@@ -1,23 +1,25 @@
-"""Write a BENCH_*.json snapshot: the benchmark, Tier-1 and the CLI, for one or more checkouts.
+"""Write a BENCH_*.json snapshot: the benchmark, Tier-1 and the CLI, for a parent and a change.
 
-    python3 tools/bench_snapshot.py --seed N [--seconds S] [--repeats R] --out BENCH_X.json \\
-        parent=/path/to/parent/checkout change=.
+    python3 tools/bench_snapshot.py --seed N --out BENCH_X.json PARENT CHANGE
 
-Each LABEL=PATH names a checkout (a directory holding src/, tests/, bench/
-and BENCHMARK.json). For every checkout the snapshot records:
+PARENT and CHANGE are checkouts (directories holding src/, tests/, bench/
+and BENCHMARK.json). For each of them the snapshot records:
 
 - the end-to-end metrics of every workload in BENCHMARK.json, from
-  `bench/run.py --workload W --seed N --seconds S --trace 0`, R times;
+  `bench/run.py --workload W --seed N --seconds run_seconds --trace 0`,
+  10 times;
 - the Tier-1 wall time (`python -m pytest -q --continue-on-collection-errors`
   with `src` on PYTHONPATH) and its summary line;
 - the wall time of `sweepsim --all --runs 30` at `--jobs 1` and at
   `--jobs nproc`, with the exit codes.
 
-Measurements alternate between the checkouts, and the checkout that goes
+Measurements alternate between the two checkouts, and the one that goes
 first alternates from one measurement to the next, so a change in host
-speed during the snapshot lands on both sides. The machine fingerprint
-(Python and numpy versions, nproc, CPU model, load average) is recorded
-once, with the load average at the start and at the end.
+speed during the snapshot lands on both sides. For each workload and
+end-to-end metric, the snapshot counts the pairs in which the change reads
+better than the parent. The machine fingerprint (Python and numpy versions,
+nproc, CPU model, load average) is the one bench/run.py prints for the first
+window, with the load average at the end added.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -37,27 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 CLI_RUNS = 30
-
-
-def _loadavg() -> list[float]:
-    return [float(x) for x in Path("/proc/loadavg").read_text().split()[:3]]
-
-
-def fingerprint() -> dict:
-    import numpy
-
-    cpu = platform.processor()
-    for line in Path("/proc/cpuinfo").read_text().splitlines():
-        if line.startswith("model name"):
-            cpu = line.split(":", 1)[1].strip()
-            break
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu": cpu,
-        "loadavg_start": _loadavg(),
-    }
+REPEATS = 10  # bench/run.py windows per workload and checkout: the pairs a claim needs
 
 
 def src_digest(checkout: Path) -> str:
@@ -74,13 +55,15 @@ def _env(checkout: Path) -> dict:
     return env
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced bench/run.py window; its result object (the last line of stdout)."""
+def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced bench/run.py window: the machine fingerprint from its
+    detail line (the next-to-last line of stdout) and its result (the last)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {
+    *_, detail, result = proc.stdout.strip().splitlines()
+    result = json.loads(result)
+    return json.loads(detail)["fingerprint"], {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -107,8 +90,6 @@ def run_cli_all(checkout: Path, jobs: int) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
 
@@ -124,12 +105,12 @@ def summarize_workload(runs: list[dict]) -> dict:
     }
 
 
-def pair_wins(base: list[dict], other: list[dict], spec: list[dict]) -> dict:
-    """Per metric, the pairs in which `other` reads better than `base` (ties count for neither)."""
+def pair_wins(parent: list[dict], change: list[dict], spec: list[dict]) -> dict:
+    """Per metric, the pairs in which the change reads better than the parent (ties count for neither)."""
     wins = {}
     for m in spec:
         name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
-        pairs = list(zip(base, other))
+        pairs = list(zip(parent, change))
         better = sum(1 for a, b in pairs if sign * (b["metrics"][name] - a["metrics"][name]) > 0)
         wins[name] = f"{better}/{len(pairs)}"
     return wins
@@ -137,34 +118,27 @@ def pair_wins(base: list[dict], other: list[dict], spec: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("checkouts", nargs="+", metavar="LABEL=PATH")
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--seed", type=int, required=True, help="workload seed for bench/run.py")
-    p.add_argument("--seconds", type=float, help="window per bench/run.py call (default: BENCHMARK.json run_seconds)")
-    p.add_argument("--repeats", type=int, default=1, help="bench/run.py windows per workload and checkout")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
-    checkouts = {}
-    for item in args.checkouts:
-        label, sep, path = item.partition("=")
-        checkout = Path(path).resolve()
-        if not sep or not (checkout / "BENCHMARK.json").is_file():
-            p.error(f"{item!r} is not LABEL=PATH of a checkout with a BENCHMARK.json")
-        checkouts[label] = checkout
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for label, checkout in checkouts.items():
+        if not (checkout / "BENCHMARK.json").is_file():
+            p.error(f"{label} {checkout} is not a checkout with a BENCHMARK.json")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     workloads = [w["name"] for w in spec["workloads"]]
     nproc = len(os.sched_getaffinity(0))
 
-    labels = list(checkouts)
     turn = 0
 
     def alternating(measure):
-        """measure(checkout) for every checkout, the first one alternating between calls."""
+        """measure(checkout) for both checkouts, the first one alternating between calls."""
         nonlocal turn
-        order = labels[turn % len(labels):] + labels[: turn % len(labels)]
+        order = ["parent", "change"] if turn % 2 == 0 else ["change", "parent"]
         turn += 1
         out = {}
         for label in order:
@@ -172,26 +146,21 @@ def main(argv=None) -> int:
             out[label] = measure(checkouts[label])
         return out
 
-    snapshot = {
-        "seed": args.seed,
-        "seconds": seconds,
-        "repeats": args.repeats,
-        "fingerprint": fingerprint(),
-        "checkouts": {label: {"src_sha256": src_digest(path)} for label, path in checkouts.items()},
-    }
-    raw = {label: {w: [] for w in workloads} for label in labels}
+    fingerprint = None
+    raw = {label: {w: [] for w in workloads} for label in checkouts}
     for w in workloads:
-        for r in range(args.repeats):
-            print(f"{w} window {r + 1}/{args.repeats}", file=sys.stderr, flush=True)
+        for r in range(REPEATS):
+            print(f"{w} window {r + 1}/{REPEATS}", file=sys.stderr, flush=True)
 
             def bench_run(checkout, w=w):
                 return run_workload(checkout, w, args.seed, seconds)
 
-            for label, result in alternating(bench_run).items():
+            for label, (fp, result) in alternating(bench_run).items():
+                fingerprint = fingerprint or fp
                 raw[label][w].append(result)
     print("Tier-1", file=sys.stderr, flush=True)
     tier1 = alternating(run_tier1)
-    cli = {label: [] for label in labels}
+    cli = {label: [] for label in checkouts}
     for jobs in (1, nproc):
         print(f"sweepsim --all --runs {CLI_RUNS} --jobs {jobs}", file=sys.stderr, flush=True)
 
@@ -201,17 +170,25 @@ def main(argv=None) -> int:
         for label, result in alternating(cli_all).items():
             cli[label].append(result)
 
-    for label in labels:
-        entry = snapshot["checkouts"][label]
-        entry["workloads"] = {w: summarize_workload(raw[label][w]) for w in workloads}
-        entry["tier1"] = tier1[label]
-        entry["cli_all"] = cli[label]
-    if len(labels) == 2:
-        base, other = labels
-        snapshot[f"{other}_wins_over_{base}"] = {
-            w: pair_wins(raw[base][w], raw[other][w], spec["end_to_end"]) for w in workloads
-        }
-    snapshot["fingerprint"]["loadavg_end"] = _loadavg()
+    fingerprint["loadavg_end"] = [float(x) for x in Path("/proc/loadavg").read_text().split()[:3]]
+    snapshot = {
+        "seed": args.seed,
+        "seconds": seconds,
+        "repeats": REPEATS,
+        "fingerprint": fingerprint,
+        "checkouts": {
+            label: {
+                "src_sha256": src_digest(checkout),
+                "workloads": {w: summarize_workload(raw[label][w]) for w in workloads},
+                "tier1": tier1[label],
+                "cli_all": cli[label],
+            }
+            for label, checkout in checkouts.items()
+        },
+        "change_wins_over_parent": {
+            w: pair_wins(raw["parent"][w], raw["change"][w], spec["end_to_end"]) for w in workloads
+        },
+    }
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
