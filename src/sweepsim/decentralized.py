@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angles import (
     interior_arcs,
     sample_arcs,
@@ -298,6 +300,12 @@ class DecentralizedController:
         self.pheromone_until = [0] * n
         self.collect_events = collect_events
         self.events: list[ReactionEvent] = []
+        # Upper-triangle pairs (i < j) in row-major order, so a scan over them
+        # meets pairs in the same order as a loop over i, then j > i; and the
+        # flat slots of (i, j) and (j, i) in an (n, n) matrix.
+        self._iu, self._ju = np.triu_indices(n, 1)
+        self._upper_slot = self._iu * n + self._ju
+        self._lower_slot = self._ju * n + self._iu
 
     # -- reaction bookkeeping -------------------------------------------------
 
@@ -324,6 +332,51 @@ class DecentralizedController:
 
     # -- the step -------------------------------------------------------------
 
+    def pairwise_scan(self, xs: list[float], ys: list[float]):
+        """Obstacle candidates and LDR density flags from one array pass over the pairs.
+
+        Returns (near, adj, notified). near[i] lists the (dx, dy, dist)
+        offsets of the agents within medium range of agent i, in ascending
+        index order. With an LDR add-on, adj is the (n, n) boolean matrix of
+        pairs within the communication range and notified[i] says whether a
+        neighbour of i hears at least density_threshold others; without one,
+        both are None.
+        """
+        n = len(xs)
+        iu = self._iu
+        ju = self._ju
+        x = np.array(xs)
+        y = np.array(ys)
+        pdx = x[ju] - x[iu]
+        pdy = y[ju] - y[iu]
+        d2 = pdx * pdx + pdy * pdy
+        # Only the pairs within medium range are walked in Python, in (i, j)
+        # order; j gets the negated offset, so coincident agents see -0.0.
+        med = self.rb.medium_range
+        near: list[list] = [[] for _ in range(n)]
+        hits = np.flatnonzero(d2 <= med * med)
+        if hits.size:
+            for i, j, dx, dy, dd in zip(
+                iu[hits].tolist(),
+                ju[hits].tolist(),
+                pdx[hits].tolist(),
+                pdy[hits].tolist(),
+                d2[hits].tolist(),
+            ):
+                d = math.sqrt(dd)
+                near[i].append((dx, dy, d))
+                near[j].append((-dx, -dy, d))
+        if self.ldr is None:
+            return near, None, None
+        comm = self.ldr.comm_range
+        in_comm = d2 <= comm * comm
+        adj = np.zeros(n * n, dtype=bool)
+        adj[self._upper_slot] = in_comm
+        adj[self._lower_slot] = in_comm
+        adj = adj.reshape(n, n)
+        notifying = adj.sum(1) >= self.ldr.density_threshold
+        return near, adj, (adj & notifying).any(1).tolist()
+
     def decide(self, world: World) -> list[Motion]:
         cfg = world.cfg
         arena = world.arena
@@ -341,46 +394,11 @@ class DecentralizedController:
         ys = [a.position[1] for a in agents]
         hs = [a.heading for a in agents]
 
-        # Pairwise scan: obstacle candidates within medium range, plus ID
-        # broadcasts within the LDR communication range.
-        near: list[list] = [[] for _ in range(n)]
-        med = rb.medium_range
-        if self.ldr is not None:
-            comm = self.ldr.comm_range
-            comm_count = [0] * n
-            comm_adj: list[list[int]] = [[] for _ in range(n)]
-        else:
-            comm = med
-            comm_count = None
-            comm_adj = None
-        comm2 = comm * comm
-        med2 = med * med
-        for i in range(n):
-            xi = xs[i]
-            yi = ys[i]
-            for j in range(i + 1, n):
-                dx = xs[j] - xi
-                dy = ys[j] - yi
-                d2 = dx * dx + dy * dy
-                if d2 > comm2:
-                    continue
-                if comm_adj is not None:
-                    comm_count[i] += 1
-                    comm_count[j] += 1
-                    comm_adj[i].append(j)
-                    comm_adj[j].append(i)
-                if d2 <= med2:
-                    d = math.sqrt(d2)
-                    near[i].append((dx, dy, d))
-                    near[j].append((-dx, -dy, d))
+        near, adj, notified = self.pairwise_scan(xs, ys)
 
-        if comm_adj is not None:
-            thresh = self.ldr.density_threshold
-            notifying = [comm_count[i] >= thresh for i in range(n)]
-            notified = [any(notifying[j] for j in comm_adj[i]) for i in range(n)]
-        else:
-            notified = None
-
+        cruise = Unicycle(v_target, 0.0)  # shared: Unicycle is an immutable tuple
+        step_len = v_target * dt
+        clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
         moves: list[Motion] = []
         for i in range(n):
             agent = agents[i]
@@ -397,24 +415,17 @@ class DecentralizedController:
             x = xs[i]
             y = ys[i]
             h = hs[i]
-            cos_h = math.cos(h)
-            sin_h = math.sin(h)
 
             # Boundary reflection: react when sitting in the trigger band with
             # an outward heading, or when this step's straight move would exit
             # (one tick covers twice the trigger band, so the lookahead is what
             # keeps agents inside without ever clamping).
-            step_len = v_target * dt
-            margin = rb.boundary_trigger + step_len
             trigger = False
-            if (
-                x - cx < half - margin
-                and cx - x < half - margin
-                and y - cy < half - margin
-                and cy - y < half - margin
-            ):
+            if x - cx < clear and cx - x < clear and y - cy < clear and cy - y < clear:
                 pass  # nowhere near a wall
             else:
+                cos_h = math.cos(h)
+                sin_h = math.sin(h)
                 nx = x + step_len * cos_h
                 ny = y + step_len * sin_h
                 constraints = []
@@ -460,11 +471,12 @@ class DecentralizedController:
                         )
                     )
                 if self.ldr.repulsive:
-                    target = repulsive_escape([(xs[j] - x, ys[j] - y) for j in comm_adj[i]])
+                    rel = [(xs[j] - x, ys[j] - y) for j in np.flatnonzero(adj[i]).tolist()]
+                    target = repulsive_escape(rel)
                     if target is None:
                         # Perfectly centered neighbors: hold heading, still back off.
                         self.density_until[i] = now + self.ldr.post_reaction_suppression
-                        moves.append(Unicycle(v_target, 0.0))
+                        moves.append(cruise)
                         continue
                     direction = turn_direction(h, target)
                 else:
@@ -498,7 +510,7 @@ class DecentralizedController:
                         moves.append(HOLD)
                         continue
 
-            moves.append(Unicycle(v_target, 0.0))
+            moves.append(cruise)
         return moves
 
 

@@ -55,13 +55,17 @@ def place_decentralized(
     layout that stalls is scrapped and redrawn; only the global reject budget
     makes the placement fail.
     """
+    box = f"{spec.width:g} m x {spec.depth:g} m"
     if max(spec.width, spec.depth) > arena.side_length:
-        box = f"{spec.width:g} m x {spec.depth:g} m"
         raise ValueError(f"start box {box} does not fit the {arena.side_length:g} m arena")
+    infeasible = (
+        f"placement infeasible: {n} agents at min_spacing {spec.min_spacing:g} m "
+        f"in the {box} start box"
+    )
     sep = spec.min_spacing / math.sqrt(2.0)
     capacity = (math.floor(spec.width / sep) + 1) * (math.floor(spec.depth / sep) + 1)
     if n > capacity:
-        raise RuntimeError("placement infeasible")
+        raise RuntimeError(f"{infeasible}, which holds at most {capacity}")
     cx = arena.center[0]
     y0 = arena.min_corner[1]
     x_lo, x_hi = cx - spec.width / 2.0, cx + spec.width / 2.0
@@ -80,7 +84,7 @@ def place_decentralized(
             rejects += 1
             stall += 1
             if rejects > spec.max_rejects:
-                raise RuntimeError("placement infeasible")
+                raise RuntimeError(f"{infeasible}: gave up after {rejects} rejected draws")
             if stall >= spec.stall_rejects:
                 points.clear()
                 stall = 0

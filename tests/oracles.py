@@ -3,9 +3,9 @@
 World.step maps positions to cells, integrates unicycle commands and scores
 visits in one fused loop; these are the same rules written one at a time,
 plus the cell-to-index map, the boundary and neighbour queries the
-decentralized controller inlines, arc membership, the exact PM move
-probabilities, the bounds-checked pheromone sense and a full
-pheromone-field read. Nothing in the package uses them.
+decentralized controller inlines, its pairwise scan as a scalar loop, arc
+membership, the exact PM move probabilities, the bounds-checked pheromone
+sense and a full pheromone-field read. Nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
-from sweepsim.decentralized import _COMPASS, PheromoneField, compass_index
+from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle
 
 
@@ -158,6 +158,54 @@ def neighbors_within(
         if math.hypot(dx, dy) <= comm_range:
             out.append((other.id, (dx, dy)))
     return out
+
+
+def pairwise_scan_reference(
+    xs: Sequence[float], ys: Sequence[float], medium_range: float, ldr: LdrParams | None
+):
+    """DecentralizedController.pairwise_scan as a double loop over i < j.
+
+    Returns (near, comm_adj, notified): the (dx, dy, dist) obstacle
+    candidates of each agent, and with an LDR add-on the neighbour indices
+    within the communication range and the density flags (both None
+    without one). Pairs beyond the communication range are skipped before
+    the medium-range test.
+    """
+    n = len(xs)
+    near: list[list] = [[] for _ in range(n)]
+    med = medium_range
+    if ldr is not None:
+        comm = ldr.comm_range
+        comm_count = [0] * n
+        comm_adj: list[list[int]] | None = [[] for _ in range(n)]
+    else:
+        comm = med
+        comm_adj = None
+    comm2 = comm * comm
+    med2 = med * med
+    for i in range(n):
+        xi = xs[i]
+        yi = ys[i]
+        for j in range(i + 1, n):
+            dx = xs[j] - xi
+            dy = ys[j] - yi
+            d2 = dx * dx + dy * dy
+            if d2 > comm2:
+                continue
+            if comm_adj is not None:
+                comm_count[i] += 1
+                comm_count[j] += 1
+                comm_adj[i].append(j)
+                comm_adj[j].append(i)
+            if d2 <= med2:
+                d = math.sqrt(d2)
+                near[i].append((dx, dy, d))
+                near[j].append((-dx, -dy, d))
+    if comm_adj is None:
+        return near, None, None
+    notifying = [comm_count[i] >= ldr.density_threshold for i in range(n)]
+    notified = [any(notifying[j] for j in comm_adj[i]) for i in range(n)]
+    return near, comm_adj, notified
 
 
 def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     flat_index,
     heading_vector,
+    pairwise_scan_reference,
     pheromone_snapshot,
     pm_probabilities,
     pm_sense_reference,
@@ -32,7 +33,7 @@ from sweepsim.decentralized import (
     pm_sense,
     repulsive_escape,
 )
-from sweepsim.harness import ExperimentConfig, build_world
+from sweepsim.harness import DECENTRALIZED, ExperimentConfig, build_world
 from sweepsim.world import AgentState, SimConfig, World, agent_stream
 
 ARENA = ArenaSpec()
@@ -483,3 +484,87 @@ class TestPmRunState:
             world.step()
             if world.step_count % 100 == 0:
                 assert (pheromone_snapshot(world.pheromone, world.arena, world.step_count) >= 0.0).all()
+
+
+# Offsets that put a pair exactly at a range: 2.5 m is the medium range, 5 m
+# and 10 m the LDR communication ranges.
+EXACT_OFFSETS = [
+    (2.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-2.0, -1.5),
+    (5.0, 0.0), (3.0, -4.0), (-10.0, 0.0), (6.0, 8.0),
+]
+# Half-metre coordinates keep those offsets exact.
+coordinate = st.one_of(
+    st.integers(-30, 30).map(lambda k: k * 0.5),
+    st.floats(-15.0, 15.0, allow_nan=False),
+)
+
+
+# One agent: a code that picks how it is placed, relative to which earlier
+# agent and at which exact offset, and a fresh (x, y).
+agent_recipe = st.tuples(st.integers(0, 5 * 100 * len(EXACT_OFFSETS) - 1), coordinate, coordinate)
+
+
+def build_swarm(recipes):
+    """Points with coincident agents, shared coordinates and exact-range pairs."""
+    points = []
+    for code, x, y in recipes:
+        how, k, offset = code % 5, code // 5 % 100, code // 500
+        if not points or how == 0:
+            points.append((x, y))
+            continue
+        px, py = points[k % len(points)]
+        if how == 1:
+            points.append((px, py))  # coincident
+        elif how == 2:
+            ox, oy = EXACT_OFFSETS[offset]
+            points.append((px + ox, py + oy))
+        elif how == 3:
+            points.append((px, y))  # same x
+        else:
+            points.append((x, py))  # same y
+    return points
+
+
+swarm_positions = st.integers(1, 100).flatmap(
+    lambda n: st.lists(agent_recipe, min_size=n, max_size=n).map(build_swarm)
+)
+
+
+def hexed(near):
+    """Neighbour lists as float.hex strings, so that -0.0 and 0.0 differ."""
+    return [[tuple(v.hex() for v in offset) for offset in agent] for agent in near]
+
+
+class TestPairwiseScan:
+    @settings(max_examples=100, deadline=None)
+    @given(points=swarm_positions)
+    @example(points=[(0.0, 0.0), (0.0, 0.0), (2.5, 0.0), (1.5, 2.0), (0.0, 5.0), (6.0, 8.0)])
+    def test_matches_scalar_loop_bit_for_bit(self, points):
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        for name, ldr in (("rb", None), ("ldr_random", LDR_RANDOM), ("ldr_repulsive", LDR_REPULSIVE)):
+            controller = DecentralizedController(name, points, ldr=ldr)
+            near, adj, notified = controller.pairwise_scan(xs, ys)
+            ref_near, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
+            assert hexed(near) == hexed(ref_near), name
+            assert notified == ref_notified, name
+            if ldr is None:
+                assert adj is None
+            else:
+                assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, name
+
+    # Total visits after 300 steps at seed 1; with one agent there are no
+    # pairs at all, with two exactly one.
+    SMALL_SWARM_VISITS = {
+        1: dict.fromkeys(DECENTRALIZED, 39),
+        2: {"rb": 68, "ldr_random": 68, "ldr_repulsive": 68, "pm": 76},
+    }
+
+    @pytest.mark.parametrize("strategy", DECENTRALIZED)
+    @pytest.mark.parametrize("n_uavs", [1, 2])
+    def test_smallest_swarms_run(self, strategy, n_uavs):
+        cfg = ExperimentConfig(strategy, runs=1, n_uavs=n_uavs, sim=SimConfig(max_steps=300))
+        world = build_world(cfg, seed=1)
+        world.run()
+        assert world.step_count == 300
+        assert sum(world.grid.visits) == self.SMALL_SWARM_VISITS[n_uavs][strategy]

@@ -332,6 +332,18 @@ class TestCli:
             assert (tmp_path / strategy / "summary.json").exists()
             assert (tmp_path / strategy / "runs.csv").exists()
 
+    def test_unplaceable_swarm_names_the_box(self, tmp_path, capsys):
+        code = main(["--strategy", "rb", "--uavs", "30", "--runs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: rb: placement infeasible: 30 agents at min_spacing 1.5 m in the "
+            "20 m x 3 m start box: gave up after 100001 rejected draws"
+        ) in err
+        code = main(["--strategy", "rb", "--uavs", "60", "--runs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "start box, which holds at most 57" in capsys.readouterr().err
+
     def test_small_arena_rejected(self, tmp_path, capsys):
         code = main(
             ["--strategy", "rb", "--arena-side", "10", "--runs", "1", "--out", str(tmp_path)]
