@@ -81,7 +81,8 @@ class PmParams:
 
     Only executed turns start the 25-step quiet window; a sampled
     go-straight decision does not, so an agent facing covered ground keeps
-    re-deciding each step until it turns or the way ahead clears.
+    re-deciding each step until it turns or the way ahead clears. Inside
+    the window an agent neither senses the field nor draws.
     """
 
     turn_angle: float = math.radians(45.0)
@@ -233,16 +234,16 @@ def pm_sense(field: PheromoneField, step: int, cell: Cell | None, heading: float
     return (read(center + ahead, step), read(center + left, step), read(center + right, step))
 
 
-def pm_choose(readings, suppressed: bool, rng) -> str:
+def pm_choose(readings, rng) -> str:
     """Pick among ahead / turn_right_45 / turn_left_45, or no_reaction.
 
-    No reaction while suppressed, when no pheromone is ahead, or when all
-    readings are zero. Sampling uses unnormalized thresholds so the exact
-    probability identity carries over.
+    No reaction when no pheromone is ahead, or when all readings are zero.
+    Sampling uses unnormalized thresholds so the exact probability identity
+    carries over.
     """
     ahead, left, right = readings
     total = ahead + left + right
-    if suppressed or total <= 0.0 or ahead <= 0.0:
+    if total <= 0.0 or ahead <= 0.0:
         return "no_reaction"
     u = rng.uniform(0.0, 2.0 * total)
     if u < total - ahead:
@@ -487,10 +488,10 @@ class DecentralizedController:
                 moves.append(HOLD)
                 continue
 
-            if self.pheromone is not None:
-                suppressed = now <= self.pheromone_until[i]
+            # PM senses only outside its quiet window.
+            if self.pheromone is not None and now > self.pheromone_until[i]:
                 readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
-                outcome = pm_choose(readings, suppressed, agent.rng)
+                outcome = pm_choose(readings, agent.rng)
                 if outcome != "no_reaction":
                     if self.collect_events:
                         self.events.append(

@@ -13,6 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .arena import ArenaSpec
 from .decentralized import LDR_ADD_ON, make_controller
 from .metrics import (
@@ -40,6 +42,19 @@ class PlacementSpec:
     max_rejects: int = 100_000
     stall_rejects: int = 2_000  # consecutive rejects before scrapping the layout
 
+    def __post_init__(self) -> None:
+        for name in ("width", "depth", "min_spacing"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.stall_rejects < 1:
+            raise ValueError(f"stall_rejects must be at least 1, got {self.stall_rejects!r}")
+        if self.max_rejects < 0:
+            raise ValueError(f"max_rejects must be non-negative, got {self.max_rejects!r}")
+
+
+_BLOCK = 1024  # candidates drawn from the stream at a time
+
 
 def place_decentralized(
     spec: PlacementSpec, n: int, arena: ArenaSpec, cfg: SimConfig, rng
@@ -54,6 +69,14 @@ def place_decentralized(
     Sequential dart-throwing jams well below the theoretical capacity, so a
     layout that stalls is scrapped and redrawn; only the global reject budget
     makes the placement fail.
+
+    Candidates are the stream's doubles taken in (x, y) pairs, drawn a block
+    at a time: a mask marks the candidates that keep min_spacing from every
+    placed point, so the rejects up to the next fit are a count. The points,
+    the headings (the doubles after the last candidate used) and the errors
+    are those of drawing each candidate with rng.uniform in turn, bit for
+    bit. Only rng ends further along, past unused draws of the last block;
+    nothing reads it afterwards (build_world discards its harness stream).
     """
     box = f"{spec.width:g} m x {spec.depth:g} m"
     if max(spec.width, spec.depth) > arena.side_length:
@@ -74,32 +97,56 @@ def place_decentralized(
     points: list[tuple[float, float]] = []
     rejects = 0
     stall = 0
+    draws = xs = ys = ok = np.empty(0)
+    used = 0  # candidates of the current block consumed
     while len(points) < n:
-        x = rng.uniform(x_lo, x_hi)
-        y = rng.uniform(y_lo, y_hi)
-        if all((x - px) ** 2 + (y - py) ** 2 >= spacing2 for px, py in points):
-            points.append((x, y))
+        if used == len(ok):
+            draws = rng.random(2 * _BLOCK)
+            xs = x_lo + (x_hi - x_lo) * draws[0::2]
+            ys = y_lo + (y_hi - y_lo) * draws[1::2]
+            ok = np.ones(_BLOCK, dtype=bool)
+            for px, py in points:
+                ok &= (xs - px) ** 2 + (ys - py) ** 2 >= spacing2
+            used = 0
+        rest = ok[used:]
+        misses = int(rest.argmax())  # rejects before the next fit
+        if not rest[misses]:
+            misses = len(rest)  # no fit left in this block
+        to_budget = spec.max_rejects + 1 - rejects  # the reject that exceeds the budget
+        to_stall = spec.stall_rejects - stall  # the reject that scraps the layout
+        if misses >= to_budget and to_budget <= to_stall:
+            raise RuntimeError(f"{infeasible}: gave up after {spec.max_rejects + 1} rejected draws")
+        if misses >= to_stall:
+            rejects += to_stall
+            used += to_stall
+            points.clear()
             stall = 0
-        else:
-            rejects += 1
-            stall += 1
-            if rejects > spec.max_rejects:
-                raise RuntimeError(f"{infeasible}: gave up after {rejects} rejected draws")
-            if stall >= spec.stall_rejects:
-                points.clear()
-                stall = 0
-    agents = []
-    for i, (x, y) in enumerate(points):
-        agents.append(
-            AgentState(
-                id=i,
-                position=(x, y),
-                heading=rng.uniform(0.0, math.pi),
-                altitude=cfg.sampling_altitude,
-                rng=agent_stream(cfg.seed, i),
-            )
+            ok[used:] = True
+            continue
+        rejects += misses
+        stall += misses
+        used += misses
+        if used == len(ok):
+            continue
+        x = float(xs[used])
+        y = float(ys[used])
+        points.append((x, y))
+        stall = 0
+        used += 1
+        ok[used:] &= (xs[used:] - x) ** 2 + (ys[used:] - y) ** 2 >= spacing2
+    tail = draws[2 * used :]
+    if len(tail) < n:
+        tail = np.concatenate([tail, rng.random(n - len(tail))])
+    return [
+        AgentState(
+            id=i,
+            position=point,
+            heading=math.pi * u,
+            altitude=cfg.sampling_altitude,
+            rng=agent_stream(cfg.seed, i),
         )
-    return agents
+        for i, (point, u) in enumerate(zip(points, tail[:n].tolist()))
+    ]
 
 
 @dataclass

@@ -5,7 +5,8 @@ visits in one fused loop; these are the same rules written one at a time,
 plus the cell-to-index map, the boundary and neighbour queries the
 decentralized controller inlines, its pairwise scan as a scalar loop, arc
 membership, the exact PM move probabilities, the bounds-checked pheromone
-sense and a full pheromone-field read. Nothing in the package uses them.
+sense, a full pheromone-field read, and decentralized placement as a
+dart-throwing loop. Nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
-from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle
+from sweepsim.harness import PlacementSpec
+from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle, agent_stream
 
 
 def heading_vector(theta: float) -> tuple[float, float]:
@@ -253,3 +255,58 @@ def pheromone_snapshot(field: PheromoneField, arena: ArenaSpec, step: int) -> np
     level = np.asarray(field._level)[slots]
     stamp = np.asarray(field._stamp)[slots]
     return np.maximum(level - field.evaporation_rate * (step - stamp), 0.0)
+
+
+def place_decentralized_reference(
+    spec: PlacementSpec, n: int, arena: ArenaSpec, cfg: SimConfig, rng
+) -> list[AgentState]:
+    """harness.place_decentralized as a loop that draws and tests one candidate at a time.
+
+    Each candidate is rng.uniform(x_lo, x_hi), then rng.uniform(y_lo, y_hi);
+    a reject counts against both the global budget (checked first) and the
+    stall that scraps the layout. Headings are rng.uniform(0, pi), drawn
+    after the last candidate.
+    """
+    box = f"{spec.width:g} m x {spec.depth:g} m"
+    if max(spec.width, spec.depth) > arena.side_length:
+        raise ValueError(f"start box {box} does not fit the {arena.side_length:g} m arena")
+    infeasible = (
+        f"placement infeasible: {n} agents at min_spacing {spec.min_spacing:g} m "
+        f"in the {box} start box"
+    )
+    sep = spec.min_spacing / math.sqrt(2.0)
+    capacity = (math.floor(spec.width / sep) + 1) * (math.floor(spec.depth / sep) + 1)
+    if n > capacity:
+        raise RuntimeError(f"{infeasible}, which holds at most {capacity}")
+    cx = arena.center[0]
+    y0 = arena.min_corner[1]
+    x_lo, x_hi = cx - spec.width / 2.0, cx + spec.width / 2.0
+    y_lo, y_hi = y0, y0 + spec.depth
+    spacing2 = spec.min_spacing * spec.min_spacing
+    points: list[tuple[float, float]] = []
+    rejects = 0
+    stall = 0
+    while len(points) < n:
+        x = rng.uniform(x_lo, x_hi)
+        y = rng.uniform(y_lo, y_hi)
+        if all((x - px) ** 2 + (y - py) ** 2 >= spacing2 for px, py in points):
+            points.append((x, y))
+            stall = 0
+        else:
+            rejects += 1
+            stall += 1
+            if rejects > spec.max_rejects:
+                raise RuntimeError(f"{infeasible}: gave up after {rejects} rejected draws")
+            if stall >= spec.stall_rejects:
+                points.clear()
+                stall = 0
+    return [
+        AgentState(
+            id=i,
+            position=(x, y),
+            heading=rng.uniform(0.0, math.pi),
+            altitude=cfg.sampling_altitude,
+            rng=agent_stream(cfg.seed, i),
+        )
+        for i, (x, y) in enumerate(points)
+    ]

@@ -18,6 +18,7 @@ from oracles import (
     pm_probabilities,
     pm_sense_reference,
 )
+from sweepsim import decentralized
 from sweepsim.angles import ccw_distance, cw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
@@ -34,7 +35,7 @@ from sweepsim.decentralized import (
     repulsive_escape,
 )
 from sweepsim.harness import DECENTRALIZED, ExperimentConfig, build_world
-from sweepsim.world import AgentState, SimConfig, World, agent_stream
+from sweepsim.world import AgentState, SimConfig, Unicycle, World, agent_stream
 
 ARENA = ArenaSpec()
 SMALL = ArenaSpec(side_length=3.0, region_size=1.0)  # 3 x 3 cells: one interior, four edges, four corners
@@ -327,15 +328,12 @@ class TestPmChoose:
         with pytest.raises(ValueError):
             pm_probabilities(0, 0, 0)
 
-    def test_no_reaction_when_suppressed(self):
-        assert pm_choose((5.0, 5.0, 5.0), True, rng_for(0)) == "no_reaction"
-
     def test_no_reaction_when_nothing_ahead(self):
-        assert pm_choose((0.0, 50.0, 50.0), False, rng_for(0)) == "no_reaction"
+        assert pm_choose((0.0, 50.0, 50.0), rng_for(0)) == "no_reaction"
 
     def test_never_ahead_when_all_pheromone_ahead(self):
         rng = rng_for(9)
-        outcomes = {pm_choose((10.0, 0.0, 0.0), False, rng) for _ in range(200)}
+        outcomes = {pm_choose((10.0, 0.0, 0.0), rng) for _ in range(200)}
         assert outcomes == {"turn_right_45", "turn_left_45"}
 
     def test_outcome_frequencies_match_probabilities(self):
@@ -344,7 +342,7 @@ class TestPmChoose:
         counts = {"ahead": 0, "turn_right_45": 0, "turn_left_45": 0}
         n = 4000
         for _ in range(n):
-            counts[pm_choose(readings, False, rng)] += 1
+            counts[pm_choose(readings, rng)] += 1
         assert counts["ahead"] == pytest.approx(n / 4, abs=5 * math.sqrt(n))
         assert counts["turn_right_45"] == pytest.approx(5 * n / 16, abs=5 * math.sqrt(n))
 
@@ -475,6 +473,34 @@ class TestLdrNotifications:
         rel = [(p[0], p[1]) for p in positions[1:]]
         expected = repulsive_escape(rel)
         assert controller.turn_target[0] == pytest.approx(expected)
+
+
+class TestPmQuietWindow:
+    def test_suppressed_agent_neither_senses_nor_draws(self, monkeypatch):
+        # one pm agent at the centre, facing east, with pheromone in the
+        # cells ahead, left and right of it
+        agent = AgentState(id=0, position=(0.5, 0.5), heading=0.0, altitude=1.5, rng=agent_stream(0, 0))
+        field = PheromoneField(ARENA)
+        controller = DecentralizedController("pm", [agent], pheromone=field)
+        world = World(ARENA, SimConfig(), [agent], controller)
+        col, row = agent.prev_cell = (20, 20)
+        for dc, dr in ((1, 0), (1, 1), (1, -1)):
+            field.deposit(flat_index((col + dc, row + dr), ARENA), step=0)
+        assert pm_sense(field, 0, agent.prev_cell, 0.0, ARENA)[0] > 0.0
+
+        def no_sensing(*args):
+            raise AssertionError("pm_sense called inside the quiet window")
+
+        monkeypatch.setattr(decentralized, "pm_sense", no_sensing)
+        now = world.step_count + 1
+        controller.pheromone_until[0] = now  # the last step of the window
+        state = agent.rng.bit_generator.state
+        assert controller.decide(world) == [Unicycle(world.cfg.target_sampling_velocity, 0.0)]
+        assert agent.rng.bit_generator.state == state
+        # one step later the window is over, and the agent senses again
+        controller.pheromone_until[0] = now - 1
+        with pytest.raises(AssertionError, match="quiet window"):
+            controller.decide(world)
 
 
 class TestPmRunState:

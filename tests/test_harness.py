@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.cli import main
 from sweepsim.harness import (
@@ -63,6 +66,71 @@ class TestPlacement:
         for seed in range(40):
             agents = place_decentralized(PlacementSpec(), 25, ARENA, CFG, harness_stream(seed))
             assert len(agents) == 25
+
+
+def placement_outcome(place, spec, n, seed):
+    """Positions and headings as float.hex strings, or the error's type and message."""
+    try:
+        agents = place(spec, n, ARENA, CFG, harness_stream(seed))
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(a.position[0].hex(), a.position[1].hex(), a.heading.hex()) for a in agents]
+
+
+class TestBlockSampler:
+    # Small stall and reject budgets, so that scrapped layouts and the
+    # budget error both occur.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        width=st.floats(1.0, 30.0),
+        depth=st.floats(0.5, 10.0),
+        min_spacing=st.floats(0.2, 2.0),
+        stall_rejects=st.integers(1, 60),
+        max_rejects=st.integers(0, 1500),
+    )
+    @example(seed=2, n=6, width=3.0, depth=2.0, min_spacing=1.0, stall_rejects=5, max_rejects=300)
+    @example(seed=0, n=6, width=3.0, depth=2.0, min_spacing=1.0, stall_rejects=5, max_rejects=300)
+    # the reject that spends the budget is also the one that scraps the layout
+    @example(seed=0, n=3, width=2.0, depth=1.0, min_spacing=1.0, stall_rejects=3, max_rejects=5)
+    @example(seed=1, n=25, width=20.0, depth=3.0, min_spacing=1.5, stall_rejects=2000, max_rejects=100_000)
+    def test_matches_dart_throwing_loop_bit_for_bit(
+        self, seed, n, width, depth, min_spacing, stall_rejects, max_rejects
+    ):
+        spec = PlacementSpec(
+            width=width,
+            depth=depth,
+            min_spacing=min_spacing,
+            stall_rejects=stall_rejects,
+            max_rejects=max_rejects,
+        )
+        assert placement_outcome(place_decentralized, spec, n, seed) == placement_outcome(
+            place_decentralized_reference, spec, n, seed
+        )
+
+
+class TestPlacementSpec:
+    @pytest.mark.parametrize("name", ["width", "depth", "min_spacing"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_lengths_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            PlacementSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_stall_rejects_at_least_one(self, value):
+        with pytest.raises(ValueError, match="stall_rejects must be at least 1"):
+            PlacementSpec(stall_rejects=value)
+
+    def test_max_rejects_non_negative(self):
+        with pytest.raises(ValueError, match="max_rejects must be non-negative"):
+            PlacementSpec(max_rejects=-1)
+        assert PlacementSpec(max_rejects=0).max_rejects == 0
+
+    def test_defaults_unchanged(self):
+        spec = PlacementSpec()
+        assert (spec.width, spec.depth, spec.min_spacing) == (20.0, 3.0, 1.5)
+        assert (spec.max_rejects, spec.stall_rejects) == (100_000, 2_000)
 
 
 class TestExperimentConfig:
