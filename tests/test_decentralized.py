@@ -483,9 +483,9 @@ class TestPmQuietWindow:
         field = PheromoneField(ARENA)
         controller = DecentralizedController("pm", [agent], pheromone=field)
         world = World(ARENA, SimConfig(), [agent], controller)
-        col, row = agent.prev_cell = (20, 20)
-        for dc, dr in ((1, 0), (1, 1), (1, -1)):
-            field.deposit(flat_index((col + dc, row + dr), ARENA), step=0)
+        agent.prev_cell = (20, 20)
+        for cell in ((21, 20), (21, 21), (21, 19)):
+            field.deposit(flat_index(cell, ARENA), step=0)
         assert pm_sense(field, 0, agent.prev_cell, 0.0, ARENA)[0] > 0.0
 
         def no_sensing(*args):
@@ -497,7 +497,7 @@ class TestPmQuietWindow:
         state = agent.rng.bit_generator.state
         assert controller.decide(world) == [Unicycle(world.cfg.target_sampling_velocity, 0.0)]
         assert agent.rng.bit_generator.state == state
-        # one step later the window is over, and the agent senses again
+        # once the window is over, the agent senses again
         controller.pheromone_until[0] = now - 1
         with pytest.raises(AssertionError, match="quiet window"):
             controller.decide(world)

@@ -127,11 +127,6 @@ class TestPlacementSpec:
             PlacementSpec(max_rejects=-1)
         assert PlacementSpec(max_rejects=0).max_rejects == 0
 
-    def test_defaults_unchanged(self):
-        spec = PlacementSpec()
-        assert (spec.width, spec.depth, spec.min_spacing) == (20.0, 3.0, 1.5)
-        assert (spec.max_rejects, spec.stall_rejects) == (100_000, 2_000)
-
 
 class TestExperimentConfig:
     def test_unknown_strategy_rejected(self):
