@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import run_digests
 from oracles import pheromone_snapshot, pm_probabilities
 from sweepsim.arena import ArenaSpec
 from sweepsim.harness import (
@@ -59,6 +60,12 @@ def sweep():
         records, summary = run_experiment(config)
         out[strategy] = (records, summary)
     return out
+
+
+def test_every_sweep_run_matches_its_pinned_digest(sweep):
+    records = [record for records, _ in sweep.values() for record in records]
+    current = run_digests.digests(records)
+    assert run_digests.mismatches(run_digests.pinned()["default"], current) == []
 
 
 # -- criterion 1: deterministic sweep exactness -------------------------------

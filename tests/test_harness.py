@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import run_digests
 from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.cli import main
@@ -126,6 +128,17 @@ class TestPlacementSpec:
         with pytest.raises(ValueError, match="max_rejects must be non-negative"):
             PlacementSpec(max_rejects=-1)
         assert PlacementSpec(max_rejects=0).max_rejects == 0
+
+    def test_defaults_unchanged(self):
+        spec = PlacementSpec()
+        assert (spec.width, spec.depth, spec.min_spacing) == (20.0, 3.0, 1.5)
+        assert (spec.max_rejects, spec.stall_rejects) == (100_000, 2_000)
+
+
+class TestRunDigests:
+    def test_off_default_runs_match_their_pinned_digests(self):
+        current = run_digests.run_matrix(jobs=min(os.cpu_count() or 1, 4))
+        assert run_digests.mismatches(run_digests.pinned()["matrix"], current) == []
 
 
 class TestExperimentConfig:
