@@ -27,7 +27,7 @@ from .angles import (
     wrap_pi,
 )
 from .arena import EDGE_NORMALS, ArenaSpec, Cell, edge_distances
-from .world import HOLD, Motion, Unicycle, World
+from .world import HOLD, Unicycle, World
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ class DecentralizedController:
         notifying = adj.sum(1) >= self.ldr.density_threshold
         return near, adj, (adj & notifying).any(1).tolist()
 
-    def decide(self, world: World) -> list[Motion]:
+    def decide(self, world: World) -> list[Unicycle]:
         cfg = world.cfg
         arena = world.arena
         agents = world.agents
@@ -400,7 +400,7 @@ class DecentralizedController:
         cruise = Unicycle(v_target, 0.0)  # shared: Unicycle is an immutable tuple
         step_len = v_target * dt
         clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
-        moves: list[Motion] = []
+        moves: list[Unicycle] = []
         for i in range(n):
             agent = agents[i]
             if self.phase[i] == _TURNING:

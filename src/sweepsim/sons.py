@@ -25,7 +25,7 @@ from .angles import (
     wrap_angle,
 )
 from .arena import ArenaSpec, edges_outside
-from .world import AgentState, Motion, PoseTarget, SimConfig, World, agent_stream
+from .world import AgentState, PoseTarget, SimConfig, World, agent_stream
 
 
 class SweepGeometryError(RuntimeError):
@@ -99,13 +99,9 @@ class SonsController:
         self.brain_pos = brain_pos
         self.brain_heading = brain_heading
 
-    def _emit(self, world: World, sampling_active: bool) -> list[Motion]:
-        targets = follow_formation(self.brain_pos, self.brain_heading, self.formation)
-        moves: list[Motion] = []
-        for agent, (x, y) in zip(world.agents, targets, strict=True):
-            agent.sampling_active = sampling_active
-            moves.append(PoseTarget(x, y, self.brain_heading))
-        return moves
+    def _emit(self, sampling_active: bool) -> PoseTarget:
+        positions = follow_formation(self.brain_pos, self.brain_heading, self.formation)
+        return PoseTarget(positions, self.brain_heading, sampling_active)
 
 
 class SonsBsController(SonsController):
@@ -129,7 +125,7 @@ class SonsBsController(SonsController):
         self.shift_remaining = 0.0
         self.exit_margin = 0.5
 
-    def decide(self, world: World) -> list[Motion]:
+    def decide(self, world: World) -> PoseTarget:
         arena = world.arena
         cfg = world.cfg
         cy = arena.center[1]
@@ -169,7 +165,7 @@ class SonsBsController(SonsController):
             self.sweep_dir = -self.sweep_dir
             self.phase = "sweep"
 
-        return self._emit(world, sampling_active=True)
+        return self._emit(sampling_active=True)
 
 
 @dataclass
@@ -274,7 +270,7 @@ class SonsRwController(SonsController):
         omega = min(rate, turn_remaining(self.brain_heading, target, direction) / dt)
         self.brain_heading = wrap_angle(self.brain_heading + direction * omega * dt)
 
-    def decide(self, world: World) -> list[Motion]:
+    def decide(self, world: World) -> PoseTarget:
         cfg = world.cfg
         dt = cfg.dt
         outside = edges_outside(self.brain_pos, world.arena)
@@ -313,7 +309,7 @@ class SonsRwController(SonsController):
             break
 
         self.prev_depth = depth
-        return self._emit(world, sampling_active=sampling)
+        return self._emit(sampling_active=sampling)
 
 
 def make_sons_controller(

@@ -112,20 +112,23 @@ class Unicycle(NamedTuple):
 
 
 class PoseTarget(NamedTuple):
-    """Direct pose assignment for servo-perfect formation followers."""
+    """Direct pose assignment for a whole servo-perfect formation.
 
-    x: float
-    y: float
+    positions holds one (x, y) per agent in id order; every agent takes the
+    shared heading and sampling state.
+    """
+
+    positions: list[tuple[float, float]]
     heading: float
+    sampling_active: bool
 
-
-Motion = Unicycle | PoseTarget
 
 HOLD = Unicycle(0.0, 0.0)
 
 
 class Controller(Protocol):
-    """Strategy plug-in: senses the pre-step world and commands every agent.
+    """Strategy plug-in: senses the pre-step world and commands every agent,
+    with one Unicycle each or one PoseTarget for the whole formation.
 
     name labels the run's record; pheromone is the field the world deposits
     into on every credited visit, or None for strategies without one.
@@ -135,7 +138,7 @@ class Controller(Protocol):
     clamp_to_arena: bool
     pheromone: "PheromoneField | None"
 
-    def decide(self, world: "World") -> list[Motion]: ...
+    def decide(self, world: "World") -> list[Unicycle] | PoseTarget: ...
 
 
 class World:
@@ -162,17 +165,23 @@ class World:
     def step(self) -> None:
         """Advance the whole swarm by one synchronous round.
 
-        Each agent turns, then translates (or takes its PoseTarget), and the
-        cell it ends the step in is scored with entry semantics: a visit
-        needs a new cell inside the arena, sampling active, the sampling
-        altitude, and at most the target velocity. This is the one place a
-        position is mapped to a cell; the unit suite pins it to reference
-        implementations. The controller must command every agent exactly
-        once; any other number of moves raises ValueError.
+        Each agent turns, then translates (or takes its place, heading and
+        sampling state from the PoseTarget), and the cell it ends the step
+        in is scored with entry semantics: a visit needs a new cell inside
+        the arena, sampling active, the sampling altitude, and at most the
+        target velocity. This is the one place a position is mapped to a
+        cell; the unit suite pins it to reference implementations. The
+        controller must command every agent exactly once; any other number
+        of moves or positions raises ValueError.
         """
         cfg = self.cfg
         dt = cfg.dt
         moves = self.controller.decide(self)
+        formation = moves.__class__ is PoseTarget
+        if formation:
+            heading = wrap_angle(moves.heading)
+            sampling = moves.sampling_active
+            moves = moves.positions
         clamp = self.controller.clamp_to_arena
         grid = self.grid
         arena = self.arena
@@ -188,12 +197,11 @@ class World:
         pheromone = self.pheromone
         events = []
         for agent, motion in zip(self.agents, moves, strict=True):
-            if motion.__class__ is PoseTarget:
+            if formation:
                 px, py = agent.position
-                x = motion.x
-                y = motion.y
-                agent.position = (x, y)
-                agent.heading = wrap_angle(motion.heading)
+                x, y = agent.position = motion
+                agent.heading = heading
+                agent.sampling_active = sampling
                 agent.speed = math.hypot(x - px, y - py) / dt
             else:
                 v = motion.linear_speed

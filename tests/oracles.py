@@ -1,8 +1,8 @@
 """Reference implementations that the unit suite pins the simulator to.
 
-World.step maps positions to cells, integrates unicycle commands and scores
-visits in one fused loop; these are the same rules written one at a time,
-plus the cell-to-index map, the boundary and neighbour queries the
+World.step maps positions to cells, integrates unicycle commands, places
+formations and scores visits in one fused loop; these are the same rules
+written one at a time, plus the cell-to-index map, the boundary and neighbour queries the
 decentralized controller inlines, its pairwise scan as a scalar loop, arc
 membership, the exact PM move probabilities, the bounds-checked pheromone
 sense, a full pheromone-field read, and decentralized placement as a
@@ -22,7 +22,7 @@ from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.harness import PlacementSpec
-from sweepsim.world import SPEED_EPS, AgentState, SimConfig, Unicycle, agent_stream
+from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
 
 def heading_vector(theta: float) -> tuple[float, float]:
@@ -137,6 +137,29 @@ def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell 
         grid.record(flat_index(cell, grid.arena))
         return cell
     return None
+
+
+def pose_step_reference(
+    agents: Sequence[AgentState], grid: CoverageGrid, cfg: SimConfig, command: PoseTarget
+) -> list[tuple[int, Cell]]:
+    """World.step for a formation command, one pose target per member.
+
+    Every member first takes the sampling state, then in id order its
+    position, the wrapped heading and the speed flown, and is scored by
+    record_visit. Returns the visit events in order.
+    """
+    for agent in agents:
+        agent.sampling_active = command.sampling_active
+    events = []
+    for agent, (x, y) in zip(agents, command.positions, strict=True):
+        px, py = agent.position
+        agent.position = (x, y)
+        agent.heading = wrap_angle(command.heading)
+        agent.speed = math.hypot(x - px, y - py) / cfg.dt
+        cell = record_visit(agent, grid, cfg)
+        if cell is not None:
+            events.append((agent.id, cell))
+    return events
 
 
 def neighbors_within(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -16,13 +16,16 @@ from oracles import (
     edges_within,
     flat_index,
     neighbors_within,
+    pose_step_reference,
     record_visit,
     step_kinematics,
 )
+from sweepsim.angles import TWO_PI
 from sweepsim.arena import ArenaSpec, CoverageGrid, edges_outside
 from sweepsim.world import (
     SPEED_EPS,
     AgentState,
+    PoseTarget,
     SimConfig,
     Unicycle,
     World,
@@ -283,6 +286,14 @@ class TestStepLoop:
         with pytest.raises(ValueError):
             world.step()
 
+    @pytest.mark.parametrize("n_positions", [1, 3])
+    def test_wrong_number_of_positions_raises(self, n_positions):
+        agents = [make_agent((0.5, 0.5), agent_id=i) for i in range(2)]
+        command = PoseTarget([(0.5, 0.6)] * n_positions, 0.0, True)
+        world = World(ARENA, CFG, agents, ScriptedController([command]))
+        with pytest.raises(ValueError):
+            world.step()
+
     def test_two_agents_same_new_cell(self):
         a = make_agent((0.4, 0.5), agent_id=0)
         b = make_agent((0.6, 0.5), agent_id=1)
@@ -383,6 +394,94 @@ class TestFusedStepEquivalence:
             line = minx + k * arena.cell_size
             for start in ((line, 0.05), (0.05, miny + k * arena.cell_size)):
                 assert_step_matches_oracles(arena, start, 0.0, commands)
+
+
+FORMATION_ARENAS = [
+    ArenaSpec(side_length=10.0, cell_size=c, region_size=10.0) for c in (1.0, 0.5, 0.1)
+]
+
+
+@st.composite
+def formation_script(draw):
+    """An arena, a formation's members and a few formation commands for it.
+
+    Members jump to grid lines (some just off the grid) or to free points up
+    to 2 m outside the arena, or they move: a small step that keeps the
+    speed gate open, or a snap to the nearest grid line. Headings reach
+    outside [0, 2 pi).
+    """
+    arena = draw(st.sampled_from(FORMATION_ARENAS))
+    minx = arena.min_corner[0]
+    cs = arena.cell_size
+    jump = st.one_of(
+        st.integers(-2, arena.cols + 2).map(lambda k: minx + k * cs),
+        st.floats(minx - 2.0, -minx + 2.0),
+    )
+
+    def move(prev):
+        return draw(
+            st.one_of(
+                st.floats(-0.07, 0.07).map(lambda d: prev + d),
+                st.just(minx + round((prev - minx) / cs) * cs),
+            )
+        )
+
+    n = draw(st.integers(1, 5))
+    starts = [(draw(jump), draw(jump)) for _ in range(n)]
+    # three in four members sample, and three in four commands keep sampling on
+    altitudes = [
+        draw(st.sampled_from([CFG.sampling_altitude] * 3 + [CFG.supervisory_altitude]))
+        for _ in range(n)
+    ]
+    commands = []
+    positions = starts
+    for _ in range(draw(st.integers(1, 6))):
+        positions = [
+            (move(x), move(y)) if draw(st.integers(0, 3)) else (draw(jump), draw(jump))
+            for x, y in positions
+        ]
+        heading = draw(
+            st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-TWO_PI, TWO_PI, 3 * TWO_PI]))
+        )
+        commands.append(PoseTarget(positions, heading, draw(st.integers(0, 3)) > 0))
+    return arena, starts, altitudes, commands
+
+
+def agent_view(agent):
+    x, y = agent.position
+    return (
+        x.hex(),
+        y.hex(),
+        agent.heading.hex(),
+        agent.speed.hex(),
+        agent.sampling_active,
+        agent.prev_cell,
+    )
+
+
+class TestFormationStepEquivalence:
+    @settings(max_examples=100, deadline=None)
+    @given(formation_script())
+    def test_formation_command_matches_per_member_reference(self, script):
+        # World.step takes one PoseTarget for the whole formation; the
+        # reference places and scores one member at a time
+        arena, starts, altitudes, commands = script
+
+        def members():
+            return [
+                AgentState(id=i, position=p, heading=0.0, altitude=alt)
+                for i, (p, alt) in enumerate(zip(starts, altitudes))
+            ]
+
+        world = World(arena, CFG, members(), ScriptedController(commands))
+        manual = members()
+        grid = CoverageGrid(arena)
+        for command in commands:
+            world.step()
+            events = pose_step_reference(manual, grid, CFG, command)
+            assert [agent_view(a) for a in world.agents] == [agent_view(a) for a in manual]
+            assert world.visit_events == events
+            assert world.grid.visits == grid.visits
 
 
 class TestRandomStreams:
