@@ -2,11 +2,12 @@
 
 World.step maps positions to cells, integrates unicycle commands, places
 formations and scores visits in one fused loop; these are the same rules
-written one at a time, plus the cell-to-index map, the boundary and neighbour queries the
-decentralized controller inlines, its pairwise scan as a scalar loop, arc
-membership, the exact PM move probabilities, the bounds-checked pheromone
-sense, a full pheromone-field read, and decentralized placement as a
-dart-throwing loop. Nothing in the package uses them.
+written one at a time, plus the cell-to-index map, the boundary and
+neighbour queries the decentralized controller inlines, its pairwise scan
+as a scalar loop, arc membership, the exact PM move probabilities, the
+bounds-checked pheromone sense, a full pheromone-field read, and
+decentralized placement as a dart-throwing loop. Nothing in the package
+uses them.
 """
 
 from __future__ import annotations

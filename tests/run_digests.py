@@ -41,6 +41,7 @@ from sweepsim.world import SimConfig
 PATH = Path(__file__).with_name("run_digests.json")
 SWEEP_RUNS = 30
 SWEEP_BASE_SEED = 1
+JOBS = min(os.cpu_count() or 1, 4)
 
 _CAP = SimConfig(max_steps=3000)
 MATRIX = {
@@ -92,14 +93,14 @@ def _matrix_digest(task) -> str:
     return h.hexdigest()
 
 
-def run_matrix(jobs: int) -> dict[str, str]:
-    """Digests of every MATRIX run, all of them spread over one pool of jobs workers."""
+def run_matrix() -> dict[str, str]:
+    """Digests of every MATRIX run, all of them spread over one pool of JOBS workers."""
     tasks = {
         f"{name}/{config.strategy}/{config.base_seed + i}": (config, config.base_seed + i)
         for name, config in MATRIX.items()
         for i in range(config.runs)
     }
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+    with ProcessPoolExecutor(max_workers=JOBS, mp_context=get_context("spawn")) as pool:
         return dict(zip(tasks, pool.map(_matrix_digest, tasks.values()), strict=True))
 
 
@@ -116,14 +117,13 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Check or regenerate tests/run_digests.json.")
     p.add_argument("--write", action="store_true", help="rewrite the file from this checkout")
     args = p.parse_args(argv)
-    jobs = os.cpu_count() or 1
     default = {}
     for strategy in STRATEGIES:
         config = ExperimentConfig(
-            strategy=strategy, runs=SWEEP_RUNS, base_seed=SWEEP_BASE_SEED, jobs=jobs
+            strategy=strategy, runs=SWEEP_RUNS, base_seed=SWEEP_BASE_SEED, jobs=JOBS
         )
         default.update(digests(run_experiment(config)[0]))
-    current = {"default": default, "matrix": run_matrix(jobs)}
+    current = {"default": default, "matrix": run_matrix()}
     if args.write:
         PATH.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {PATH}")

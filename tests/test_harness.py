@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -137,7 +136,7 @@ class TestPlacementSpec:
 
 class TestRunDigests:
     def test_off_default_runs_match_their_pinned_digests(self):
-        current = run_digests.run_matrix(jobs=min(os.cpu_count() or 1, 4))
+        current = run_digests.run_matrix()
         assert run_digests.mismatches(run_digests.pinned()["matrix"], current) == []
 
 
