@@ -86,7 +86,7 @@ class PmParams:
     """
 
     turn_angle: float = math.radians(45.0)
-    post_pheromone_suppression: int = 25
+    post_reaction_suppression: int = 25
     post_avoidance_suppression: int = 50
 
 
@@ -261,12 +261,8 @@ class ReactionEvent:
     agent_id: int
     kind: str
     heading: float
-    suppression_remaining: int = 0
     normals: tuple = ()
     outcome: str = ""
-
-
-_CRUISE, _TURNING = 0, 1
 
 
 class DecentralizedController:
@@ -274,8 +270,12 @@ class DecentralizedController:
 
     All sensing reads the swarm state from before the step began; per-agent
     decisions never see each other's same-step reactions, so agents can be
-    evaluated in any order. An ldr adds density dispersal; a pheromone field
-    adds PM's sensing and turns, with the PM constants.
+    evaluated in any order. An agent carries at most one add-on: an ldr adds
+    density dispersal, or a pheromone field adds PM's sensing and turns, with
+    the PM constants. The add-on keeps one quiet window per agent. Each turn
+    carries the window it opens when it ends: the add-on's post-avoidance
+    window for a boundary or avoidance turn, its post-reaction window for
+    its own.
     """
 
     clamp_to_arena = True
@@ -288,17 +288,20 @@ class DecentralizedController:
         pheromone: PheromoneField | None = None,
         collect_events: bool = False,
     ):
+        if ldr is not None and pheromone is not None:
+            raise ValueError("ldr and pheromone: a controller carries at most one add-on")
         self.name = name
         self.rb = RbParams()
         self.ldr = ldr
         self.pheromone = pheromone
+        addon = ldr if ldr is not None else PM
+        self.avoid_quiet = addon.post_avoidance_suppression
+        self.react_quiet = addon.post_reaction_suppression
         n = len(agents)
-        self.phase = [_CRUISE] * n
         self.turn_target = [0.0] * n
-        self.turn_dir = [0.0] * n
-        self.turn_kind = [""] * n
-        self.density_until = [0] * n
-        self.pheromone_until = [0] * n
+        self.turn_dir = [0.0] * n  # +1.0 or -1.0 while turning, 0.0 while cruising
+        self.turn_quiet = [0] * n  # the window the current turn opens when it ends
+        self.quiet_until = [0] * n  # the add-on's last quiet step
         self.collect_events = collect_events
         self.events: list[ReactionEvent] = []
         # Upper-triangle pairs (i < j) in row-major order, so a scan over them
@@ -308,28 +311,10 @@ class DecentralizedController:
         self._upper_slot = self._iu * n + self._ju
         self._lower_slot = self._ju * n + self._iu
 
-    # -- reaction bookkeeping -------------------------------------------------
-
-    def _begin_turn(self, i: int, target: float, direction: float, kind: str) -> None:
-        self.phase[i] = _TURNING
+    def _begin_turn(self, i: int, target: float, direction: float, quiet: int) -> None:
         self.turn_target[i] = target
         self.turn_dir[i] = direction
-        self.turn_kind[i] = kind
-
-    def _finish_reaction(self, i: int, kind: str, now: int) -> None:
-        if kind in ("boundary", "avoid"):
-            if self.ldr is not None:
-                self.density_until[i] = now + self.ldr.post_avoidance_suppression
-            if self.pheromone is not None:
-                self.pheromone_until[i] = now + PM.post_avoidance_suppression
-        elif kind == "density":
-            self.density_until[i] = now + self.ldr.post_reaction_suppression
-        elif kind == "pheromone":
-            self.pheromone_until[i] = now + PM.post_pheromone_suppression
-
-    def suppression_remaining(self, kind: str, i: int, now: int) -> int:
-        until = self.density_until[i] if kind == "density" else self.pheromone_until[i]
-        return max(0, until - now + 1)
+        self.turn_quiet[i] = quiet
 
     # -- the step -------------------------------------------------------------
 
@@ -403,14 +388,15 @@ class DecentralizedController:
         moves: list[Unicycle] = []
         for i in range(n):
             agent = agents[i]
-            if self.phase[i] == _TURNING:
-                remaining = turn_remaining(hs[i], self.turn_target[i], self.turn_dir[i])
+            direction = self.turn_dir[i]
+            if direction:
+                remaining = turn_remaining(hs[i], self.turn_target[i], direction)
                 if remaining <= turn_rate * dt + 1e-12:
-                    moves.append(Unicycle(0.0, self.turn_dir[i] * remaining / dt))
-                    self.phase[i] = _CRUISE
-                    self._finish_reaction(i, self.turn_kind[i], now)
+                    moves.append(Unicycle(0.0, direction * remaining / dt))
+                    self.turn_dir[i] = 0.0
+                    self.quiet_until[i] = now + self.turn_quiet[i]
                 else:
-                    moves.append(Unicycle(0.0, self.turn_dir[i] * turn_rate))
+                    moves.append(Unicycle(0.0, direction * turn_rate))
                 continue
 
             x = xs[i]
@@ -440,7 +426,7 @@ class DecentralizedController:
                             trigger = True
             if trigger:
                 target = boundary_escape_heading(h, constraints, agent.rng, rb.reciprocal_exclusion)
-                self._begin_turn(i, target, turn_direction(h, target), "boundary")
+                self._begin_turn(i, target, turn_direction(h, target), self.avoid_quiet)
                 if self.collect_events:
                     self.events.append(
                         ReactionEvent(now, agent.id, "boundary", target, normals=tuple(constraints))
@@ -453,30 +439,22 @@ class DecentralizedController:
                 dodge = avoidance_turn(h, near[i], rb, agent.rng)
                 if dodge is not None:
                     target, direction, tier = dodge
-                    self._begin_turn(i, target, direction, "avoid")
+                    self._begin_turn(i, target, direction, self.avoid_quiet)
                     if self.collect_events:
                         self.events.append(ReactionEvent(now, agent.id, "avoid_" + tier, target))
                     moves.append(HOLD)
                     continue
 
             # Strategy add-on.
-            if notified is not None and notified[i] and now > self.density_until[i]:
+            if notified is not None and notified[i] and now > self.quiet_until[i]:
                 if self.collect_events:
-                    self.events.append(
-                        ReactionEvent(
-                            now,
-                            agent.id,
-                            "density",
-                            h,
-                            suppression_remaining=self.suppression_remaining("density", i, now),
-                        )
-                    )
+                    self.events.append(ReactionEvent(now, agent.id, "density", h))
                 if self.ldr.repulsive:
                     rel = [(xs[j] - x, ys[j] - y) for j in np.flatnonzero(adj[i]).tolist()]
                     target = repulsive_escape(rel)
                     if target is None:
                         # Perfectly centered neighbors: hold heading, still back off.
-                        self.density_until[i] = now + self.ldr.post_reaction_suppression
+                        self.quiet_until[i] = now + self.react_quiet
                         moves.append(cruise)
                         continue
                     direction = turn_direction(h, target)
@@ -484,30 +462,23 @@ class DecentralizedController:
                     lo, hi = self.ldr.random_turn
                     target = wrap_angle(h - agent.rng.uniform(lo, hi))
                     direction = -1.0
-                self._begin_turn(i, target, direction, "density")
+                self._begin_turn(i, target, direction, self.react_quiet)
                 moves.append(HOLD)
                 continue
 
             # PM senses only outside its quiet window.
-            if self.pheromone is not None and now > self.pheromone_until[i]:
+            if self.pheromone is not None and now > self.quiet_until[i]:
                 readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
                 outcome = pm_choose(readings, agent.rng)
                 if outcome != "no_reaction":
                     if self.collect_events:
                         self.events.append(
-                            ReactionEvent(
-                                now,
-                                agent.id,
-                                "pheromone",
-                                h,
-                                suppression_remaining=self.suppression_remaining("pheromone", i, now),
-                                outcome=outcome,
-                            )
+                            ReactionEvent(now, agent.id, "pheromone", h, outcome=outcome)
                         )
                     if outcome != "ahead":
                         direction = 1.0 if outcome == "turn_left_45" else -1.0
                         target = wrap_angle(h + direction * PM.turn_angle)
-                        self._begin_turn(i, target, direction, "pheromone")
+                        self._begin_turn(i, target, direction, self.react_quiet)
                         moves.append(HOLD)
                         continue
 

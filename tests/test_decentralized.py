@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +31,13 @@ from sweepsim.decentralized import (
     avoidance_turn,
     boundary_escape_heading,
     compass_index,
+    make_controller,
     pm_choose,
     pm_sense,
     repulsive_escape,
 )
 from sweepsim.harness import DECENTRALIZED, ExperimentConfig, build_world
-from sweepsim.world import AgentState, SimConfig, Unicycle, World, agent_stream
+from sweepsim.world import HOLD, AgentState, SimConfig, Unicycle, World, agent_stream
 
 ARENA = ArenaSpec()
 SMALL = ArenaSpec(side_length=3.0, region_size=1.0)  # 3 x 3 cells: one interior, four edges, four corners
@@ -357,6 +359,19 @@ def short_world(strategy, seed=2, max_steps=4000, collect=True, arena=ARENA):
 OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
 
 
+def reactions_with_windows(world, kind, steps):
+    """Step world; pair each new reaction of kind with its agent's quiet_until
+    as it stood before that step."""
+    controller = world.controller
+    paired = []
+    for _ in range(steps):
+        quiet = list(controller.quiet_until)
+        n_before = len(controller.events)
+        world.step()
+        paired += [(e, quiet[e.agent_id]) for e in controller.events[n_before:] if e.kind == kind]
+    return paired
+
+
 class TestControllerTraces:
     def test_no_agent_ends_step_outside_and_clamp_never_fires(self):
         cases = [(ARENA, "rb")] + [(OFF_CENTRE, s) for s in ("rb", "ldr_repulsive", "pm")]
@@ -382,22 +397,19 @@ class TestControllerTraces:
                 assert dx * nx + dy * ny > 0.0
 
     def test_density_reactions_respect_suppression(self):
-        world, _ = short_world("ldr_random", seed=3)
-        for _ in range(3000):
-            world.step()
-        density = [e for e in world.controller.events if e.kind == "density"]
-        assert density, "expected at least one density reaction in a packed start"
-        for event in density:
-            assert event.suppression_remaining == 0
+        for strategy in ("ldr_random", "ldr_repulsive"):
+            world, _ = short_world(strategy, seed=3)
+            density = reactions_with_windows(world, "density", 3000)
+            assert density, f"expected at least one {strategy} density reaction in a packed start"
+            for event, quiet_until in density:
+                assert event.step > quiet_until, (strategy, event)
 
     def test_pheromone_reactions_respect_suppression(self):
         world, _ = short_world("pm", seed=3)
-        for _ in range(2500):
-            world.step()
-        reactions = [e for e in world.controller.events if e.kind == "pheromone"]
+        reactions = reactions_with_windows(world, "pheromone", 2500)
         assert reactions
-        for event in reactions:
-            assert event.suppression_remaining == 0
+        for event, quiet_until in reactions:
+            assert event.step > quiet_until, event
 
     def test_turning_agents_hold_position(self):
         world, _ = short_world("rb", seed=5)
@@ -493,14 +505,118 @@ class TestPmQuietWindow:
 
         monkeypatch.setattr(decentralized, "pm_sense", no_sensing)
         now = world.step_count + 1
-        controller.pheromone_until[0] = now  # the last step of the window
+        controller.quiet_until[0] = now  # the last step of the window
         state = agent.rng.bit_generator.state
         assert controller.decide(world) == [Unicycle(world.cfg.target_sampling_velocity, 0.0)]
         assert agent.rng.bit_generator.state == state
         # once the window is over, the agent senses again
-        controller.pheromone_until[0] = now - 1
+        controller.quiet_until[0] = now - 1
         with pytest.raises(AssertionError, match="quiet window"):
             controller.decide(world)
+
+
+def scene(strategy, positions, heading=math.pi / 2):
+    """Hand-placed agents, all at one heading, under one decentralized strategy."""
+    agents = [
+        AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
+        for i, p in enumerate(positions)
+    ]
+    controller = make_controller(strategy, agents, ARENA, collect_events=True)
+    return World(ARENA, SimConfig(), agents, controller), controller
+
+
+# Six agents a metre apart, facing north: each hears the other five, so every
+# one is notified under either LDR variant, and none has a neighbour ahead.
+LINE_OF_SIX = [(float(i), 0.0) for i in range(6)]
+
+
+class TestLdrQuietWindow:
+    def test_suppressed_agent_neither_reacts_nor_draws(self):
+        world, controller = scene("ldr_random", LINE_OF_SIX)
+        agent = world.agents[0]
+        now = world.step_count + 1
+        controller.quiet_until[0] = now  # the last step of the window
+        state = agent.rng.bit_generator.state
+        assert controller.decide(world)[0] == Unicycle(world.cfg.target_sampling_velocity, 0.0)
+        assert agent.rng.bit_generator.state == state
+        assert not [e for e in controller.events if e.agent_id == 0]
+        # once the window is over, the agent reacts
+        controller.quiet_until[0] = now - 1
+        assert controller.decide(world)[0] == HOLD
+        assert [e.kind for e in controller.events if e.agent_id == 0] == ["density"]
+        assert agent.rng.bit_generator.state != state
+
+
+def window_scene(strategy, trigger):
+    """A world whose first step makes agent 0 react to trigger."""
+    if trigger == "boundary":
+        return scene(strategy, [(19.97, 0.0)], heading=0.0)  # at the east edge, facing out
+    if trigger == "avoid":
+        return scene(strategy, [(0.0, 0.0), (2.0, 0.0)], heading=0.0)  # a UAV 2 m ahead
+    if trigger == "centred":
+        # neighbours 3 m off on all four sides: notified, but no way out
+        return scene(strategy, [(0.0, 0.0), (3.0, 0.0), (-3.0, 0.0), (0.0, 3.0), (0.0, -3.0)])
+    if strategy != "pm":
+        return scene(strategy, LINE_OF_SIX)
+    # pheromone only in the cell ahead, so the agent turns left or right
+    world, controller = scene("pm", [(0.5, 0.5)], heading=0.0)
+    world.agents[0].prev_cell = (20, 20)
+    world.pheromone.deposit(flat_index((21, 20), ARENA), step=0)
+    return world, controller
+
+
+TRIGGER_KIND = {"boundary": "boundary", "avoid": "avoid_medium", "centred": "density"}
+
+
+class TestQuietWindowTable:
+    @pytest.mark.parametrize(
+        "strategy, trigger, window",
+        [
+            ("ldr_random", "boundary", 350),
+            ("ldr_random", "avoid", 350),
+            ("ldr_random", "own", 50),
+            ("ldr_repulsive", "boundary", 350),
+            ("ldr_repulsive", "avoid", 350),
+            ("ldr_repulsive", "own", 350),
+            ("ldr_repulsive", "centred", 350),
+            ("pm", "boundary", 50),
+            ("pm", "avoid", 50),
+            ("pm", "own", 25),
+        ],
+    )
+    def test_a_turn_opens_its_window_when_it_ends(self, strategy, trigger, window):
+        world, controller = window_scene(strategy, trigger)
+        world.step()
+        own = "pheromone" if strategy == "pm" else "density"
+        kinds = [e.kind for e in controller.events if e.agent_id == 0]
+        assert kinds == [TRIGGER_KIND.get(trigger, own)]
+        if trigger == "centred":
+            assert not controller.turn_dir[0]  # held its heading
+        while controller.turn_dir[0]:
+            assert controller.quiet_until[0] == 0
+            world.step()
+        assert controller.quiet_until[0] == world.step_count + window
+
+
+class TestRejectsWhatItCannotRun:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: DecentralizedController(
+                    "pm", [], ldr=LDR_RANDOM, pheromone=PheromoneField(ARENA)
+                ),
+                "ldr and pheromone",
+            ),
+            (lambda: RbParams(short_range=2.5), "short_range"),
+            (lambda: replace(LDR_RANDOM, density_threshold=0), "density_threshold"),
+            (lambda: replace(LDR_RANDOM, post_reaction_suppression=-1), "suppression windows"),
+            (lambda: replace(LDR_RANDOM, post_avoidance_suppression=-1), "suppression windows"),
+        ],
+    )
+    def test_raises_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestPmRunState:
