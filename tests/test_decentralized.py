@@ -447,28 +447,28 @@ class TestControllerTraces:
             assert math.radians(70.0) - 1e-9 <= turn <= math.radians(90.0) + 1e-9
 
 
-class TestLdrNotifications:
-    def build_cluster(self, positions, params):
-        agents = [
-            AgentState(id=i, position=p, heading=math.pi / 2, altitude=1.5, rng=agent_stream(0, i))
-            for i, p in enumerate(positions)
-        ]
-        name = "ldr_repulsive" if params.repulsive else "ldr_random"
-        controller = DecentralizedController(name, agents, ldr=params, collect_events=True)
-        world = World(ARENA, SimConfig(), agents, controller)
-        return world, controller
+def scene(strategy, positions, heading=math.pi / 2):
+    """Hand-placed agents, all at one heading, under one decentralized strategy."""
+    agents = [
+        AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
+        for i, p in enumerate(positions)
+    ]
+    controller = make_controller(strategy, agents, ARENA, collect_events=True)
+    return World(ARENA, SimConfig(), agents, controller), controller
 
+
+class TestLdrNotifications:
     def test_below_threshold_no_reaction(self):
         # four neighbors higher than five distinct IDs: nobody notifies
         positions = [(0.0, 0.0), (1.5, 0.0), (3.0, 0.0), (4.5, 0.0), (6.0, 0.0)]
-        world, controller = self.build_cluster(positions, LDR_RANDOM)
+        world, controller = scene("ldr_random", positions)
         world.step()
         assert not [e for e in controller.events if e.kind == "density"]
 
     def test_at_threshold_neighbors_react(self):
         # six agents: everyone hears five distinct IDs inside 10 m
         positions = [(float(i), 0.0) for i in range(6)]
-        world, controller = self.build_cluster(positions, LDR_RANDOM)
+        world, controller = scene("ldr_random", positions)
         world.step()
         reacting = {e.agent_id for e in controller.events if e.kind == "density"}
         assert reacting == set(range(6))
@@ -478,7 +478,7 @@ class TestLdrNotifications:
         # neighbors sit beyond the 2.5 m avoidance radius so the density
         # reaction is what fires
         positions = [(0.0, 0.0), (3.0, 0.0), (0.0, -3.0), (-3.0, 0.5), (4.0, 1.0)]
-        world, controller = self.build_cluster(positions, LDR_REPULSIVE)
+        world, controller = scene("ldr_repulsive", positions)
         world.step()
         reacting = {e.agent_id for e in controller.events if e.kind == "density"}
         assert 0 in reacting
@@ -513,16 +513,6 @@ class TestPmQuietWindow:
         controller.quiet_until[0] = now - 1
         with pytest.raises(AssertionError, match="quiet window"):
             controller.decide(world)
-
-
-def scene(strategy, positions, heading=math.pi / 2):
-    """Hand-placed agents, all at one heading, under one decentralized strategy."""
-    agents = [
-        AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
-        for i, p in enumerate(positions)
-    ]
-    controller = make_controller(strategy, agents, ARENA, collect_events=True)
-    return World(ARENA, SimConfig(), agents, controller), controller
 
 
 # Six agents a metre apart, facing north: each hears the other five, so every
