@@ -97,6 +97,10 @@ PM = PmParams()
 _COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
+# Padding of the avoidance candidate list beyond medium range, in metres.
+SKIN = 2.0
+
+
 class PheromoneField:
     """Per-cell pheromone with fixed deposits and unit-per-step evaporation.
 
@@ -310,6 +314,9 @@ class DecentralizedController:
         self._iu, self._ju = np.triu_indices(n, 1)
         self._upper_slot = self._iu * n + self._ju
         self._lower_slot = self._ju * n + self._iu
+        # Avoidance candidates (i, j) and the steps they are complete for.
+        self._pairs: list[tuple[int, int]] = []
+        self._pairs_from, self._pairs_until = 1, 0
 
     def _begin_turn(self, i: int, target: float, direction: float, quiet: int) -> None:
         self.turn_target[i] = target
@@ -318,56 +325,69 @@ class DecentralizedController:
 
     # -- the step -------------------------------------------------------------
 
-    def pairwise_scan(self, xs: list[float], ys: list[float]):
-        """Obstacle candidates and LDR density flags from one array pass over the pairs.
-
-        Returns (near, adj, notified). near[i] lists the (dx, dy, dist)
-        offsets of the agents within medium range of agent i, in ascending
-        index order. With an LDR add-on, adj is the (n, n) boolean matrix of
-        pairs within the communication range and notified[i] says whether a
-        neighbour of i hears at least density_threshold others; without one,
-        both are None.
-        """
-        n = len(xs)
-        iu = self._iu
-        ju = self._ju
+    def _pair_d2(self, xs: list[float], ys: list[float]):
+        """Squared distances of the i < j pairs, in row-major order."""
         x = np.array(xs)
         y = np.array(ys)
-        pdx = x[ju] - x[iu]
-        pdy = y[ju] - y[iu]
-        d2 = pdx * pdx + pdy * pdy
-        # Only the pairs within medium range are walked in Python, in (i, j)
-        # order; j gets the negated offset, so coincident agents see -0.0.
+        pdx = x[self._ju] - x[self._iu]
+        pdy = y[self._ju] - y[self._iu]
+        return pdx * pdx + pdy * pdy
+
+    def neighbours(self, xs: list[float], ys: list[float], now: int, step_len: float):
+        """near[i]: the (dx, dy, dist) offsets of the agents within medium range of agent i.
+
+        Offsets come in ascending index order; j gets the negated offset of
+        the pair (i, j), so coincident agents see -0.0. Only the candidate
+        pairs are walked: those within medium_range + SKIN when the list was
+        built. decide commands no move longer than step_len, and the clamp
+        only shortens one, so a pair closes by at most 2 step_len a step and
+        the list stays complete for the steps the skin covers; outside that
+        window of now it is rebuilt.
+        """
         med = self.rb.medium_range
-        near: list[list] = [[] for _ in range(n)]
-        hits = np.flatnonzero(d2 <= med * med)
-        if hits.size:
-            for i, j, dx, dy, dd in zip(
-                iu[hits].tolist(),
-                ju[hits].tolist(),
-                pdx[hits].tolist(),
-                pdy[hits].tolist(),
-                d2[hits].tolist(),
-            ):
+        if not self._pairs_from <= now <= self._pairs_until:
+            reach = med + SKIN
+            hits = np.flatnonzero(self._pair_d2(xs, ys) <= reach * reach)
+            self._pairs = list(zip(self._iu[hits].tolist(), self._ju[hits].tolist()))
+            self._pairs_from = now
+            # The margin covers the rounding of the moves.
+            self._pairs_until = now + int((SKIN - 1e-9) / (2.0 * step_len))
+        med2 = med * med
+        near: list[list] = [[] for _ in xs]
+        for i, j in self._pairs:
+            dx = xs[j] - xs[i]
+            dy = ys[j] - ys[i]
+            dd = dx * dx + dy * dy
+            if dd <= med2:
                 d = math.sqrt(dd)
                 near[i].append((dx, dy, d))
                 near[j].append((-dx, -dy, d))
-        if self.ldr is None:
-            return near, None, None
+        return near
+
+    def density(self, xs: list[float], ys: list[float]):
+        """LDR density from one array pass over the pairs.
+
+        Returns (adj, notified): the (n, n) boolean matrix of pairs within
+        the communication range, and for each agent whether a neighbour of
+        it hears at least density_threshold others.
+        """
+        n = len(xs)
         comm = self.ldr.comm_range
-        in_comm = d2 <= comm * comm
+        in_comm = self._pair_d2(xs, ys) <= comm * comm
         adj = np.zeros(n * n, dtype=bool)
         adj[self._upper_slot] = in_comm
         adj[self._lower_slot] = in_comm
         adj = adj.reshape(n, n)
         notifying = adj.sum(1) >= self.ldr.density_threshold
-        return near, adj, (adj & notifying).any(1).tolist()
+        return adj, (adj & notifying).any(1).tolist()
 
     def decide(self, world: World) -> list[Unicycle]:
         cfg = world.cfg
         arena = world.arena
         agents = world.agents
         n = len(agents)
+        if n != len(self.turn_dir):
+            raise ValueError(f"controller built for {len(self.turn_dir)} agents, world has {n}")
         now = world.step_count + 1  # index of the step being computed
         dt = cfg.dt
         v_target = cfg.target_sampling_velocity
@@ -380,10 +400,10 @@ class DecentralizedController:
         ys = [a.position[1] for a in agents]
         hs = [a.heading for a in agents]
 
-        near, adj, notified = self.pairwise_scan(xs, ys)
-
         cruise = Unicycle(v_target, 0.0)  # shared: Unicycle is an immutable tuple
         step_len = v_target * dt
+        near = self.neighbours(xs, ys, now, step_len)
+        notified = None  # LDR density, computed when the first agent reads it
         clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
         moves: list[Unicycle] = []
         for i in range(n):
@@ -445,8 +465,13 @@ class DecentralizedController:
                     moves.append(HOLD)
                     continue
 
-            # Strategy add-on.
-            if notified is not None and notified[i] and now > self.quiet_until[i]:
+            # Strategy add-on, only outside its quiet window.
+            if self.ldr is not None and now > self.quiet_until[i]:
+                if notified is None:
+                    adj, notified = self.density(xs, ys)
+                if not notified[i]:
+                    moves.append(cruise)
+                    continue
                 if self.collect_events:
                     self.events.append(ReactionEvent(now, agent.id, "density", h))
                 if self.ldr.repulsive:
@@ -466,7 +491,6 @@ class DecentralizedController:
                 moves.append(HOLD)
                 continue
 
-            # PM senses only outside its quiet window.
             if self.pheromone is not None and now > self.quiet_until[i]:
                 readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
                 outcome = pm_choose(readings, agent.rng)

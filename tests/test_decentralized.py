@@ -36,7 +36,7 @@ from sweepsim.decentralized import (
     pm_sense,
     repulsive_escape,
 )
-from sweepsim.harness import DECENTRALIZED, ExperimentConfig, build_world
+from sweepsim.harness import DECENTRALIZED, ExperimentConfig, PlacementSpec, build_world
 from sweepsim.world import HOLD, AgentState, SimConfig, Unicycle, World, agent_stream
 
 ARENA = ArenaSpec()
@@ -619,10 +619,12 @@ class TestPmRunState:
 
 
 # Offsets that put a pair exactly at a range: 2.5 m is the medium range, 5 m
-# and 10 m the LDR communication ranges.
+# and 10 m the LDR communication ranges, REACH the edge of the candidate list.
+REACH = RB.medium_range + decentralized.SKIN
 EXACT_OFFSETS = [
     (2.5, 0.0), (0.0, -2.5), (1.5, 2.0), (-2.0, -1.5),
     (5.0, 0.0), (3.0, -4.0), (-10.0, 0.0), (6.0, 8.0),
+    (REACH, 0.0), (0.0, -REACH),
 ]
 # Half-metre coordinates keep those offsets exact.
 coordinate = st.one_of(
@@ -667,23 +669,43 @@ def hexed(near):
     return [[tuple(v.hex() for v in offset) for offset in agent] for agent in near]
 
 
+# Headings for up to 100 agents, one per agent in index order.
+swarm_headings = st.lists(st.floats(0.0, 2.0 * math.pi), min_size=100, max_size=100)
+STEP_LEN = SimConfig().target_sampling_velocity * SimConfig().dt
+
+
 class TestPairwiseScan:
     @settings(max_examples=100, deadline=None)
-    @given(points=swarm_positions)
-    @example(points=[(0.0, 0.0), (0.0, 0.0), (2.5, 0.0), (1.5, 2.0), (0.0, 5.0), (6.0, 8.0)])
-    def test_matches_scalar_loop_bit_for_bit(self, points):
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+    @given(points=swarm_positions, headings=swarm_headings)
+    @example(
+        points=[(0.0, 0.0), (0.0, 0.0), (2.5, 0.0), (1.5, 2.0), (0.0, 5.0), (6.0, 8.0), (10.5, 0.0)],
+        headings=[0.0, math.pi] * 50,
+    )
+    def test_matches_scalar_loop_bit_for_bit(self, points, headings):
+        # A freshly built candidate list, then the same list at every step of
+        # its window while each agent makes the longest move there is.
         for name, ldr in (("rb", None), ("ldr_random", LDR_RANDOM), ("ldr_repulsive", LDR_REPULSIVE)):
             controller = DecentralizedController(name, points, ldr=ldr)
-            near, adj, notified = controller.pairwise_scan(xs, ys)
-            ref_near, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
-            assert hexed(near) == hexed(ref_near), name
-            assert notified == ref_notified, name
-            if ldr is None:
-                assert adj is None
-            else:
-                assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, name
+            xs = [p[0] for p in points]
+            ys = [p[1] for p in points]
+            now = 1
+            while True:
+                near = controller.neighbours(xs, ys, now, STEP_LEN)
+                assert controller._pairs_from == 1, "the list was rebuilt inside its window"
+                ref_near, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
+                assert hexed(near) == hexed(ref_near), (name, now)
+                if ldr is not None:
+                    adj, notified = controller.density(xs, ys)
+                    assert notified == ref_notified, (name, now)
+                    assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, (name, now)
+                if now == controller._pairs_until:
+                    break
+                now += 1
+                xs = [x + STEP_LEN * math.cos(h) for x, h in zip(xs, headings)]
+                ys = [y + STEP_LEN * math.sin(h) for y, h in zip(ys, headings)]
+            assert now > 1, "the list covers no step after the one it was built at"
+            controller.neighbours(xs, ys, now + 1, STEP_LEN)
+            assert controller._pairs_from == now + 1, "the list was not rebuilt after its window"
 
     # Total visits after 300 steps at seed 1; with one agent there are no
     # pairs at all, with two exactly one.
@@ -700,3 +722,99 @@ class TestPairwiseScan:
         world.run()
         assert world.step_count == 300
         assert sum(world.grid.visits) == self.SMALL_SWARM_VISITS[n_uavs][strategy]
+
+
+# Whole runs whose every step is checked against the reference scan: the
+# default configuration and four off-default ones, capped at STEPS steps.
+SCAN_RUNS = {
+    "default": {},
+    "dt0.05": {"sim": SimConfig(dt=0.05)},
+    "cell0.5": {"arena": ArenaSpec(cell_size=0.5)},
+    "n50_40x6": {"n_uavs": 50, "placement": PlacementSpec(width=40.0, depth=6.0)},
+    "side80": {"arena": ArenaSpec(side_length=80.0)},
+}
+
+
+def checked_scan(world):
+    """Wrap the controller's neighbour lists and density so that each step's
+    result is checked against pairwise_scan_reference on that step's positions.
+
+    Returns the tallies: steps scanned, neighbour offsets seen, density passes.
+    """
+    controller = world.controller
+    ldr = controller.ldr
+    neighbours, density = controller.neighbours, controller.density
+    tally = {"steps": 0, "offsets": 0, "density": 0}
+    reference = {}
+
+    def checked_neighbours(xs, ys, now, step_len):
+        near = neighbours(xs, ys, now, step_len)
+        px = [a.position[0] for a in world.agents]
+        py = [a.position[1] for a in world.agents]
+        reference["now"] = now
+        reference["scan"] = pairwise_scan_reference(px, py, RB.medium_range, ldr)
+        assert hexed(near) == hexed(reference["scan"][0]), now
+        tally["steps"] += 1
+        tally["offsets"] += sum(map(len, near))
+        return near
+
+    def checked_density(xs, ys):
+        adj, notified = density(xs, ys)
+        assert reference["now"] == world.step_count + 1
+        _, ref_adj, ref_notified = reference["scan"]
+        assert notified == ref_notified, world.step_count
+        assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, world.step_count
+        tally["density"] += 1
+        return adj, notified
+
+    controller.neighbours = checked_neighbours
+    controller.density = checked_density
+    return tally
+
+
+class TestNeighbourScanInRuns:
+    STEPS = 1000
+
+    @pytest.mark.parametrize("strategy", DECENTRALIZED)
+    @pytest.mark.parametrize("run", SCAN_RUNS)
+    def test_every_step_matches_reference(self, strategy, run):
+        options = SCAN_RUNS[run]
+        sim = replace(options.get("sim", SimConfig()), max_steps=self.STEPS)
+        config = ExperimentConfig(strategy, runs=1, **{**options, "sim": sim})
+        world = build_world(config, seed=1)
+        tally = checked_scan(world)
+        world.run()
+        assert tally["steps"] == world.step_count
+        assert tally["offsets"] > 0
+        assert (tally["density"] > 0) == (world.controller.ldr is not None)
+
+    @pytest.mark.parametrize("strategy", ["rb", "ldr_random", "ldr_repulsive"])
+    def test_head_on_pair_beyond_the_skin_is_seen_in_time(self, strategy):
+        # Two agents facing each other, just beyond the candidate list's
+        # reach, close at two step lengths a step. The list built at step 1
+        # holds no pair; a rebuild must come before they are in medium range.
+        gap = math.nextafter(REACH, math.inf)
+        world, controller = scene(strategy, [(0.0, 0.0), (gap, 0.0)], heading=0.0)
+        world.agents[1].heading = math.pi
+        tally = checked_scan(world)
+        closing = 2.0 * STEP_LEN
+        first = math.ceil((REACH - RB.medium_range) / closing) + 1  # positions within range from here
+        while not controller.events:
+            world.step()
+        assert tally["steps"] == world.step_count
+        assert [(e.step, e.agent_id, e.kind) for e in controller.events] == [
+            (first + 1, 0, "avoid_medium"),
+            (first + 1, 1, "avoid_medium"),
+        ]
+
+    @pytest.mark.parametrize("built, stepped", [(3, 5), (5, 3)])
+    def test_swarm_size_mismatch_names_both_sizes(self, built, stepped):
+        def line(k):
+            return [
+                AgentState(id=i, position=(3.0 * i, 0.0), heading=0.0, altitude=1.5, rng=agent_stream(0, i))
+                for i in range(k)
+            ]
+
+        world = World(ARENA, SimConfig(), line(stepped), make_controller("rb", line(built), ARENA))
+        with pytest.raises(ValueError, match=f"built for {built} agents, world has {stepped}"):
+            world.step()
