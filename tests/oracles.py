@@ -3,8 +3,8 @@
 World.step maps positions to cells, integrates unicycle commands, places
 formations and scores visits in one fused loop; these are the same rules
 written one at a time, plus the cell-to-index map, the boundary and
-neighbour queries the decentralized controller inlines, its pairwise scan
-as a scalar loop, arc membership, the exact PM move probabilities, the
+neighbour queries the decentralized controller inlines, its neighbour
+lists and LDR density as a scalar loop over all pairs, arc membership, the exact PM move probabilities, the
 bounds-checked pheromone sense, a full pheromone-field read, and
 decentralized placement as a dart-throwing loop. Nothing in the package
 uses them.
@@ -189,7 +189,7 @@ def neighbors_within(
 def pairwise_scan_reference(
     xs: Sequence[float], ys: Sequence[float], medium_range: float, ldr: LdrParams | None
 ):
-    """DecentralizedController.pairwise_scan as a double loop over i < j.
+    """DecentralizedController.neighbours and .density as a double loop over i < j.
 
     Returns (near, comm_adj, notified): the (dx, dy, dist) obstacle
     candidates of each agent, and with an LDR add-on the neighbour indices
