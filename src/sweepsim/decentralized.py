@@ -60,6 +60,9 @@ class LdrParams:
     post_avoidance_suppression: int = 350
 
     def __post_init__(self) -> None:
+        # The range is only ever squared, so a negative one would act as its magnitude.
+        if not (math.isfinite(self.comm_range) and self.comm_range > 0):
+            raise ValueError("comm_range must be positive and finite")
         if self.density_threshold < 1:
             raise ValueError("density_threshold must be at least 1")
         if self.post_reaction_suppression < 0 or self.post_avoidance_suppression < 0:
@@ -88,6 +91,10 @@ class PmParams:
     turn_angle: float = math.radians(45.0)
     post_reaction_suppression: int = 25
     post_avoidance_suppression: int = 50
+
+    def __post_init__(self) -> None:
+        if self.post_reaction_suppression < 0 or self.post_avoidance_suppression < 0:
+            raise ValueError("suppression windows must be non-negative")
 
 
 PM = PmParams()
@@ -400,25 +407,33 @@ class DecentralizedController:
         ys = [a.position[1] for a in agents]
         hs = [a.heading for a in agents]
 
-        cruise = Unicycle(v_target, 0.0)  # shared: Unicycle is an immutable tuple
+        # Shared commands: Unicycle is an immutable tuple, and a turn
+        # direction is exactly +1.0 or -1.0, so direction * turn_rate is one
+        # of the two spins.
+        cruise = Unicycle(v_target, 0.0)
+        spin_ccw = Unicycle(0.0, turn_rate)
+        spin_cw = Unicycle(0.0, -turn_rate)
+        last_turn = turn_rate * dt + 1e-12  # the most a turn's final step covers
+        turn_dir = self.turn_dir
+        turn_target = self.turn_target
         step_len = v_target * dt
         near = self.neighbours(xs, ys, now, step_len)
         notified = None  # LDR density, computed when the first agent reads it
         clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
         moves: list[Unicycle] = []
         for i in range(n):
-            agent = agents[i]
-            direction = self.turn_dir[i]
+            direction = turn_dir[i]
             if direction:
-                remaining = turn_remaining(hs[i], self.turn_target[i], direction)
-                if remaining <= turn_rate * dt + 1e-12:
+                remaining = turn_remaining(hs[i], turn_target[i], direction)
+                if remaining <= last_turn:
                     moves.append(Unicycle(0.0, direction * remaining / dt))
-                    self.turn_dir[i] = 0.0
+                    turn_dir[i] = 0.0
                     self.quiet_until[i] = now + self.turn_quiet[i]
                 else:
-                    moves.append(Unicycle(0.0, direction * turn_rate))
+                    moves.append(spin_ccw if direction > 0 else spin_cw)
                 continue
 
+            agent = agents[i]
             x = xs[i]
             y = ys[i]
             h = hs[i]

@@ -51,6 +51,9 @@ class SimConfig:
             raise ValueError("max_steps must be positive")
         if not (math.isfinite(self.target_sampling_velocity) and self.target_sampling_velocity > 0):
             raise ValueError("target_sampling_velocity must be positive and finite")
+        # At a rate of zero no in-place turn ever ends, so every reacting agent freezes.
+        if not (math.isfinite(self.turn_rate_default) and self.turn_rate_default > 0):
+            raise ValueError("turn_rate_default must be positive and finite")
 
 
 def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
@@ -170,7 +173,9 @@ class World:
         in is scored with entry semantics: a visit needs a new cell inside
         the arena, sampling active, the sampling altitude, and at most the
         target velocity. This is the one place a position is mapped to a
-        cell; the unit suite pins it to reference implementations. The
+        cell; the unit suite pins it to reference implementations. After
+        the first step, an agent with zero linear speed only turns: its cell
+        cannot change, so it is neither mapped nor scored again. The
         controller must command every agent exactly once; any other number
         of moves or positions raises ValueError.
         """
@@ -210,6 +215,13 @@ class World:
                 h = agent.heading + motion.angular_rate * dt
                 if not 0.0 <= h < TWO_PI:
                     h = wrap_angle(h)
+                if v == 0.0 and step_idx != 1:
+                    # Turning or holding in place: prev_cell is already this
+                    # cell, so no visit can be credited. On step 1 it is
+                    # still None and the start cell must be scored.
+                    agent.heading = h
+                    agent.speed = v
+                    continue
                 x, y = agent.position
                 if v != 0.0:
                     x += v * dt * math.cos(h)

@@ -26,6 +26,11 @@ from sweepsim.harness import PlacementSpec
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
 
+def cw_distance(from_angle: float, to_angle: float) -> float:
+    """Clockwise angular distance from one heading to another, in [0, 2*pi)."""
+    return wrap_angle(from_angle - to_angle)
+
+
 def heading_vector(theta: float) -> tuple[float, float]:
     return (math.cos(theta), math.sin(theta))
 

@@ -6,14 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import contains_angle
+from oracles import contains_angle, cw_distance
 from sweepsim.angles import (
     arc_around,
     ccw_distance,
-    cw_distance,
     full_circle,
     half_plane_arc,
     intersect_arcs,
@@ -67,6 +66,31 @@ def test_turn_remaining_in_both_directions():
     assert turn_remaining(3 * math.pi / 2, 0.0, -1.0) == pytest.approx(3 * math.pi / 2)
     assert turn_remaining(1.0, 1.0, 1.0) == 0.0
     assert turn_remaining(1.0, 1.0, -1.0) == 0.0
+
+
+# Headings within 20 full turns, plus the values where wrapping rounds.
+turn_angle = st.one_of(
+    st.floats(-20 * math.pi, 20 * math.pi),
+    st.sampled_from([0.0, -0.0, math.pi, TWO_PI, math.nextafter(TWO_PI, 0.0)]),
+)
+
+
+@given(
+    turn_angle,
+    st.one_of(turn_angle, st.none()),
+    st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-2.0, 2.0)),
+)
+@example(math.nextafter(TWO_PI, 0.0), 0.0, 1.0)
+@example(0.0, math.nextafter(TWO_PI, 0.0), -1.0)
+@example(-0.0, 0.0, 1.0)
+@example(0.0, -0.0, -1.0)
+@example(1e-17, 0.0, 1.0)  # the wrapped difference rounds up to 2 pi
+@example(0.0, 1e-17, -1.0)
+def test_turn_remaining_is_the_wrapped_difference_bit_for_bit(a, b, d):
+    # b None stands for an equal pair
+    b = a if b is None else b
+    expected = wrap_angle(b - a) if d > 0 else wrap_angle(a - b)
+    assert turn_remaining(a, b, d).hex() == expected.hex()
 
 
 def test_half_plane_arc_width():

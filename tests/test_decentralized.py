@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cw_distance,
     flat_index,
     heading_vector,
     pairwise_scan_reference,
@@ -20,13 +21,14 @@ from oracles import (
     pm_sense_reference,
 )
 from sweepsim import decentralized
-from sweepsim.angles import ccw_distance, cw_distance, wrap_angle
+from sweepsim.angles import ccw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
     LDR_RANDOM,
     LDR_REPULSIVE,
     DecentralizedController,
     PheromoneField,
+    PmParams,
     RbParams,
     avoidance_turn,
     boundary_escape_heading,
@@ -602,6 +604,12 @@ class TestRejectsWhatItCannotRun:
             (lambda: replace(LDR_RANDOM, density_threshold=0), "density_threshold"),
             (lambda: replace(LDR_RANDOM, post_reaction_suppression=-1), "suppression windows"),
             (lambda: replace(LDR_RANDOM, post_avoidance_suppression=-1), "suppression windows"),
+            (lambda: replace(LDR_REPULSIVE, comm_range=-10.0), "comm_range"),
+            (lambda: replace(LDR_REPULSIVE, comm_range=0.0), "comm_range"),
+            (lambda: replace(LDR_RANDOM, comm_range=math.nan), "comm_range"),
+            (lambda: replace(LDR_RANDOM, comm_range=math.inf), "comm_range"),
+            (lambda: PmParams(post_reaction_suppression=-1), "suppression windows"),
+            (lambda: PmParams(post_avoidance_suppression=-1), "suppression windows"),
         ],
     )
     def test_raises_value_error(self, build, message):

@@ -159,11 +159,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="jobs"):
             ExperimentConfig(strategy="rb", jobs=jobs)
 
-    @pytest.mark.parametrize("option", ["dt", "target_sampling_velocity"])
+    @pytest.mark.parametrize("option", ["dt", "target_sampling_velocity", "turn_rate_default"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sim_non_finite_rejected(self, option, value):
         with pytest.raises(ValueError, match="positive and finite"):
             SimConfig(**{option: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -math.pi / 6.0])
+    def test_turn_rate_not_positive_rejected(self, value):
+        # no in-place turn could ever end
+        with pytest.raises(ValueError, match="turn_rate_default must be positive and finite"):
+            SimConfig(turn_rate_default=value)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="base_seed must be non-negative"):

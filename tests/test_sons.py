@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import heading_vector
-from sweepsim.angles import ccw_distance, cw_distance
+from oracles import cw_distance, heading_vector
+from sweepsim.angles import ccw_distance
 from sweepsim.arena import ArenaSpec
 from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.metrics import lcu, tcu

@@ -355,12 +355,15 @@ def assert_step_matches_oracles(arena, start, heading, commands):
     for command in commands:
         world.step()
         step_kinematics(manual, command, CFG.dt)
-        record_visit(manual, grid, CFG)
+        cell = record_visit(manual, grid, CFG)
+        where = (arena.cell_size, start, world.step_count)
         # pm_sense reads prev_cell, so it must be the oracle's cell too
-        assert fused.prev_cell == manual.prev_cell, (arena.cell_size, start)
-    assert fused.position == manual.position
-    assert fused.heading == manual.heading
-    assert world.grid.visits == grid.visits
+        assert fused.prev_cell == manual.prev_cell, where
+        assert fused.position == manual.position, where
+        assert fused.heading.hex() == manual.heading.hex(), where
+        assert fused.speed.hex() == manual.speed.hex(), where
+        assert world.visit_events == ([] if cell is None else [(0, cell)]), where
+        assert world.grid.visits == grid.visits, where
     assert world.grid.visited_count == grid.visited_count
 
 
@@ -394,6 +397,36 @@ class TestFusedStepEquivalence:
             line = minx + k * arena.cell_size
             for start in ((line, 0.05), (0.05, miny + k * arena.cell_size)):
                 assert_step_matches_oracles(arena, start, 0.0, commands)
+
+    @pytest.mark.parametrize("arena", SIZED_ARENAS, ids=lambda a: f"cell{a.cell_size}")
+    def test_stationary_steps(self, arena):
+        # After the first step, World.step only turns an agent with zero
+        # linear speed. Scripts open with a hold, so the start cell must be
+        # scored, then mix holds (a zero rate, a -0.0 speed) with moves, some
+        # of them straight ahead. Starts lie on grid lines, inside the arena
+        # and up to 2 m outside it.
+        rng = np.random.default_rng(14)
+        minx, miny = arena.min_corner
+        maxx, maxy = arena.max_corner
+        holds = [Unicycle(0.0, 0.0), Unicycle(-0.0, 0.0), Unicycle(0.0, 2.5), Unicycle(-0.0, -1.0)]
+        moves = [Unicycle(1.0, 0.0), Unicycle(0.7, 0.0), Unicycle(1.0, 3.0), Unicycle(0.4, -0.8)]
+        lines = rng.choice(arena.cols + 1, size=12, replace=False).tolist() + [0, arena.cols]
+        starts = [(minx + k * arena.cell_size, miny + j * arena.cell_size) for k in lines for j in (0, k)]
+        starts += [(rng.uniform(minx, maxx), rng.uniform(miny, maxy)) for _ in range(20)]
+        starts += [
+            (rng.uniform(minx - 2.0, maxx + 2.0), rng.uniform(miny - 2.0, miny))
+            for _ in range(10)
+        ]
+        starts += [
+            (rng.uniform(maxx, maxx + 2.0), rng.uniform(miny - 2.0, maxy + 2.0))
+            for _ in range(10)
+        ]
+        for start in starts:
+            commands = [holds[rng.integers(len(holds))]]
+            for _ in range(30):
+                pool = holds if rng.random() < 0.5 else moves
+                commands.append(pool[rng.integers(len(pool))])
+            assert_step_matches_oracles(arena, start, float(rng.uniform(0, TWO_PI)), commands)
 
 
 FORMATION_ARENAS = [
