@@ -276,6 +276,35 @@ class ReactionEvent:
     outcome: str = ""
 
 
+class CommRows(dict):
+    """One step's LDR density: rows[i], made when first read, is the j != i in comm range, ascending."""
+
+    def __init__(self, xs: list[float], ys: list[float], ldr: LdrParams):
+        self.xs, self.ys, self.ldr = xs, ys, ldr
+
+    def __missing__(self, i: int) -> list[int]:
+        # The pair scan's squared distance: a pair at exactly comm_range is in range. Rounding
+        # is monotone, so a pair whose dx * dx alone exceeds comm2 is out and skips its dy.
+        xs, ys, comm = self.xs, self.ys, self.ldr.comm_range
+        xi, yi, comm2 = xs[i], ys[i], comm * comm
+        row = self[i] = []
+        for j in range(len(xs)):
+            dx = xs[j] - xi
+            dd = dx * dx
+            if dd <= comm2:
+                dy = ys[j] - yi
+                if dd + dy * dy <= comm2 and j != i:
+                    row.append(j)
+        return row
+
+    def notified(self, i: int) -> bool:
+        """Whether a neighbour of agent i hears at least density_threshold others."""
+        for j in self[i]:
+            if len(self[j]) >= self.ldr.density_threshold:
+                return True
+        return False
+
+
 class DecentralizedController:
     """Per-step command computation for one decentralized strategy.
 
@@ -316,11 +345,8 @@ class DecentralizedController:
         self.collect_events = collect_events
         self.events: list[ReactionEvent] = []
         # Upper-triangle pairs (i < j) in row-major order, so a scan over them
-        # meets pairs in the same order as a loop over i, then j > i; and the
-        # flat slots of (i, j) and (j, i) in an (n, n) matrix.
+        # meets pairs in the same order as a loop over i, then j > i.
         self._iu, self._ju = np.triu_indices(n, 1)
-        self._upper_slot = self._iu * n + self._ju
-        self._lower_slot = self._ju * n + self._iu
         # Avoidance candidates (i, j) and the steps they are complete for.
         self._pairs: list[tuple[int, int]] = []
         self._pairs_from, self._pairs_until = 1, 0
@@ -331,14 +357,6 @@ class DecentralizedController:
         self.turn_quiet[i] = quiet
 
     # -- the step -------------------------------------------------------------
-
-    def _pair_d2(self, xs: list[float], ys: list[float]):
-        """Squared distances of the i < j pairs, in row-major order."""
-        x = np.array(xs)
-        y = np.array(ys)
-        pdx = x[self._ju] - x[self._iu]
-        pdy = y[self._ju] - y[self._iu]
-        return pdx * pdx + pdy * pdy
 
     def neighbours(self, xs: list[float], ys: list[float], now: int, step_len: float):
         """near[i]: the (dx, dy, dist) offsets of the agents within medium range of agent i.
@@ -354,7 +372,11 @@ class DecentralizedController:
         med = self.rb.medium_range
         if not self._pairs_from <= now <= self._pairs_until:
             reach = med + SKIN
-            hits = np.flatnonzero(self._pair_d2(xs, ys) <= reach * reach)
+            x = np.array(xs)
+            y = np.array(ys)
+            pdx = x[self._ju] - x[self._iu]
+            pdy = y[self._ju] - y[self._iu]
+            hits = np.flatnonzero(pdx * pdx + pdy * pdy <= reach * reach)
             self._pairs = list(zip(self._iu[hits].tolist(), self._ju[hits].tolist()))
             self._pairs_from = now
             # The margin covers the rounding of the moves.
@@ -371,22 +393,9 @@ class DecentralizedController:
                 near[j].append((-dx, -dy, d))
         return near
 
-    def density(self, xs: list[float], ys: list[float]):
-        """LDR density from one array pass over the pairs.
-
-        Returns (adj, notified): the (n, n) boolean matrix of pairs within
-        the communication range, and for each agent whether a neighbour of
-        it hears at least density_threshold others.
-        """
-        n = len(xs)
-        comm = self.ldr.comm_range
-        in_comm = self._pair_d2(xs, ys) <= comm * comm
-        adj = np.zeros(n * n, dtype=bool)
-        adj[self._upper_slot] = in_comm
-        adj[self._lower_slot] = in_comm
-        adj = adj.reshape(n, n)
-        notifying = adj.sum(1) >= self.ldr.density_threshold
-        return adj, (adj & notifying).any(1).tolist()
+    def density(self, xs: list[float], ys: list[float]) -> CommRows:
+        """This step's LDR density, answered one agent at a time."""
+        return CommRows(xs, ys, self.ldr)
 
     def decide(self, world: World) -> list[Unicycle]:
         cfg = world.cfg
@@ -418,7 +427,7 @@ class DecentralizedController:
         turn_target = self.turn_target
         step_len = v_target * dt
         near = self.neighbours(xs, ys, now, step_len)
-        notified = None  # LDR density, computed when the first agent reads it
+        rows = None  # LDR density, built when the first agent asks
         clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
         moves: list[Unicycle] = []
         for i in range(n):
@@ -482,15 +491,15 @@ class DecentralizedController:
 
             # Strategy add-on, only outside its quiet window.
             if self.ldr is not None and now > self.quiet_until[i]:
-                if notified is None:
-                    adj, notified = self.density(xs, ys)
-                if not notified[i]:
+                if rows is None:
+                    rows = self.density(xs, ys)
+                if not rows.notified(i):
                     moves.append(cruise)
                     continue
                 if self.collect_events:
                     self.events.append(ReactionEvent(now, agent.id, "density", h))
                 if self.ldr.repulsive:
-                    rel = [(xs[j] - x, ys[j] - y) for j in np.flatnonzero(adj[i]).tolist()]
+                    rel = [(xs[j] - x, ys[j] - y) for j in rows[i]]
                     target = repulsive_escape(rel)
                     if target is None:
                         # Perfectly centered neighbors: hold heading, still back off.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -212,6 +211,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], "object"]
     """Execute the batch and return (records, summary), in run-index order."""
     tasks = [(config, i) for i in range(config.runs)]
     if config.jobs > 1:
+        # Imported here: it is a sizeable share of the package's import time.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             records = list(pool.map(_run_index, tasks))
     else:

@@ -47,8 +47,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
+        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
+            raise ValueError("max_steps must be an integer")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        # A nan altitude never equals itself, so no sampler would ever score a visit.
+        for name in ("sampling_altitude", "supervisory_altitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (math.isfinite(self.target_sampling_velocity) and self.target_sampling_velocity > 0):
             raise ValueError("target_sampling_velocity must be positive and finite")
         # At a rate of zero no in-place turn ever ends, so every reacting agent freezes.

@@ -26,6 +26,7 @@ from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
     LDR_RANDOM,
     LDR_REPULSIVE,
+    CommRows,
     DecentralizedController,
     PheromoneField,
     PmParams,
@@ -703,9 +704,9 @@ class TestPairwiseScan:
                 ref_near, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
                 assert hexed(near) == hexed(ref_near), (name, now)
                 if ldr is not None:
-                    adj, notified = controller.density(xs, ys)
-                    assert notified == ref_notified, (name, now)
-                    assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, (name, now)
+                    rows = controller.density(xs, ys)
+                    assert [rows.notified(i) for i in range(len(xs))] == ref_notified, (name, now)
+                    assert [rows[i] for i in range(len(xs))] == ref_adj, (name, now)
                 if now == controller._pairs_until:
                     break
                 now += 1
@@ -714,6 +715,34 @@ class TestPairwiseScan:
             assert now > 1, "the list covers no step after the one it was built at"
             controller.neighbours(xs, ys, now + 1, STEP_LEN)
             assert controller._pairs_from == now + 1, "the list was not rebuilt after its window"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.integers(2, 60).flatmap(
+            lambda n: st.lists(agent_recipe, min_size=n, max_size=n).map(build_swarm)
+        ),
+        data=st.data(),
+    )
+    @example(
+        # Coincident agents, pairs exactly 5 m and 10 m apart (the two
+        # communication ranges), and an agent out of everyone's range.
+        points=[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (10.0, 0.0), (3.0, 4.0), (-1.0, 0.0), (-5.0, 0.0),
+                (40.0, 40.0)],
+        data=None,
+    )
+    def test_density_rows_and_flags_match_scalar_loop(self, points, data):
+        # Agents ask in a drawn order; each answer is the reference's, whatever was asked before.
+        n = len(points)
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        order = data.draw(st.permutations(range(n))) if data is not None else range(n)[::-1]
+        for ldr in (LDR_RANDOM, LDR_REPULSIVE):
+            _, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
+            rows = DecentralizedController("ldr", points, ldr=ldr).density(xs, ys)
+            for i in order:
+                assert rows.notified(i) == ref_notified[i], (ldr.comm_range, i)
+                assert rows[i] == ref_adj[i], (ldr.comm_range, i)
+            assert dict(rows) == dict(enumerate(ref_adj))
 
     # Total visits after 300 steps at seed 1; with one agent there are no
     # pairs at all, with two exactly one.
@@ -747,12 +776,13 @@ def checked_scan(world):
     """Wrap the controller's neighbour lists and density so that each step's
     result is checked against pairwise_scan_reference on that step's positions.
 
-    Returns the tallies: steps scanned, neighbour offsets seen, density passes.
+    Returns the tallies: steps scanned, neighbour offsets seen, steps with a
+    density memo, and density flags asked for.
     """
     controller = world.controller
     ldr = controller.ldr
     neighbours, density = controller.neighbours, controller.density
-    tally = {"steps": 0, "offsets": 0, "density": 0}
+    tally = {"steps": 0, "offsets": 0, "density": 0, "asks": 0}
     reference = {}
 
     def checked_neighbours(xs, ys, now, step_len):
@@ -767,13 +797,22 @@ def checked_scan(world):
         return near
 
     def checked_density(xs, ys):
-        adj, notified = density(xs, ys)
         assert reference["now"] == world.step_count + 1
+        rows = density(xs, ys)
         _, ref_adj, ref_notified = reference["scan"]
-        assert notified == ref_notified, world.step_count
-        assert [np.flatnonzero(row).tolist() for row in adj] == ref_adj, world.step_count
+        step = world.step_count
+
+        def checked_notified(i):
+            flag = CommRows.notified(rows, i)
+            assert flag == ref_notified[i], (step, i)
+            # Every row computed so far; a repulsive escape reads only rows[i].
+            assert {j: ref_adj[j] for j in rows} == dict(rows), step
+            tally["asks"] += 1
+            return flag
+
+        rows.notified = checked_notified
         tally["density"] += 1
-        return adj, notified
+        return rows
 
     controller.neighbours = checked_neighbours
     controller.density = checked_density
@@ -794,7 +833,9 @@ class TestNeighbourScanInRuns:
         world.run()
         assert tally["steps"] == world.step_count
         assert tally["offsets"] > 0
-        assert (tally["density"] > 0) == (world.controller.ldr is not None)
+        # LDR runs ask, at least once on every step that builds a memo; rb and pm never ask.
+        assert (tally["asks"] > 0) == (world.controller.ldr is not None)
+        assert tally["density"] <= tally["asks"]
 
     @pytest.mark.parametrize("strategy", ["rb", "ldr_random", "ldr_repulsive"])
     def test_head_on_pair_beyond_the_skin_is_seen_in_time(self, strategy):

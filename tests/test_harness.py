@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import run_digests
+import sweepsim
 from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.cli import main
@@ -170,6 +175,28 @@ class TestExperimentConfig:
         # no in-place turn could ever end
         with pytest.raises(ValueError, match="turn_rate_default must be positive and finite"):
             SimConfig(turn_rate_default=value)
+
+    @pytest.mark.parametrize("option", ["sampling_altitude", "supervisory_altitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_altitude_non_finite_rejected(self, option, value):
+        # a nan sampling altitude scored no visit and ran to the step budget
+        with pytest.raises(ValueError, match=f"{option} must be finite"):
+            SimConfig(**{option: value})
+
+    @pytest.mark.parametrize("value", [2.5, 300.0, True, "300", None])
+    def test_max_steps_not_an_integer_rejected(self, value):
+        # 2.5 ran 3 steps and True ran 1
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            SimConfig(max_steps=value)
+
+    def test_building_a_world_leaves_the_process_pool_unimported(self):
+        code = (
+            "import sys, sweepsim\n"
+            "sweepsim.build_world(sweepsim.ExperimentConfig('sons_bs', runs=1), 1)\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sweepsim.__file__).parent.parent)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="base_seed must be non-negative"):
