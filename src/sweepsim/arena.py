@@ -1,8 +1,9 @@
 """Square arena geometry and the coverage grid.
 
 The world is a convex square arena decomposed into unit cells; agents fly in
-continuous coordinates and the grid only scores them. Cell indices are
-(col, row) with col along +x and row along +y, origin at the minimum corner.
+continuous coordinates and the grid only scores them. A cell is named by
+its row-major index row * cols + col, with col along +x and row along +y
+from the minimum corner; -1 names no cell (outside the arena).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-Cell = tuple[int, int]
 
 
 @dataclass(frozen=True)

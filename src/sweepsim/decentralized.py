@@ -26,7 +26,7 @@ from .angles import (
     wrap_angle,
     wrap_pi,
 )
-from .arena import EDGE_NORMALS, ArenaSpec, Cell, edge_distances
+from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from .world import HOLD, Unicycle, World
 
 
@@ -146,9 +146,6 @@ class PheromoneField:
         raw = self._level[slot] - self.evaporation_rate * (step - self._stamp[slot])
         return raw if raw > 0.0 else 0.0
 
-    def level(self, idx: int, step: int) -> float:
-        return self._read(self._slot(idx), step)
-
     def deposit(self, idx: int, step: int) -> None:
         # The deposit lands before this step's evaporation tick.
         slot = self._slot(idx)
@@ -229,17 +226,16 @@ def compass_index(heading: float) -> int:
     return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
 
 
-def pm_sense(field: PheromoneField, step: int, cell: Cell | None, heading: float, arena: ArenaSpec):
+def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
     """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
 
-    Directions are taken in the nearest compass frame; cells beyond the grid,
-    and every neighbour of a None cell (outside the arena, or no step taken
-    yet), read as zero.
+    cell is a flat index, as in AgentState.prev_cell. Directions are taken in
+    the nearest compass frame; cells beyond the grid, and every neighbour of
+    cell -1 (outside the arena, or no step taken yet), read as zero.
     """
-    if cell is None:
+    if cell < 0:
         return (0.0, 0.0, 0.0)
-    col, row = cell
-    center = field._slot(row * arena.cols + col)
+    center = field._slot(cell)
     ahead, left, right = field._sense_offsets[compass_index(heading)]
     read = field._read
     return (read(center + ahead, step), read(center + left, step), read(center + right, step))
@@ -317,8 +313,6 @@ class DecentralizedController:
     window for a boundary or avoidance turn, its post-reaction window for
     its own.
     """
-
-    clamp_to_arena = True
 
     def __init__(
         self,
@@ -516,7 +510,7 @@ class DecentralizedController:
                 continue
 
             if self.pheromone is not None and now > self.quiet_until[i]:
-                readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h, arena)
+                readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h)
                 outcome = pm_choose(readings, agent.rng)
                 if outcome != "no_reaction":
                     if self.collect_events:

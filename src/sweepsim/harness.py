@@ -166,6 +166,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {self.strategy}")
+        for name in ("runs", "n_uavs", "jobs", "base_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
         if self.n_uavs < 1:

@@ -91,7 +91,6 @@ def max_formation_omega(formation: SonsFormation, v_max: float) -> float:
 class SonsController:
     """Shared plumbing: one brain decides, every member is pose-assigned."""
 
-    clamp_to_arena = False
     pheromone = None
 
     def __init__(self, formation: SonsFormation, brain_pos, brain_heading):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .arena import ArenaSpec, Cell, CoverageGrid
+from .arena import ArenaSpec, CoverageGrid
 from .metrics import RunRecord
 
 if TYPE_CHECKING:
@@ -96,8 +96,8 @@ class AgentState:
 
     Position is unbounded; only the grid is bounded. speed is the magnitude
     actually flown this step, which is what gates visit scoring. prev_cell is
-    the cell World.step placed the agent in at the end of its last step; None
-    before the first step and outside the arena.
+    the row-major index of the cell World.step placed the agent in at the end
+    of its last step; -1 before the first step and outside the arena.
     """
 
     id: int
@@ -107,7 +107,7 @@ class AgentState:
     speed: float = 0.0
     sampling_active: bool = True
     rng: np.random.Generator | None = None
-    prev_cell: Cell | None = None
+    prev_cell: int = -1
 
     def __post_init__(self) -> None:
         self.heading = wrap_angle(self.heading)
@@ -140,11 +140,11 @@ class Controller(Protocol):
     with one Unicycle each or one PoseTarget for the whole formation.
 
     name labels the run's record; pheromone is the field the world deposits
-    into on every credited visit, or None for strategies without one.
+    into on every credited visit, or None for strategies without one. The
+    world clamps every Unicycle move into the arena.
     """
 
     name: str
-    clamp_to_arena: bool
     pheromone: "PheromoneField | None"
 
     def decide(self, world: "World") -> list[Unicycle] | PoseTarget: ...
@@ -169,7 +169,7 @@ class World:
         self.pheromone = controller.pheromone
         self.step_count = 0
         self.clamp_count = 0
-        self.visit_events: list[tuple[int, Cell]] = []
+        self.visit_events: list[tuple[int, int]] = []
 
     def step(self) -> None:
         """Advance the whole swarm by one synchronous round.
@@ -178,12 +178,14 @@ class World:
         sampling state from the PoseTarget), and the cell it ends the step
         in is scored with entry semantics: a visit needs a new cell inside
         the arena, sampling active, the sampling altitude, and at most the
-        target velocity. This is the one place a position is mapped to a
-        cell; the unit suite pins it to reference implementations. After
-        the first step, an agent with zero linear speed only turns: its cell
-        cannot change, so it is neither mapped nor scored again. The
-        controller must command every agent exactly once; any other number
-        of moves or positions raises ValueError.
+        target velocity. Every unicycle move is clamped: one that would leave
+        the arena ends on its edge and counts in clamp_count. This is the one
+        place a position is mapped to a cell, its flat index (-1 outside),
+        kept as prev_cell; the unit suite pins it to reference
+        implementations. After the first step, an agent with zero linear
+        speed only turns: its cell cannot change, so it is neither mapped nor
+        scored again. The controller must command every agent exactly once;
+        any other number of moves or positions raises ValueError.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -193,7 +195,6 @@ class World:
             heading = wrap_angle(moves.heading)
             sampling = moves.sampling_active
             moves = moves.positions
-        clamp = self.controller.clamp_to_arena
         grid = self.grid
         arena = self.arena
         cols = arena.cols
@@ -224,7 +225,7 @@ class World:
                 if v == 0.0 and step_idx != 1:
                     # Turning or holding in place: prev_cell is already this
                     # cell, so no visit can be credited. On step 1 it is
-                    # still None and the start cell must be scored.
+                    # still -1 and the start cell must be scored.
                     agent.heading = h
                     agent.speed = v
                     continue
@@ -232,7 +233,7 @@ class World:
                 if v != 0.0:
                     x += v * dt * math.cos(h)
                     y += v * dt * math.sin(h)
-                    if clamp and not (minx <= x <= maxx and miny <= y <= maxy):
+                    if not (minx <= x <= maxx and miny <= y <= maxy):
                         x = minx if x < minx else (maxx if x > maxx else x)
                         y = miny if y < miny else (maxy if y > maxy else y)
                         self.clamp_count += 1
@@ -246,22 +247,21 @@ class World:
                     col = last
                 if row > last:
                     row = last
-                cell = (col, row)
+                cell = row * cols + col
             else:
-                cell = None
+                cell = -1
             if cell != agent.prev_cell:
                 agent.prev_cell = cell
                 if (
-                    cell is not None
+                    cell >= 0
                     and agent.sampling_active
                     and agent.altitude == sampling_altitude
                     and agent.speed <= speed_cap
                 ):
-                    idx = row * cols + col
-                    grid.record(idx)
+                    grid.record(cell)
                     events.append((agent.id, cell))
                     if pheromone is not None:
-                        pheromone.deposit(idx, step_idx)
+                        pheromone.deposit(cell, step_idx)
         self.visit_events = events
 
     def is_complete(self) -> bool:

@@ -5,9 +5,10 @@ formations and scores visits in one fused loop; these are the same rules
 written one at a time, plus the cell-to-index map, the boundary and
 neighbour queries the decentralized controller inlines, its neighbour
 lists and LDR density as a scalar loop over all pairs, arc membership, the exact PM move probabilities, the
-bounds-checked pheromone sense, a full pheromone-field read, and
-decentralized placement as a dart-throwing loop. Nothing in the package
-uses them.
+bounds-checked pheromone sense, one-cell and full pheromone-field reads,
+and decentralized placement as a dart-throwing loop. Cells are (col, row)
+tuples here, None for no cell; flat_index maps one to the row-major index
+the package uses, -1 for None. Nothing in the package uses them.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
-from sweepsim.arena import EDGE_NORMALS, ArenaSpec, Cell, CoverageGrid, edge_distances
+from sweepsim.arena import EDGE_NORMALS, ArenaSpec, CoverageGrid, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.harness import PlacementSpec
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
+
+Cell = tuple[int, int]
 
 
 def cw_distance(from_angle: float, to_angle: float) -> float:
@@ -43,8 +46,10 @@ def contains_angle(arcs: list[Arc], theta: float) -> bool:
     return False
 
 
-def flat_index(cell: Cell, arena: ArenaSpec) -> int:
-    """Row-major index of a (col, row) cell, as CoverageGrid.visits stores it."""
+def flat_index(cell: Cell | None, arena: ArenaSpec) -> int:
+    """Row-major index of a (col, row) cell, as the package names it; -1 for None."""
+    if cell is None:
+        return -1
     col, row = cell
     return row * arena.cols + col
 
@@ -128,11 +133,13 @@ def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell 
 
     A visit requires entering a new cell (a fresh agent has none) inside the
     arena with sampling active, at sampling altitude, at or under the target
-    velocity. Returns the credited cell, or None.
+    velocity. The agent keeps the cell's flat index as prev_cell. Returns
+    the credited cell, or None.
     """
     cell = cell_of(agent.position, grid.arena)
-    entered = cell != agent.prev_cell
-    agent.prev_cell = cell
+    idx = flat_index(cell, grid.arena)
+    entered = idx != agent.prev_cell
+    agent.prev_cell = idx
     if (
         entered
         and cell is not None
@@ -140,7 +147,7 @@ def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell 
         and agent.altitude == cfg.sampling_altitude
         and agent.speed <= cfg.target_sampling_velocity + SPEED_EPS
     ):
-        grid.record(flat_index(cell, grid.arena))
+        grid.record(idx)
         return cell
     return None
 
@@ -256,11 +263,18 @@ def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-def pm_sense_reference(field: PheromoneField, step: int, cell: Cell | None, heading: float, arena: ArenaSpec):
+def pheromone_level(field: PheromoneField, idx: int, step: int) -> float:
+    """One cell's pheromone level at a step, by its row-major index."""
+    return field._read(field._slot(idx), step)
+
+
+def pm_sense_reference(
+    level: Callable[[int, int], float], step: int, cell: Cell | None, heading: float, arena: ArenaSpec
+):
     """pm_sense with an explicit bounds check on each of its three reads.
 
     The ahead, left and right cells of the nearest compass direction are
-    read through field.level; a cell beyond the grid reads zero.
+    read through level(idx, step); a cell beyond the grid reads zero.
     """
     if cell is None:
         return (0.0, 0.0, 0.0)
@@ -272,7 +286,7 @@ def pm_sense_reference(field: PheromoneField, step: int, cell: Cell | None, head
         dx, dy = _COMPASS[(k + dk) % 8]
         c, r = col + dx, row + dy
         if 0 <= c < cols and 0 <= r < arena.rows:
-            out.append(field.level(r * cols + c, step))
+            out.append(level(r * cols + c, step))
         else:
             out.append(0.0)
     return tuple(out)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     flat_index,
     heading_vector,
     pairwise_scan_reference,
+    pheromone_level,
     pheromone_snapshot,
     pm_probabilities,
     pm_sense_reference,
@@ -165,21 +167,21 @@ class TestPheromoneField:
         field = PheromoneField(ARENA)
         field.deposit(7, step=10)
         # deposits land before the step's own evaporation tick
-        assert field.level(7, step=10) == pytest.approx(4999.0)
+        assert pheromone_level(field, 7, step=10) == pytest.approx(4999.0)
         # three ticks after the deposit landed: 5000 - 3
-        assert field.level(7, step=12) == pytest.approx(4997.0)
+        assert pheromone_level(field, 7, step=12) == pytest.approx(4997.0)
 
     def test_level_floors_at_zero(self):
         field = PheromoneField(ARENA)
         field.deposit(7, step=0)
-        assert field.level(7, step=6000) == 0.0
+        assert pheromone_level(field, 7, step=6000) == 0.0
 
     def test_double_deposit_same_step_adds(self):
         field = PheromoneField(ARENA)
         field.deposit(7, step=3)
         field.deposit(7, step=3)
         # two deposits, one evaporation tick for that step
-        assert field.level(7, step=3) == pytest.approx(2 * 5000.0 - 1.0)
+        assert pheromone_level(field, 7, step=3) == pytest.approx(2 * 5000.0 - 1.0)
 
     def test_snapshot_matches_pointwise_levels(self):
         field = PheromoneField(SMALL)
@@ -187,7 +189,7 @@ class TestPheromoneField:
         field.deposit(5, step=4)
         snap = pheromone_snapshot(field, SMALL, step=9)
         for idx in range(SMALL.cell_count):
-            assert snap[idx] == pytest.approx(field.level(idx, step=9))
+            assert snap[idx] == pytest.approx(pheromone_level(field, idx, step=9))
 
     def test_decreases_by_exactly_one_per_step(self):
         field = PheromoneField(SMALL)
@@ -213,18 +215,19 @@ class TestPmSense:
     def test_nearly_east_heading_reads_compass_neighbors(self):
         # agent in cell (20, 20); heading 3 degrees quantizes to east
         field = self.make_field_with([(21, 20), (21, 21), (21, 19)], value=7.0)
-        ahead, left, right = pm_sense(field, 1, (20, 20), math.radians(3.0), ARENA)
+        centre = flat_index((20, 20), ARENA)
+        ahead, left, right = pm_sense(field, 1, centre, math.radians(3.0))
         assert (ahead, left, right) == (7.0, 7.0, 7.0)
         field2 = self.make_field_with([(21, 21)], value=9.0)
-        ahead, left, right = pm_sense(field2, 1, (20, 20), math.radians(3.0), ARENA)
+        ahead, left, right = pm_sense(field2, 1, centre, math.radians(3.0))
         assert (ahead, left, right) == (0.0, 9.0, 0.0)
 
     def test_corner_reads_zero_outside_grid(self):
         field = PheromoneField(ARENA)
-        readings = pm_sense(field, 1, (39, 39), math.radians(45.0), ARENA)
+        readings = pm_sense(field, 1, flat_index((39, 39), ARENA), math.radians(45.0))
         assert readings == (0.0, 0.0, 0.0)
         # no recorded cell (before the first step, or outside the arena)
-        assert pm_sense(field, 1, None, 0.0, ARENA) == (0.0, 0.0, 0.0)
+        assert pm_sense(field, 1, -1, 0.0) == (0.0, 0.0, 0.0)
 
     def test_compass_quantization(self):
         assert compass_index(math.radians(3.0)) == 0
@@ -238,11 +241,14 @@ class TestPmSense:
         field = PheromoneField(arena)
         for step in np.sort(rng.integers(1, 8000, size=3000)):
             field.deposit(int(rng.integers(arena.cell_count)), int(step))
+        level = partial(pheromone_level, field)
         for row in range(arena.rows):
             for col in range(arena.cols):
+                idx = flat_index((col, row), arena)
                 for heading in SENSE_HEADINGS:
-                    args = (field, 8000, (col, row), heading, arena)
-                    assert pm_sense(*args) == pm_sense_reference(*args), (col, row, heading)
+                    assert pm_sense(field, 8000, idx, heading) == pm_sense_reference(
+                        level, 8000, (col, row), heading, arena
+                    ), (col, row, heading)
 
     def test_border_slots_stay_zero_over_a_pm_run(self):
         world, _ = short_world("pm", seed=1, max_steps=3000, collect=False)
@@ -302,14 +308,15 @@ def test_lazy_evaporation_matches_eager_model(schedule):
             field.deposit(idx, step)
             eager.deposit(idx)
         eager.tick()
-        assert [field.level(idx, step) for idx in range(SMALL.cell_count)] == eager.levels, step
+        levels = [pheromone_level(field, idx, step) for idx in range(SMALL.cell_count)]
+        assert levels == eager.levels, step
         if step in due or step % 250 == 0 or step == last:
             for cell in cells:
+                idx = flat_index(cell, SMALL)
                 for k in range(8):
                     heading = k * math.pi / 4.0
-                    assert pm_sense(field, step, cell, heading, SMALL) == pm_sense_reference(
-                        eager, step, cell, heading, SMALL
-                    ), (step, cell, k)
+                    expected = pm_sense_reference(eager.level, step, cell, heading, SMALL)
+                    assert pm_sense(field, step, idx, heading) == expected, (step, cell, k)
 
 
 class TestPmChoose:
@@ -427,9 +434,8 @@ class TestControllerTraces:
         world, _ = short_world("pm", seed=6, max_steps=500)
         for _ in range(500):
             world.step()
-            for _, cell in world.visit_events:
-                idx = flat_index(cell, world.arena)
-                assert world.pheromone.level(idx, world.step_count) > 0.0
+            for _, idx in world.visit_events:
+                assert pheromone_level(world.pheromone, idx, world.step_count) > 0.0
 
     def test_ldr_random_density_turn_is_clockwise_70_to_90(self):
         world, _ = short_world("ldr_random", seed=3)
@@ -498,10 +504,10 @@ class TestPmQuietWindow:
         field = PheromoneField(ARENA)
         controller = DecentralizedController("pm", [agent], pheromone=field)
         world = World(ARENA, SimConfig(), [agent], controller)
-        agent.prev_cell = (20, 20)
+        agent.prev_cell = flat_index((20, 20), ARENA)
         for cell in ((21, 20), (21, 21), (21, 19)):
             field.deposit(flat_index(cell, ARENA), step=0)
-        assert pm_sense(field, 0, agent.prev_cell, 0.0, ARENA)[0] > 0.0
+        assert pm_sense(field, 0, agent.prev_cell, 0.0)[0] > 0.0
 
         def no_sensing(*args):
             raise AssertionError("pm_sense called inside the quiet window")
@@ -553,7 +559,7 @@ def window_scene(strategy, trigger):
         return scene(strategy, LINE_OF_SIX)
     # pheromone only in the cell ahead, so the agent turns left or right
     world, controller = scene("pm", [(0.5, 0.5)], heading=0.0)
-    world.agents[0].prev_cell = (20, 20)
+    world.agents[0].prev_cell = flat_index((20, 20), ARENA)
     world.pheromone.deposit(flat_index((21, 20), ARENA), step=0)
     return world, controller
 

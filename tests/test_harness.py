@@ -189,6 +189,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="max_steps must be an integer"):
             SimConfig(max_steps=value)
 
+    @pytest.mark.parametrize("option", ["runs", "n_uavs", "jobs", "base_seed"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_counts_not_an_integer_rejected(self, option, value):
+        # n_uavs=True ran a one-agent swarm; 1.5 failed deep in a run, or not at all
+        with pytest.raises(ValueError, match=f"{option} must be an integer"):
+            ExperimentConfig(strategy="rb", **{option: value})
+
     def test_building_a_world_leaves_the_process_pool_unimported(self):
         code = (
             "import sys, sweepsim\n"

@@ -332,7 +332,6 @@ class TestStepLoop:
 class ScriptedController:
     """Replays a fixed list of per-step move lists."""
 
-    clamp_to_arena = False
     name = "scripted"
     pheromone = None
 
@@ -347,14 +346,23 @@ class ScriptedController:
 
 
 def assert_step_matches_oracles(arena, start, heading, commands):
-    """Run commands through World.step and through the oracles; compare."""
+    """Run commands through World.step and through the oracles; compare.
+
+    World.step clamps every unicycle move, so the oracle path applies
+    clamp_into after each command with a non-zero linear speed.
+    """
     fused = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
     world = World(arena, CFG, [fused], ScriptedController([[c] for c in commands]))
     manual = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
     grid = CoverageGrid(arena)
+    clamps = 0
     for command in commands:
         world.step()
         step_kinematics(manual, command, CFG.dt)
+        if command.linear_speed != 0.0:
+            clamped = clamp_into(manual.position, arena)
+            clamps += clamped != manual.position
+            manual.position = clamped
         cell = record_visit(manual, grid, CFG)
         where = (arena.cell_size, start, world.step_count)
         # pm_sense reads prev_cell, so it must be the oracle's cell too
@@ -362,9 +370,41 @@ def assert_step_matches_oracles(arena, start, heading, commands):
         assert fused.position == manual.position, where
         assert fused.heading.hex() == manual.heading.hex(), where
         assert fused.speed.hex() == manual.speed.hex(), where
-        assert world.visit_events == ([] if cell is None else [(0, cell)]), where
+        assert world.visit_events == ([] if cell is None else [(0, flat_index(cell, arena))]), where
         assert world.grid.visits == grid.visits, where
+        assert world.clamp_count == clamps, where
     assert world.grid.visited_count == grid.visited_count
+
+
+class TestContainment:
+    """World.step, not the controller, keeps every unicycle move in the arena."""
+
+    @pytest.mark.parametrize(
+        "start, heading, end",
+        [((19.95, 0.5), 0.0, (20.0, 0.5)), ((-19.95, -19.95), 1.25 * math.pi, (-20.0, -20.0))],
+        ids=["east_edge", "south_west_corner"],
+    )
+    def test_move_out_of_the_arena_ends_on_the_edge(self, start, heading, end):
+        agent = make_agent(start, heading=heading)
+        world = World(ARENA, CFG, [agent], ScriptedController([[Unicycle(1.0, 0.0)]]))
+        world.step()
+        assert agent.position == end
+        assert world.clamp_count == 1
+        idx = flat_index(cell_of(end, ARENA), ARENA)
+        assert agent.prev_cell == idx
+        assert world.visit_events == [(0, idx)]
+
+    def test_held_agent_outside_keeps_no_cell(self):
+        agent = make_agent((25.0, 0.5))
+        assert agent.prev_cell == -1  # a fresh agent has no cell
+        commands = [[Unicycle(0.0, 0.0)], [Unicycle(0.0, 1.0)], [Unicycle(-0.0, 0.0)]]
+        world = World(ARENA, CFG, [agent], ScriptedController(commands))
+        for _ in commands:
+            world.step()
+            assert agent.prev_cell == -1
+            assert agent.position == (25.0, 0.5)
+            assert world.visit_events == []
+        assert world.clamp_count == 0
 
 
 # Cell sizes 0.1 and 0.2 are where dividing by cell_size and multiplying by
@@ -513,8 +553,38 @@ class TestFormationStepEquivalence:
             world.step()
             events = pose_step_reference(manual, grid, CFG, command)
             assert [agent_view(a) for a in world.agents] == [agent_view(a) for a in manual]
-            assert world.visit_events == events
+            assert world.visit_events == [(i, flat_index(cell, arena)) for i, cell in events]
             assert world.grid.visits == grid.visits
+
+
+class TestWholeRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        strategy=st.sampled_from(["rb", "ldr_random", "ldr_repulsive", "pm"]),
+        side=st.sampled_from([20.0, 30.0, 40.0, 50.0]),
+        n_uavs=st.integers(1, 25),
+        dt=st.sampled_from([0.05, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agents_stay_in_the_arena_and_cells_match_positions(
+        self, strategy, side, n_uavs, dt, seed
+    ):
+        from sweepsim import ExperimentConfig, build_world
+
+        arena = ArenaSpec(side_length=side)
+        cfg = ExperimentConfig(
+            strategy=strategy, runs=1, arena=arena, n_uavs=n_uavs, sim=SimConfig(dt=dt, max_steps=150)
+        )
+        world = build_world(cfg, seed)
+        record = world.run()
+        (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
+        for agent in world.agents:
+            x, y = agent.position
+            assert minx <= x <= maxx and miny <= y <= maxy
+            assert agent.prev_cell == flat_index(cell_of(agent.position, arena), arena)
+        assert world.clamp_count == 0
+        assert world.grid.visited_count == sum(1 for count in world.grid.visits if count)
+        assert (np.diff(record.coverage_fraction) >= 0.0).all()
 
 
 class TestRandomStreams:
