@@ -229,7 +229,7 @@ def compass_index(heading: float) -> int:
 def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
     """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
 
-    cell is a flat index, as in AgentState.prev_cell. Directions are taken in
+    cell is a flat index, as in World.cells. Directions are taken in
     the nearest compass frame; cells beyond the grid, and every neighbour of
     cell -1 (outside the arena, or no step taken yet), read as zero.
     """
@@ -395,7 +395,8 @@ class DecentralizedController:
         cfg = world.cfg
         arena = world.arena
         agents = world.agents
-        n = len(agents)
+        xs, ys, hs, cells = world.xs, world.ys, world.hs, world.cells
+        n = len(xs)
         if n != len(self.turn_dir):
             raise ValueError(f"controller built for {len(self.turn_dir)} agents, world has {n}")
         now = world.step_count + 1  # index of the step being computed
@@ -405,10 +406,6 @@ class DecentralizedController:
         rb = self.rb
         half = arena.half_side
         cx, cy = arena.center
-
-        xs = [a.position[0] for a in agents]
-        ys = [a.position[1] for a in agents]
-        hs = [a.heading for a in agents]
 
         # Shared commands: Unicycle is an immutable tuple, and a turn
         # direction is exactly +1.0 or -1.0, so direction * turn_rate is one
@@ -436,7 +433,6 @@ class DecentralizedController:
                     moves.append(spin_ccw if direction > 0 else spin_cw)
                 continue
 
-            agent = agents[i]
             x = xs[i]
             y = ys[i]
             h = hs[i]
@@ -463,23 +459,23 @@ class DecentralizedController:
                         if dist_next < 0.0 or (dist_now <= rb.boundary_trigger and outward):
                             trigger = True
             if trigger:
-                target = boundary_escape_heading(h, constraints, agent.rng, rb.reciprocal_exclusion)
+                target = boundary_escape_heading(h, constraints, agents[i].rng, rb.reciprocal_exclusion)
                 self._begin_turn(i, target, turn_direction(h, target), self.avoid_quiet)
                 if self.collect_events:
                     self.events.append(
-                        ReactionEvent(now, agent.id, "boundary", target, normals=tuple(constraints))
+                        ReactionEvent(now, i, "boundary", target, normals=tuple(constraints))
                     )
                 moves.append(HOLD)
                 continue
 
             # Obstacle avoidance, short range before medium.
             if near[i]:
-                dodge = avoidance_turn(h, near[i], rb, agent.rng)
+                dodge = avoidance_turn(h, near[i], rb, agents[i].rng)
                 if dodge is not None:
                     target, direction, tier = dodge
                     self._begin_turn(i, target, direction, self.avoid_quiet)
                     if self.collect_events:
-                        self.events.append(ReactionEvent(now, agent.id, "avoid_" + tier, target))
+                        self.events.append(ReactionEvent(now, i, "avoid_" + tier, target))
                     moves.append(HOLD)
                     continue
 
@@ -491,7 +487,7 @@ class DecentralizedController:
                     moves.append(cruise)
                     continue
                 if self.collect_events:
-                    self.events.append(ReactionEvent(now, agent.id, "density", h))
+                    self.events.append(ReactionEvent(now, i, "density", h))
                 if self.ldr.repulsive:
                     rel = [(xs[j] - x, ys[j] - y) for j in rows[i]]
                     target = repulsive_escape(rel)
@@ -503,19 +499,19 @@ class DecentralizedController:
                     direction = turn_direction(h, target)
                 else:
                     lo, hi = self.ldr.random_turn
-                    target = wrap_angle(h - agent.rng.uniform(lo, hi))
+                    target = wrap_angle(h - agents[i].rng.uniform(lo, hi))
                     direction = -1.0
                 self._begin_turn(i, target, direction, self.react_quiet)
                 moves.append(HOLD)
                 continue
 
             if self.pheromone is not None and now > self.quiet_until[i]:
-                readings = pm_sense(self.pheromone, now - 1, agent.prev_cell, h)
-                outcome = pm_choose(readings, agent.rng)
+                readings = pm_sense(self.pheromone, now - 1, cells[i], h)
+                outcome = pm_choose(readings, agents[i].rng)
                 if outcome != "no_reaction":
                     if self.collect_events:
                         self.events.append(
-                            ReactionEvent(now, agent.id, "pheromone", h, outcome=outcome)
+                            ReactionEvent(now, i, "pheromone", h, outcome=outcome)
                         )
                     if outcome != "ahead":
                         direction = 1.0 if outcome == "turn_left_45" else -1.0

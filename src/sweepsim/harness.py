@@ -44,8 +44,12 @@ class PlacementSpec:
     def __post_init__(self) -> None:
         for name in ("width", "depth", "min_spacing"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("max_rejects", "stall_rejects"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.stall_rejects < 1:
             raise ValueError(f"stall_rejects must be at least 1, got {self.stall_rejects!r}")
         if self.max_rejects < 0:

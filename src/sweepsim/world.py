@@ -1,4 +1,4 @@
-"""Agent state, kinematics, seeded randomness, and the synchronous step loop.
+"""Spawn records, the swarm's live pose, seeded randomness, and the synchronous step loop.
 
 One step runs fixed phases for the whole swarm: sense and exchange messages
 against the previous step's state, compute commands, integrate motion, score
@@ -90,27 +90,19 @@ def harness_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentState:
-    """Pose and sampling status of one UAV.
+    """Spawn record of one UAV: id, start pose, altitude and random stream.
 
-    Position is unbounded; only the grid is bounded. speed is the magnitude
-    actually flown this step, which is what gates visit scoring. prev_cell is
-    the row-major index of the cell World.step placed the agent in at the end
-    of its last step; -1 before the first step and outside the arena.
+    World copies the start pose into its per-swarm lists xs, ys and hs,
+    which hold the live pose, and never writes here.
     """
 
     id: int
     position: tuple[float, float]
     heading: float
     altitude: float
-    speed: float = 0.0
-    sampling_active: bool = True
     rng: np.random.Generator | None = None
-    prev_cell: int = -1
-
-    def __post_init__(self) -> None:
-        self.heading = wrap_angle(self.heading)
 
 
 class Unicycle(NamedTuple):
@@ -124,7 +116,7 @@ class PoseTarget(NamedTuple):
     """Direct pose assignment for a whole servo-perfect formation.
 
     positions holds one (x, y) per agent in id order; every agent takes the
-    shared heading and sampling state.
+    shared heading, and sampling_active gates this step's visits for all.
     """
 
     positions: list[tuple[float, float]]
@@ -151,19 +143,29 @@ class Controller(Protocol):
 
 
 class World:
-    """One seeded run: agents, grid, the controller that steers them, and the step loop."""
+    """One seeded run: the swarm's live pose, the grid, the controller, and the step loop.
+
+    agents is the spawn list; its ids must be 0..n-1, so a list index is the
+    agent id. The live pose is xs, ys, hs (in [0, 2 pi)) and cells, each
+    agent's last flat cell index (-1 before step 1 and outside the arena).
+    samplers marks the agents at the sampling altitude, which never changes.
+    """
 
     def __init__(
-        self,
-        arena: ArenaSpec,
-        cfg: SimConfig,
-        agents: Sequence[AgentState],
-        controller: Controller,
+        self, arena: ArenaSpec, cfg: SimConfig, agents: Sequence[AgentState], controller: Controller
     ):
         check_step_length(cfg, arena)
         self.arena = arena
         self.cfg = cfg
         self.agents = sorted(agents, key=lambda a: a.id)
+        n = len(self.agents)
+        if [a.id for a in self.agents] != list(range(n)):
+            raise ValueError(f"agent ids must be 0..{n - 1}, each once")
+        self.xs = [a.position[0] for a in self.agents]
+        self.ys = [a.position[1] for a in self.agents]
+        self.hs = [wrap_angle(a.heading) for a in self.agents]
+        self.cells = [-1] * n
+        self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
         self.grid = CoverageGrid(arena)
         self.pheromone = controller.pheromone
@@ -174,27 +176,33 @@ class World:
     def step(self) -> None:
         """Advance the whole swarm by one synchronous round.
 
-        Each agent turns, then translates (or takes its place, heading and
-        sampling state from the PoseTarget), and the cell it ends the step
-        in is scored with entry semantics: a visit needs a new cell inside
-        the arena, sampling active, the sampling altitude, and at most the
-        target velocity. Every unicycle move is clamped: one that would leave
-        the arena ends on its edge and counts in clamp_count. This is the one
-        place a position is mapped to a cell, its flat index (-1 outside),
-        kept as prev_cell; the unit suite pins it to reference
-        implementations. After the first step, an agent with zero linear
-        speed only turns: its cell cannot change, so it is neither mapped nor
-        scored again. The controller must command every agent exactly once;
-        any other number of moves or positions raises ValueError.
+        The controller must command every agent exactly once; any other
+        number of moves or positions raises ValueError before anything
+        moves. Each agent turns, then translates (or takes its place and
+        heading from the PoseTarget), and the cell it ends the step in is
+        scored with entry semantics: a visit needs a new cell inside the
+        arena, sampling on (unicycle moves always sample), the sampling
+        altitude, and a speed of at most the target velocity: the commanded
+        one, or the distance jumped over dt. Every unicycle move is clamped:
+        one that would leave the arena ends on its edge and counts in
+        clamp_count. This is the one place a position is mapped to a cell,
+        its flat index (-1 outside), kept in cells and reported in
+        visit_events as (agent index, cell). After the first step, an agent
+        with zero linear speed only turns: its cell cannot change, so it is
+        neither mapped nor scored again.
         """
         cfg = self.cfg
         dt = cfg.dt
+        xs, ys, hs, cells, samplers = self.xs, self.ys, self.hs, self.cells, self.samplers
         moves = self.controller.decide(self)
         formation = moves.__class__ is PoseTarget
+        sampling = True
         if formation:
             heading = wrap_angle(moves.heading)
             sampling = moves.sampling_active
             moves = moves.positions
+        if len(moves) != len(xs):
+            raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
         grid = self.grid
         arena = self.arena
         cols = arena.cols
@@ -202,44 +210,40 @@ class World:
         minx, miny = arena.min_corner
         maxx, maxy = arena.max_corner
         last = cols - 1
-        sampling_altitude = cfg.sampling_altitude
         speed_cap = cfg.target_sampling_velocity + SPEED_EPS
         self.step_count += 1
         step_idx = self.step_count
         pheromone = self.pheromone
         events = []
-        for agent, motion in zip(self.agents, moves, strict=True):
+        for i, motion in enumerate(moves):
             if formation:
-                px, py = agent.position
-                x, y = agent.position = motion
-                agent.heading = heading
-                agent.sampling_active = sampling
-                agent.speed = math.hypot(x - px, y - py) / dt
+                x, y = motion
+                speed = math.hypot(x - xs[i], y - ys[i]) / dt
+                hs[i] = heading
             else:
-                v = motion.linear_speed
-                if v < 0:
+                speed = motion.linear_speed
+                if speed < 0:
                     raise ValueError("linear_speed must be non-negative")
-                h = agent.heading + motion.angular_rate * dt
+                h = hs[i] + motion.angular_rate * dt
                 if not 0.0 <= h < TWO_PI:
                     h = wrap_angle(h)
-                if v == 0.0 and step_idx != 1:
-                    # Turning or holding in place: prev_cell is already this
+                hs[i] = h
+                if speed == 0.0 and step_idx != 1:
+                    # Turning or holding in place: cells[i] is already this
                     # cell, so no visit can be credited. On step 1 it is
                     # still -1 and the start cell must be scored.
-                    agent.heading = h
-                    agent.speed = v
                     continue
-                x, y = agent.position
-                if v != 0.0:
-                    x += v * dt * math.cos(h)
-                    y += v * dt * math.sin(h)
+                x = xs[i]
+                y = ys[i]
+                if speed != 0.0:
+                    x += speed * dt * math.cos(h)
+                    y += speed * dt * math.sin(h)
                     if not (minx <= x <= maxx and miny <= y <= maxy):
                         x = minx if x < minx else (maxx if x > maxx else x)
                         y = miny if y < miny else (maxy if y > maxy else y)
                         self.clamp_count += 1
-                agent.position = (x, y)
-                agent.heading = h
-                agent.speed = v
+            xs[i] = x
+            ys[i] = y
             if minx <= x <= maxx and miny <= y <= maxy:
                 col = int((x - minx) / cell_size)
                 row = int((y - miny) / cell_size)
@@ -250,16 +254,11 @@ class World:
                 cell = row * cols + col
             else:
                 cell = -1
-            if cell != agent.prev_cell:
-                agent.prev_cell = cell
-                if (
-                    cell >= 0
-                    and agent.sampling_active
-                    and agent.altitude == sampling_altitude
-                    and agent.speed <= speed_cap
-                ):
+            if cell != cells[i]:
+                cells[i] = cell
+                if cell >= 0 and sampling and samplers[i] and speed <= speed_cap:
                     grid.record(cell)
-                    events.append((agent.id, cell))
+                    events.append((i, cell))
                     if pheromone is not None:
                         pheromone.deposit(cell, step_idx)
         self.visit_events = events

@@ -8,7 +8,9 @@ lists and LDR density as a scalar loop over all pairs, arc membership, the exact
 bounds-checked pheromone sense, one-cell and full pheromone-field reads,
 and decentralized placement as a dart-throwing loop. Cells are (col, row)
 tuples here, None for no cell; flat_index maps one to the row-major index
-the package uses, -1 for None. Nothing in the package uses them.
+the package uses, -1 for None. The reference step moves one RefAgent at a
+time, where World keeps the swarm's pose in per-swarm lists. Nothing in the
+package uses them.
 """
 
 from __future__ import annotations
@@ -116,7 +118,28 @@ def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, 
     return (x, y)
 
 
-def step_kinematics(agent: AgentState, command: Unicycle, dt: float) -> None:
+@dataclass
+class RefAgent:
+    """One mutable UAV for the reference step: its pose, the speed flown, sampling state and cell.
+
+    speed is the magnitude flown this step, which gates visit scoring.
+    prev_cell is the flat index of the cell record_visit last placed the
+    agent in; -1 before the first visit check and outside the arena.
+    """
+
+    id: int
+    position: tuple[float, float]
+    heading: float
+    altitude: float
+    speed: float = 0.0
+    sampling_active: bool = True
+    prev_cell: int = -1
+
+    def __post_init__(self) -> None:
+        self.heading = wrap_angle(self.heading)
+
+
+def step_kinematics(agent: RefAgent, command: Unicycle, dt: float) -> None:
     """Integrate one unicycle step in place: heading first, then position."""
     if command.linear_speed < 0:
         raise ValueError("linear_speed must be non-negative")
@@ -128,7 +151,7 @@ def step_kinematics(agent: AgentState, command: Unicycle, dt: float) -> None:
     agent.speed = v
 
 
-def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell | None:
+def record_visit(agent: RefAgent, grid: CoverageGrid, cfg: SimConfig) -> Cell | None:
     """Score the cell the agent ended this step in, entry-gated.
 
     A visit requires entering a new cell (a fresh agent has none) inside the
@@ -153,7 +176,7 @@ def record_visit(agent: AgentState, grid: CoverageGrid, cfg: SimConfig) -> Cell 
 
 
 def pose_step_reference(
-    agents: Sequence[AgentState], grid: CoverageGrid, cfg: SimConfig, command: PoseTarget
+    agents: Sequence[RefAgent], grid: CoverageGrid, cfg: SimConfig, command: PoseTarget
 ) -> list[tuple[int, Cell]]:
     """World.step for a formation command, one pose target per member.
 
@@ -176,7 +199,7 @@ def pose_step_reference(
 
 
 def neighbors_within(
-    agents: Sequence[AgentState], self_id: int, comm_range: float, cfg: SimConfig
+    agents: Sequence[RefAgent], self_id: int, comm_range: float, cfg: SimConfig
 ) -> list[tuple[int, tuple[float, float]]]:
     """Other agents on the same altitude plane within horizontal range.
 

@@ -89,7 +89,8 @@ def _matrix_digest(task) -> str:
     config, seed = task
     world = build_world(config, seed)
     h = hashlib.sha256(record_digest(world.run()).encode())
-    h.update(repr([(a.position, a.heading) for a in world.agents]).encode())
+    poses = [((x, y), heading) for x, y, heading in zip(world.xs, world.ys, world.hs)]
+    h.update(repr(poses).encode())
     return h.hexdigest()
 
 

@@ -256,15 +256,16 @@ def test_c7_random_walk_formation_invariants():
     world = build_world(config, seed=BASE_SEED)
     controller = world.controller
     formation = controller.formation
-    ids = [a.id for a in world.agents]
+    ids = range(len(world.agents))
     base: dict | None = None
     max_rigidity = 0.0
     max_align_speed = 0.0
     prepare_visits = 0
+    before = list(zip(world.xs, world.ys))
 
     def audit(w):
-        nonlocal base, max_rigidity, max_align_speed, prepare_visits
-        positions = {a.id: a.position for a in w.agents}
+        nonlocal base, max_rigidity, max_align_speed, prepare_visits, before
+        positions = list(zip(w.xs, w.ys))
         dists = {
             (i, j): math.dist(positions[i], positions[j])
             for i, j in itertools.combinations(ids, 2)
@@ -278,11 +279,15 @@ def test_c7_random_walk_formation_invariants():
                     max_rigidity = err
         phase = controller.phase
         if phase == "align":
-            for a in w.agents:
-                if a.id in formation.sampler_ids and a.speed > max_align_speed:
-                    max_align_speed = a.speed
+            # each sampler's speed as World.step gates it: the distance jumped over dt
+            for i in formation.sampler_ids:
+                (x, y), (px, py) = positions[i], before[i]
+                speed = math.hypot(x - px, y - py) / w.cfg.dt
+                if speed > max_align_speed:
+                    max_align_speed = speed
         elif phase == "prepare":
             prepare_visits += len(w.visit_events)
+        before = positions
 
     record = world.run(on_step=audit)
     assert _report(
@@ -365,8 +370,7 @@ def test_c9_trace_audits():
 
     def check_inside(w):
         nonlocal inside
-        for agent in w.agents:
-            x, y = agent.position
+        for x, y in zip(w.xs, w.ys):
             if abs(x) > half or abs(y) > half:
                 inside = False
 

@@ -390,8 +390,7 @@ class TestControllerTraces:
             (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
             while not world.is_complete() and world.step_count < 4000:
                 world.step()
-                for agent in world.agents:
-                    x, y = agent.position
+                for x, y in zip(world.xs, world.ys):
                     assert minx <= x <= maxx and miny <= y <= maxy, (arena.center, strategy)
             assert world.clamp_count == 0
 
@@ -423,12 +422,16 @@ class TestControllerTraces:
 
     def test_turning_agents_hold_position(self):
         world, _ = short_world("rb", seed=5)
+        decide = world.controller.decide
+        commanded = []
+        world.controller.decide = lambda w: commanded.append(decide(w)) or commanded[-1]
         for _ in range(1500):
-            before = {a.id: a.position for a in world.agents}
+            before = list(zip(world.xs, world.ys))
             world.step()
-            for agent in world.agents:
-                if agent.speed == 0.0:
-                    assert agent.position == before[agent.id]
+            for i, move in enumerate(commanded[-1]):
+                if move.linear_speed == 0.0:
+                    assert (world.xs[i], world.ys[i]) == before[i]
+        assert any(move.linear_speed == 0.0 for moves in commanded for move in moves)
 
     def test_pheromone_deposits_follow_visits(self):
         world, _ = short_world("pm", seed=6, max_steps=500)
@@ -443,7 +446,7 @@ class TestControllerTraces:
         recorded = []
         # capture headings at reaction time and the eventual turn target
         for _ in range(2500):
-            before = {a.id: a.heading for a in world.agents}
+            before = list(world.hs)
             n_before = len(controller.events)
             world.step()
             for event in controller.events[n_before:]:
@@ -504,10 +507,10 @@ class TestPmQuietWindow:
         field = PheromoneField(ARENA)
         controller = DecentralizedController("pm", [agent], pheromone=field)
         world = World(ARENA, SimConfig(), [agent], controller)
-        agent.prev_cell = flat_index((20, 20), ARENA)
+        world.cells[0] = flat_index((20, 20), ARENA)
         for cell in ((21, 20), (21, 21), (21, 19)):
             field.deposit(flat_index(cell, ARENA), step=0)
-        assert pm_sense(field, 0, agent.prev_cell, 0.0)[0] > 0.0
+        assert pm_sense(field, 0, world.cells[0], 0.0)[0] > 0.0
 
         def no_sensing(*args):
             raise AssertionError("pm_sense called inside the quiet window")
@@ -559,7 +562,7 @@ def window_scene(strategy, trigger):
         return scene(strategy, LINE_OF_SIX)
     # pheromone only in the cell ahead, so the agent turns left or right
     world, controller = scene("pm", [(0.5, 0.5)], heading=0.0)
-    world.agents[0].prev_cell = flat_index((20, 20), ARENA)
+    world.cells[0] = flat_index((20, 20), ARENA)
     world.pheromone.deposit(flat_index((21, 20), ARENA), step=0)
     return world, controller
 
@@ -793,8 +796,8 @@ def checked_scan(world):
 
     def checked_neighbours(xs, ys, now, step_len):
         near = neighbours(xs, ys, now, step_len)
-        px = [a.position[0] for a in world.agents]
-        py = [a.position[1] for a in world.agents]
+        px = list(world.xs)
+        py = list(world.ys)
         reference["now"] = now
         reference["scan"] = pairwise_scan_reference(px, py, RB.medium_range, ldr)
         assert hexed(near) == hexed(reference["scan"][0]), now
@@ -850,7 +853,7 @@ class TestNeighbourScanInRuns:
         # holds no pair; a rebuild must come before they are in medium range.
         gap = math.nextafter(REACH, math.inf)
         world, controller = scene(strategy, [(0.0, 0.0), (gap, 0.0)], heading=0.0)
-        world.agents[1].heading = math.pi
+        world.hs[1] = math.pi
         tally = checked_scan(world)
         closing = 2.0 * STEP_LEN
         first = math.ceil((REACH - RB.medium_range) / closing) + 1  # positions within range from here

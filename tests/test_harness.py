@@ -123,6 +123,26 @@ class TestPlacementSpec:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             PlacementSpec(**{name: value})
 
+    @pytest.mark.parametrize("name", ["width", "depth", "min_spacing"])
+    def test_lengths_reject_bools(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            PlacementSpec(**{name: True})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("stall_rejects", 2.5),
+            ("stall_rejects", True),
+            ("stall_rejects", 3.0),
+            ("max_rejects", 1.5),
+            ("max_rejects", True),
+            ("max_rejects", 100.0),
+        ],
+    )
+    def test_reject_budgets_are_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PlacementSpec(**{name: value})
+
     @pytest.mark.parametrize("value", [0, -1])
     def test_stall_rejects_at_least_one(self, value):
         with pytest.raises(ValueError, match="stall_rejects must be at least 1"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RefAgent,
     boundary_probe,
     cell_of,
     clamp_into,
@@ -23,6 +25,7 @@ from oracles import (
 from sweepsim.angles import TWO_PI
 from sweepsim.arena import ArenaSpec, CoverageGrid, edges_outside
 from sweepsim.world import (
+    HOLD,
     SPEED_EPS,
     AgentState,
     PoseTarget,
@@ -45,15 +48,27 @@ def make_agent(
     sampling=True,
     agent_id=0,
 ):
-    return AgentState(
+    """A mutable agent for the reference step functions."""
+    return RefAgent(
         id=agent_id,
         position=position,
         heading=heading,
         altitude=altitude,
         speed=speed,
         sampling_active=sampling,
-        rng=agent_stream(0, agent_id),
     )
+
+
+def spawn(position, heading=0.0, agent_id=0):
+    """A World's spawn record at the sampling altitude."""
+    return AgentState(
+        id=agent_id, position=position, heading=heading, altitude=1.5, rng=agent_stream(0, agent_id)
+    )
+
+
+def pose(world, i):
+    """Agent i's live position and heading, from the World's lists."""
+    return (world.xs[i], world.ys[i]), world.hs[i]
 
 
 class TestArenaSpec:
@@ -279,20 +294,54 @@ class TestStepLoop:
         with pytest.raises(ValueError, match=r"step length 0\.5 m .* cell size 0\.25 m"):
             World(ArenaSpec(cell_size=0.25), SimConfig(dt=0.5), [], ScriptedController([]))
 
+    @staticmethod
+    def assert_untouched(world):
+        # The count is checked before anything moves, is scored or advances.
+        assert [pose(world, i) for i in range(2)] == [((0.5, 0.5), 0.0)] * 2
+        assert world.cells == [-1, -1]
+        assert world.step_count == 0
+        assert world.grid.visited_count == 0
+        assert world.visit_events == []
+
     @pytest.mark.parametrize("n_moves", [1, 3])
     def test_wrong_number_of_moves_raises(self, n_moves):
-        agents = [make_agent((0.5, 0.5), agent_id=i) for i in range(2)]
+        agents = [spawn((0.5, 0.5), agent_id=i) for i in range(2)]
         world = World(ARENA, CFG, agents, ScriptedController([[Unicycle(1.0, 0.0)] * n_moves]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"commanded {n_moves} moves for 2 agents"):
             world.step()
+        self.assert_untouched(world)
 
     @pytest.mark.parametrize("n_positions", [1, 3])
     def test_wrong_number_of_positions_raises(self, n_positions):
-        agents = [make_agent((0.5, 0.5), agent_id=i) for i in range(2)]
+        agents = [spawn((0.5, 0.5), agent_id=i) for i in range(2)]
         command = PoseTarget([(0.5, 0.6)] * n_positions, 0.0, True)
         world = World(ARENA, CFG, agents, ScriptedController([command]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"commanded {n_positions} moves for 2 agents"):
             world.step()
+        self.assert_untouched(world)
+
+    @pytest.mark.parametrize("ids", [[0, 0], [1, 2], [0, 2], [1]], ids=str)
+    def test_spawn_ids_must_be_the_list_indices(self, ids):
+        # A list index is the agent id that visit_events and reactions report.
+        agents = [spawn((0.5, 0.5), agent_id=i) for i in ids]
+        with pytest.raises(ValueError, match="agent ids must be 0"):
+            World(ARENA, CFG, agents, ScriptedController([]))
+
+    def test_spawn_ids_in_any_order(self):
+        agents = [spawn((0.5 + i, 0.5), agent_id=i) for i in (2, 0, 1)]
+        world = World(ARENA, CFG, agents, ScriptedController([[HOLD] * 3]))
+        world.step()
+        assert world.xs == [0.5, 1.5, 2.5]
+        assert world.visit_events == [(0, 820), (1, 821), (2, 822)]
+
+    def test_spawn_record_is_frozen_and_the_live_pose_is_the_worlds(self):
+        agent = spawn((0.5, 0.5), heading=-math.pi / 2.0)
+        with pytest.raises(FrozenInstanceError):
+            agent.heading = 0.0
+        world = World(ARENA, CFG, [agent], ScriptedController([[Unicycle(1.0, 0.0)]]))
+        assert pose(world, 0) == ((0.5, 0.5), 1.5 * math.pi)  # wrapped once, on spawn
+        world.step()
+        assert pose(world, 0) == ((0.5, 0.4), 1.5 * math.pi)
 
     def test_two_agents_same_new_cell(self):
         a = make_agent((0.4, 0.5), agent_id=0)
@@ -351,9 +400,8 @@ def assert_step_matches_oracles(arena, start, heading, commands):
     World.step clamps every unicycle move, so the oracle path applies
     clamp_into after each command with a non-zero linear speed.
     """
-    fused = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
-    world = World(arena, CFG, [fused], ScriptedController([[c] for c in commands]))
-    manual = AgentState(id=0, position=start, heading=heading, altitude=1.5, rng=agent_stream(0, 0))
+    world = World(arena, CFG, [spawn(start, heading)], ScriptedController([[c] for c in commands]))
+    manual = RefAgent(id=0, position=start, heading=heading, altitude=1.5)
     grid = CoverageGrid(arena)
     clamps = 0
     for command in commands:
@@ -365,11 +413,11 @@ def assert_step_matches_oracles(arena, start, heading, commands):
             manual.position = clamped
         cell = record_visit(manual, grid, CFG)
         where = (arena.cell_size, start, world.step_count)
-        # pm_sense reads prev_cell, so it must be the oracle's cell too
-        assert fused.prev_cell == manual.prev_cell, where
-        assert fused.position == manual.position, where
-        assert fused.heading.hex() == manual.heading.hex(), where
-        assert fused.speed.hex() == manual.speed.hex(), where
+        # pm_sense reads the world's cells, so they must be the oracle's cells too
+        assert world.cells[0] == manual.prev_cell, where
+        (x, y), h = pose(world, 0)
+        assert (x, y) == manual.position, where
+        assert h.hex() == manual.heading.hex(), where
         assert world.visit_events == ([] if cell is None else [(0, flat_index(cell, arena))]), where
         assert world.grid.visits == grid.visits, where
         assert world.clamp_count == clamps, where
@@ -385,24 +433,22 @@ class TestContainment:
         ids=["east_edge", "south_west_corner"],
     )
     def test_move_out_of_the_arena_ends_on_the_edge(self, start, heading, end):
-        agent = make_agent(start, heading=heading)
-        world = World(ARENA, CFG, [agent], ScriptedController([[Unicycle(1.0, 0.0)]]))
+        world = World(ARENA, CFG, [spawn(start, heading)], ScriptedController([[Unicycle(1.0, 0.0)]]))
         world.step()
-        assert agent.position == end
+        assert pose(world, 0)[0] == end
         assert world.clamp_count == 1
         idx = flat_index(cell_of(end, ARENA), ARENA)
-        assert agent.prev_cell == idx
+        assert world.cells[0] == idx
         assert world.visit_events == [(0, idx)]
 
     def test_held_agent_outside_keeps_no_cell(self):
-        agent = make_agent((25.0, 0.5))
-        assert agent.prev_cell == -1  # a fresh agent has no cell
         commands = [[Unicycle(0.0, 0.0)], [Unicycle(0.0, 1.0)], [Unicycle(-0.0, 0.0)]]
-        world = World(ARENA, CFG, [agent], ScriptedController(commands))
+        world = World(ARENA, CFG, [spawn((25.0, 0.5))], ScriptedController(commands))
+        assert world.cells == [-1]  # no agent has a cell before step 1
         for _ in commands:
             world.step()
-            assert agent.prev_cell == -1
-            assert agent.position == (25.0, 0.5)
+            assert world.cells == [-1]
+            assert pose(world, 0)[0] == (25.0, 0.5)
             assert world.visit_events == []
         assert world.clamp_count == 0
 
@@ -520,16 +566,18 @@ def formation_script(draw):
     return arena, starts, altitudes, commands
 
 
-def agent_view(agent):
-    x, y = agent.position
-    return (
-        x.hex(),
-        y.hex(),
-        agent.heading.hex(),
-        agent.speed.hex(),
-        agent.sampling_active,
-        agent.prev_cell,
-    )
+def member_views(world):
+    """Each member's position, heading and cell, from World's lists."""
+    return [
+        (x.hex(), y.hex(), h.hex(), cell)
+        for x, y, h, cell in zip(world.xs, world.ys, world.hs, world.cells)
+    ]
+
+
+def reference_views(agents):
+    return [
+        (a.position[0].hex(), a.position[1].hex(), a.heading.hex(), a.prev_cell) for a in agents
+    ]
 
 
 class TestFormationStepEquivalence:
@@ -540,19 +588,20 @@ class TestFormationStepEquivalence:
         # reference places and scores one member at a time
         arena, starts, altitudes, commands = script
 
-        def members():
-            return [
-                AgentState(id=i, position=p, heading=0.0, altitude=alt)
-                for i, (p, alt) in enumerate(zip(starts, altitudes))
-            ]
-
-        world = World(arena, CFG, members(), ScriptedController(commands))
-        manual = members()
+        spawns = [
+            AgentState(id=i, position=p, heading=0.0, altitude=alt)
+            for i, (p, alt) in enumerate(zip(starts, altitudes))
+        ]
+        world = World(arena, CFG, spawns, ScriptedController(commands))
+        manual = [
+            RefAgent(id=i, position=p, heading=0.0, altitude=alt)
+            for i, (p, alt) in enumerate(zip(starts, altitudes))
+        ]
         grid = CoverageGrid(arena)
         for command in commands:
             world.step()
             events = pose_step_reference(manual, grid, CFG, command)
-            assert [agent_view(a) for a in world.agents] == [agent_view(a) for a in manual]
+            assert member_views(world) == reference_views(manual)
             assert world.visit_events == [(i, flat_index(cell, arena)) for i, cell in events]
             assert world.grid.visits == grid.visits
 
@@ -578,10 +627,9 @@ class TestWholeRuns:
         world = build_world(cfg, seed)
         record = world.run()
         (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
-        for agent in world.agents:
-            x, y = agent.position
+        for x, y, cell in zip(world.xs, world.ys, world.cells):
             assert minx <= x <= maxx and miny <= y <= maxy
-            assert agent.prev_cell == flat_index(cell_of(agent.position, arena), arena)
+            assert cell == flat_index(cell_of((x, y), arena), arena)
         assert world.clamp_count == 0
         assert world.grid.visited_count == sum(1 for count in world.grid.visits if count)
         assert (np.diff(record.coverage_fraction) >= 0.0).all()
