@@ -1,6 +1,6 @@
 """Deterministic multi-UAV sweep-coverage simulator and benchmark harness."""
 
-from .arena import ArenaSpec, CoverageGrid
+from .arena import ArenaSpec
 from .harness import (
     DECENTRALIZED,
     STRATEGIES,
@@ -17,7 +17,6 @@ from .world import AgentState, SimConfig, World, agent_stream, harness_stream
 __all__ = [
     "AgentState",
     "ArenaSpec",
-    "CoverageGrid",
     "DECENTRALIZED",
     "ExperimentConfig",
     "PlacementSpec",

@@ -1,7 +1,7 @@
-"""Square arena geometry and the coverage grid.
+"""Square arena geometry: the arena, its cells and its edges.
 
 The world is a convex square arena decomposed into unit cells; agents fly in
-continuous coordinates and the grid only scores them. A cell is named by
+continuous coordinates and World scores them by cell. A cell is named by
 its row-major index row * cols + col, with col along +x and row along +y
 from the minimum corner; -1 names no cell (outside the arena).
 """
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,9 +27,13 @@ class ArenaSpec:
     region_size: float = 10.0
 
     def __post_init__(self) -> None:
-        lengths = (self.side_length, self.cell_size, self.region_size)
-        if not all(math.isfinite(v) and v > 0 for v in lengths):
-            raise ValueError("side_length, cell_size and region_size must be positive and finite")
+        for name in ("side_length", "cell_size", "region_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # A non-finite centre puts no position inside the arena, so no cell is ever visited.
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if abs(round(self.side_length / self.cell_size) - self.side_length / self.cell_size) > 1e-9:
             raise ValueError("side_length must be an integer multiple of cell_size")
         if abs(round(self.side_length / self.region_size) - self.side_length / self.region_size) > 1e-9:
@@ -77,28 +79,3 @@ def edges_outside(position: tuple[float, float], arena: ArenaSpec) -> list[tuple
     """(inward normal, excess) for every edge the position lies beyond."""
     dists = edge_distances(position[0], position[1], arena)
     return [(EDGE_NORMALS[i], -dists[i]) for i in range(4) if dists[i] < 0.0]
-
-
-class CoverageGrid:
-    """Per-cell visit counts, row-major, with a cached covered-cell tally."""
-
-    def __init__(self, arena: ArenaSpec):
-        self.arena = arena
-        self.visits: list[int] = [0] * arena.cell_count
-        self.visited_count = 0
-
-    def record(self, idx: int) -> None:
-        """Add one visit to the cell at flat index idx."""
-        count = self.visits[idx]
-        self.visits[idx] = count + 1
-        if count == 0:
-            self.visited_count += 1
-
-    def is_complete(self) -> bool:
-        return self.visited_count == self.arena.cell_count
-
-    def coverage_fraction(self) -> float:
-        return self.visited_count / self.arena.cell_count
-
-    def counts_array(self) -> np.ndarray:
-        return np.asarray(self.visits, dtype=np.int64)

@@ -63,7 +63,11 @@ class LdrParams:
         # The range is only ever squared, so a negative one would act as its magnitude.
         if not (math.isfinite(self.comm_range) and self.comm_range > 0):
             raise ValueError("comm_range must be positive and finite")
-        if self.density_threshold < 1:
+        # Compared with a neighbour count, 2.5 acts as 3 and True as 1.
+        threshold = self.density_threshold
+        if not isinstance(threshold, int) or isinstance(threshold, bool):
+            raise ValueError(f"density_threshold must be an integer, got {threshold!r}")
+        if threshold < 1:
             raise ValueError("density_threshold must be at least 1")
         if self.post_reaction_suppression < 0 or self.post_avoidance_suppression < 0:
             raise ValueError("suppression windows must be non-negative")

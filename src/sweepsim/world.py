@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .arena import ArenaSpec, CoverageGrid
+from .arena import ArenaSpec
 from .metrics import RunRecord
 
 if TYPE_CHECKING:
@@ -45,21 +45,20 @@ class SimConfig:
     turn_rate_default: float = math.pi / 6.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
+        # At a turn rate of zero no in-place turn would ever end, freezing every reacting agent.
+        for name in ("dt", "target_sampling_velocity", "turn_rate_default"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
             raise ValueError("max_steps must be an integer")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         # A nan altitude never equals itself, so no sampler would ever score a visit.
         for name in ("sampling_altitude", "supervisory_altitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not (math.isfinite(self.target_sampling_velocity) and self.target_sampling_velocity > 0):
-            raise ValueError("target_sampling_velocity must be positive and finite")
-        # At a rate of zero no in-place turn ever ends, so every reacting agent freezes.
-        if not (math.isfinite(self.turn_rate_default) and self.turn_rate_default > 0):
-            raise ValueError("turn_rate_default must be positive and finite")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
@@ -143,12 +142,13 @@ class Controller(Protocol):
 
 
 class World:
-    """One seeded run: the swarm's live pose, the grid, the controller, and the step loop.
+    """One seeded run: the swarm's live pose and coverage record, and the step loop.
 
     agents is the spawn list; its ids must be 0..n-1, so a list index is the
     agent id. The live pose is xs, ys, hs (in [0, 2 pi)) and cells, each
     agent's last flat cell index (-1 before step 1 and outside the arena).
     samplers marks the agents at the sampling altitude, which never changes.
+    visits counts visits per flat cell index; visited_count, its non-zero cells.
     """
 
     def __init__(
@@ -167,7 +167,8 @@ class World:
         self.cells = [-1] * n
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
-        self.grid = CoverageGrid(arena)
+        self.visits = [0] * arena.cell_count
+        self.visited_count = 0
         self.pheromone = controller.pheromone
         self.step_count = 0
         self.clamp_count = 0
@@ -187,9 +188,10 @@ class World:
         one that would leave the arena ends on its edge and counts in
         clamp_count. This is the one place a position is mapped to a cell,
         its flat index (-1 outside), kept in cells and reported in
-        visit_events as (agent index, cell). After the first step, an agent
-        with zero linear speed only turns: its cell cannot change, so it is
-        neither mapped nor scored again.
+        visit_events as (agent index, cell); a visit counts in visits, and a
+        first visit in visited_count at once, so a later raise leaves them
+        agreeing. After the first step, an agent with zero linear speed only
+        turns: its cell cannot change, so it is neither mapped nor scored again.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -203,7 +205,7 @@ class World:
             moves = moves.positions
         if len(moves) != len(xs):
             raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
-        grid = self.grid
+        visits = self.visits
         arena = self.arena
         cols = arena.cols
         cell_size = arena.cell_size
@@ -257,28 +259,32 @@ class World:
             if cell != cells[i]:
                 cells[i] = cell
                 if cell >= 0 and sampling and samplers[i] and speed <= speed_cap:
-                    grid.record(cell)
+                    count = visits[cell]
+                    visits[cell] = count + 1
+                    if count == 0:
+                        self.visited_count += 1
                     events.append((i, cell))
                     if pheromone is not None:
                         pheromone.deposit(cell, step_idx)
         self.visit_events = events
 
     def is_complete(self) -> bool:
-        return self.grid.is_complete()
+        return self.visited_count == self.arena.cell_count
 
     def run(self, on_step: Callable[["World"], None] | None = None) -> RunRecord:
         """Step until full coverage or the step budget runs out."""
+        cell_count = self.arena.cell_count
         coverage: list[float] = []
-        while not self.is_complete() and self.step_count < self.cfg.max_steps:
+        while self.visited_count < cell_count and self.step_count < self.cfg.max_steps:
             self.step()
-            coverage.append(self.grid.coverage_fraction())
+            coverage.append(self.visited_count / cell_count)
             if on_step is not None:
                 on_step(self)
-        cct = self.step_count if self.is_complete() else None
+        cct = self.step_count if self.visited_count == cell_count else None
         return RunRecord(
             strategy=self.controller.name,
             seed=self.cfg.seed,
             cct=cct,
             coverage_fraction=np.asarray(coverage, dtype=np.float64),
-            final_visits=self.grid.counts_array(),
+            final_visits=np.asarray(self.visits, dtype=np.int64),
         )

@@ -9,7 +9,8 @@ bounds-checked pheromone sense, one-cell and full pheromone-field reads,
 and decentralized placement as a dart-throwing loop. Cells are (col, row)
 tuples here, None for no cell; flat_index maps one to the row-major index
 the package uses, -1 for None. The reference step moves one RefAgent at a
-time, where World keeps the swarm's pose in per-swarm lists. Nothing in the
+time and counts its visits into a RefCoverage of its own, where World keeps
+the swarm's pose and coverage record in per-swarm lists. Nothing in the
 package uses them.
 """
 
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
-from sweepsim.arena import EDGE_NORMALS, ArenaSpec, CoverageGrid, edge_distances
+from sweepsim.arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.harness import PlacementSpec
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
@@ -151,16 +152,26 @@ def step_kinematics(agent: RefAgent, command: Unicycle, dt: float) -> None:
     agent.speed = v
 
 
-def record_visit(agent: RefAgent, grid: CoverageGrid, cfg: SimConfig) -> Cell | None:
+class RefCoverage:
+    """Reference coverage record: a visit count per flat cell index and the covered-cell tally."""
+
+    def __init__(self, arena: ArenaSpec):
+        self.arena = arena
+        self.visits = [0] * arena.cell_count
+        self.visited_count = 0
+
+
+def record_visit(agent: RefAgent, coverage: RefCoverage, cfg: SimConfig) -> Cell | None:
     """Score the cell the agent ended this step in, entry-gated.
 
     A visit requires entering a new cell (a fresh agent has none) inside the
     arena with sampling active, at sampling altitude, at or under the target
-    velocity. The agent keeps the cell's flat index as prev_cell. Returns
-    the credited cell, or None.
+    velocity; it adds one to the cell's count, and a first one to the tally.
+    The agent keeps the cell's flat index as prev_cell. Returns the credited
+    cell, or None.
     """
-    cell = cell_of(agent.position, grid.arena)
-    idx = flat_index(cell, grid.arena)
+    cell = cell_of(agent.position, coverage.arena)
+    idx = flat_index(cell, coverage.arena)
     entered = idx != agent.prev_cell
     agent.prev_cell = idx
     if (
@@ -170,13 +181,15 @@ def record_visit(agent: RefAgent, grid: CoverageGrid, cfg: SimConfig) -> Cell | 
         and agent.altitude == cfg.sampling_altitude
         and agent.speed <= cfg.target_sampling_velocity + SPEED_EPS
     ):
-        grid.record(idx)
+        if coverage.visits[idx] == 0:
+            coverage.visited_count += 1
+        coverage.visits[idx] += 1
         return cell
     return None
 
 
 def pose_step_reference(
-    agents: Sequence[RefAgent], grid: CoverageGrid, cfg: SimConfig, command: PoseTarget
+    agents: Sequence[RefAgent], coverage: RefCoverage, cfg: SimConfig, command: PoseTarget
 ) -> list[tuple[int, Cell]]:
     """World.step for a formation command, one pose target per member.
 
@@ -192,7 +205,7 @@ def pose_step_reference(
         agent.position = (x, y)
         agent.heading = wrap_angle(command.heading)
         agent.speed = math.hypot(x - px, y - py) / cfg.dt
-        cell = record_visit(agent, grid, cfg)
+        cell = record_visit(agent, coverage, cfg)
         if cell is not None:
             events.append((agent.id, cell))
     return events

@@ -612,6 +612,9 @@ class TestRejectsWhatItCannotRun:
             ),
             (lambda: RbParams(short_range=2.5), "short_range"),
             (lambda: replace(LDR_RANDOM, density_threshold=0), "density_threshold"),
+            # 2.5 acted as 3 and True as 1
+            (lambda: replace(LDR_RANDOM, density_threshold=2.5), "density_threshold must be an integer"),
+            (lambda: replace(LDR_RANDOM, density_threshold=True), "density_threshold must be an integer"),
             (lambda: replace(LDR_RANDOM, post_reaction_suppression=-1), "suppression windows"),
             (lambda: replace(LDR_RANDOM, post_avoidance_suppression=-1), "suppression windows"),
             (lambda: replace(LDR_REPULSIVE, comm_range=-10.0), "comm_range"),
@@ -767,7 +770,7 @@ class TestPairwiseScan:
         world = build_world(cfg, seed=1)
         world.run()
         assert world.step_count == 300
-        assert sum(world.grid.visits) == self.SMALL_SWARM_VISITS[n_uavs][strategy]
+        assert sum(world.visits) == self.SMALL_SWARM_VISITS[n_uavs][strategy]
 
 
 # Whole runs whose every step is checked against the reference scan: the

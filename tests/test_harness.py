@@ -190,6 +190,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             SimConfig(**{option: value})
 
+    @pytest.mark.parametrize(
+        "option",
+        ["dt", "target_sampling_velocity", "turn_rate_default", "sampling_altitude", "supervisory_altitude"],
+    )
+    def test_sim_bool_rejected(self, option):
+        # dt=True ran an rb run to completion at 1 s steps
+        with pytest.raises(ValueError, match=f"{option} must be .*finite, got True"):
+            SimConfig(**{option: True})
+
     @pytest.mark.parametrize("value", [0.0, -0.0, -math.pi / 6.0])
     def test_turn_rate_not_positive_rejected(self, value):
         # no in-place turn could ever end

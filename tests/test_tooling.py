@@ -1,10 +1,13 @@
-"""The suite's pytest configuration: a failing test is reported, not turned into an abort."""
+"""Tooling: the suite's pytest configuration reports a failing test rather than aborting,
+and the package's public names resolve."""
 
 from __future__ import annotations
 
 import subprocess
 import sys
 from pathlib import Path
+
+import sweepsim
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,3 +37,8 @@ def test_failing_hypothesis_test_leaves_the_rest_of_the_session_running(tmp_path
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_every_public_name_resolves():
+    # from sweepsim import * fails on any name in __all__ the package lacks
+    assert [name for name in sweepsim.__all__ if not hasattr(sweepsim, name)] == []

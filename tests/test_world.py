@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     RefAgent,
+    RefCoverage,
     boundary_probe,
     cell_of,
     clamp_into,
@@ -23,7 +24,7 @@ from oracles import (
     step_kinematics,
 )
 from sweepsim.angles import TWO_PI
-from sweepsim.arena import ArenaSpec, CoverageGrid, edges_outside
+from sweepsim.arena import ArenaSpec, edges_outside
 from sweepsim.world import (
     HOLD,
     SPEED_EPS,
@@ -90,6 +91,21 @@ class TestArenaSpec:
     def test_non_finite_lengths_rejected(self, length, value):
         with pytest.raises(ValueError, match="positive and finite"):
             ArenaSpec(**{length: value})
+
+    @pytest.mark.parametrize("length", ["side_length", "cell_size", "region_size"])
+    def test_bool_lengths_rejected(self, length):
+        # True acted as 1.0; regions of 1 m leave the bool the only fault
+        with pytest.raises(ValueError, match=f"{length} must be positive and finite, got True"):
+            ArenaSpec(**{"region_size": 1.0, length: True})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_center_rejected(self, axis, value):
+        # a nan centre failed rb placement as infeasible and gave sons_rw no visit
+        center = [0.0, 0.0]
+        center[axis] = value
+        with pytest.raises(ValueError, match="center must be finite"):
+            ArenaSpec(center=tuple(center))
 
 
 class TestCellOf:
@@ -197,54 +213,54 @@ class TestBoundaryProbe:
 
 class TestRecordVisit:
     def test_sampling_agent_credits_cell(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5))
-        assert record_visit(agent, grid, CFG) == (20, 20)
-        assert grid.visited_count == 1
+        assert record_visit(agent, coverage, CFG) == (20, 20)
+        assert coverage.visited_count == 1
 
     def test_supervisor_altitude_never_credits(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5), altitude=4.0)
-        assert record_visit(agent, grid, CFG) is None
-        assert grid.visited_count == 0
+        assert record_visit(agent, coverage, CFG) is None
+        assert coverage.visited_count == 0
 
     def test_overspeed_never_credits(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5), speed=1.2)
-        assert record_visit(agent, grid, CFG) is None
+        assert record_visit(agent, coverage, CFG) is None
 
     def test_speed_epsilon_guard(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5), speed=1.0 + SPEED_EPS / 2)
-        assert record_visit(agent, grid, CFG) is not None
+        assert record_visit(agent, coverage, CFG) is not None
 
     def test_sampling_inactive_never_credits(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5), sampling=False)
-        assert record_visit(agent, grid, CFG) is None
+        assert record_visit(agent, coverage, CFG) is None
 
     def test_outside_never_credits(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((30.0, 0.5))
-        assert record_visit(agent, grid, CFG) is None
+        assert record_visit(agent, coverage, CFG) is None
 
     def test_no_recredit_without_entry(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5))
-        assert record_visit(agent, grid, CFG) is not None
+        assert record_visit(agent, coverage, CFG) is not None
         # same cell next step: no new credit
-        assert record_visit(agent, grid, CFG) is None
-        assert grid.visits[flat_index((20, 20), ARENA)] == 1
+        assert record_visit(agent, coverage, CFG) is None
+        assert coverage.visits[flat_index((20, 20), ARENA)] == 1
 
     def test_reentry_credits_again(self):
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         agent = make_agent((0.5, 0.5))
-        record_visit(agent, grid, CFG)
+        record_visit(agent, coverage, CFG)
         agent.position = (1.5, 0.5)
-        record_visit(agent, grid, CFG)
+        record_visit(agent, coverage, CFG)
         agent.position = (0.5, 0.5)
-        record_visit(agent, grid, CFG)
-        assert grid.visits[flat_index((20, 20), ARENA)] == 2
+        record_visit(agent, coverage, CFG)
+        assert coverage.visits[flat_index((20, 20), ARENA)] == 2
 
 
 class TestNeighbors:
@@ -285,7 +301,7 @@ class TestStepLoop:
         world = World(ARENA, CFG, [], ScriptedController([[]]))
         world.step()
         assert world.step_count == 1
-        assert world.grid.visited_count == 0
+        assert world.visited_count == 0
 
     def test_step_longer_than_cell_rejected(self):
         # a World built by hand checks the step length, not only ExperimentConfig
@@ -300,7 +316,7 @@ class TestStepLoop:
         assert [pose(world, i) for i in range(2)] == [((0.5, 0.5), 0.0)] * 2
         assert world.cells == [-1, -1]
         assert world.step_count == 0
-        assert world.grid.visited_count == 0
+        assert world.visited_count == 0
         assert world.visit_events == []
 
     @pytest.mark.parametrize("n_moves", [1, 3])
@@ -327,6 +343,16 @@ class TestStepLoop:
         with pytest.raises(ValueError, match="agent ids must be 0"):
             World(ARENA, CFG, agents, ScriptedController([]))
 
+    def test_tally_agrees_with_the_counts_after_a_raise(self):
+        # Agent 0 scores a first visit before agent 1's negative speed raises.
+        agents = [spawn((0.5, 0.5), agent_id=0), spawn((5.5, 0.5), agent_id=1)]
+        command = [Unicycle(1.0, 0.0), Unicycle(-1.0, 0.0)]
+        world = World(ARENA, CFG, agents, ScriptedController([command]))
+        with pytest.raises(ValueError, match="linear_speed must be non-negative"):
+            world.step()
+        assert world.visits[820] == 1
+        assert world.visited_count == sum(1 for c in world.visits if c)
+
     def test_spawn_ids_in_any_order(self):
         agents = [spawn((0.5 + i, 0.5), agent_id=i) for i in (2, 0, 1)]
         world = World(ARENA, CFG, agents, ScriptedController([[HOLD] * 3]))
@@ -346,12 +372,12 @@ class TestStepLoop:
     def test_two_agents_same_new_cell(self):
         a = make_agent((0.4, 0.5), agent_id=0)
         b = make_agent((0.6, 0.5), agent_id=1)
-        grid = CoverageGrid(ARENA)
+        coverage = RefCoverage(ARENA)
         for agent in (a, b):
-            cell = record_visit(agent, grid, CFG)
+            cell = record_visit(agent, coverage, CFG)
             assert cell == (20, 20)
-        assert grid.visits[flat_index((20, 20), ARENA)] == 2
-        assert grid.visited_count == 1
+        assert coverage.visits[flat_index((20, 20), ARENA)] == 2
+        assert coverage.visited_count == 1
 
     def test_visit_counts_monotonic(self):
         from sweepsim import ExperimentConfig, build_world
@@ -362,10 +388,10 @@ class TestStepLoop:
         prev_count = 0
         for _ in range(300):
             world.step()
-            counts = world.grid.counts_array()
+            counts = np.asarray(world.visits, dtype=np.int64)
             assert (counts >= prev).all()
-            assert world.grid.visited_count >= prev_count
-            prev, prev_count = counts, world.grid.visited_count
+            assert world.visited_count >= prev_count
+            prev, prev_count = counts, world.visited_count
 
     def test_visited_count_cache_consistent(self):
         from sweepsim import ExperimentConfig, build_world
@@ -374,8 +400,8 @@ class TestStepLoop:
         world = build_world(cfg, seed=7)
         for _ in range(200):
             world.step()
-        counts = world.grid.counts_array()
-        assert world.grid.visited_count == int((counts >= 1).sum())
+        counts = np.asarray(world.visits, dtype=np.int64)
+        assert world.visited_count == int((counts >= 1).sum())
 
 
 class ScriptedController:
@@ -402,7 +428,7 @@ def assert_step_matches_oracles(arena, start, heading, commands):
     """
     world = World(arena, CFG, [spawn(start, heading)], ScriptedController([[c] for c in commands]))
     manual = RefAgent(id=0, position=start, heading=heading, altitude=1.5)
-    grid = CoverageGrid(arena)
+    coverage = RefCoverage(arena)
     clamps = 0
     for command in commands:
         world.step()
@@ -411,7 +437,7 @@ def assert_step_matches_oracles(arena, start, heading, commands):
             clamped = clamp_into(manual.position, arena)
             clamps += clamped != manual.position
             manual.position = clamped
-        cell = record_visit(manual, grid, CFG)
+        cell = record_visit(manual, coverage, CFG)
         where = (arena.cell_size, start, world.step_count)
         # pm_sense reads the world's cells, so they must be the oracle's cells too
         assert world.cells[0] == manual.prev_cell, where
@@ -419,9 +445,9 @@ def assert_step_matches_oracles(arena, start, heading, commands):
         assert (x, y) == manual.position, where
         assert h.hex() == manual.heading.hex(), where
         assert world.visit_events == ([] if cell is None else [(0, flat_index(cell, arena))]), where
-        assert world.grid.visits == grid.visits, where
+        assert world.visits == coverage.visits, where
         assert world.clamp_count == clamps, where
-    assert world.grid.visited_count == grid.visited_count
+    assert world.visited_count == coverage.visited_count
 
 
 class TestContainment:
@@ -597,13 +623,13 @@ class TestFormationStepEquivalence:
             RefAgent(id=i, position=p, heading=0.0, altitude=alt)
             for i, (p, alt) in enumerate(zip(starts, altitudes))
         ]
-        grid = CoverageGrid(arena)
+        coverage = RefCoverage(arena)
         for command in commands:
             world.step()
-            events = pose_step_reference(manual, grid, CFG, command)
+            events = pose_step_reference(manual, coverage, CFG, command)
             assert member_views(world) == reference_views(manual)
             assert world.visit_events == [(i, flat_index(cell, arena)) for i, cell in events]
-            assert world.grid.visits == grid.visits
+            assert world.visits == coverage.visits
 
 
 class TestWholeRuns:
@@ -631,7 +657,7 @@ class TestWholeRuns:
             assert minx <= x <= maxx and miny <= y <= maxy
             assert cell == flat_index(cell_of((x, y), arena), arena)
         assert world.clamp_count == 0
-        assert world.grid.visited_count == sum(1 for count in world.grid.visits if count)
+        assert world.visited_count == sum(1 for count in world.visits if count)
         assert (np.diff(record.coverage_fraction) >= 0.0).all()
 
 
