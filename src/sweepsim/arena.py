@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .checks import positive_finite
+
 
 @dataclass(frozen=True)
 class ArenaSpec:
@@ -27,10 +29,7 @@ class ArenaSpec:
     region_size: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("side_length", "cell_size", "region_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        positive_finite(self, "side_length", "cell_size", "region_size")
         # A non-finite centre puts no position inside the arena, so no cell is ever visited.
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")

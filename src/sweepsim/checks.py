@@ -1,0 +1,28 @@
+"""The rules every numeric configuration field is checked by.
+
+Each config record passes its numeric fields through these in
+__post_init__. A bool is never a number (True would act as 1), and a
+breach raises ValueError reading "<field> must be <rule>, got <value>".
+"""
+
+import math
+
+
+def _check(record, names, rule: str, ok) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def positive_finite(record, *names: str) -> None:
+    _check(record, names, "positive and finite", lambda v: math.isfinite(v) and v > 0)
+
+
+def finite(record, *names: str) -> None:
+    _check(record, names, "finite", math.isfinite)
+
+
+def integer_at_least(record, floor: int, *names: str) -> None:
+    _check(record, names, "an integer", lambda v: isinstance(v, int))
+    _check(record, names, "non-negative" if floor == 0 else f"at least {floor}", lambda v: v >= floor)

@@ -27,6 +27,7 @@ from .angles import (
     wrap_pi,
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
+from .checks import integer_at_least, positive_finite
 from .world import HOLD, Unicycle, World
 
 
@@ -44,6 +45,8 @@ class RbParams:
     medium_turn: tuple[float, float] = (math.radians(5.0), math.radians(70.0))
 
     def __post_init__(self) -> None:
+        positive_finite(self, "boundary_trigger", "reciprocal_exclusion", "short_range")
+        positive_finite(self, "short_fov", "medium_range", "medium_fov")
         if not self.short_range < self.medium_range:
             raise ValueError("short_range must be below medium_range")
 
@@ -61,16 +64,10 @@ class LdrParams:
 
     def __post_init__(self) -> None:
         # The range is only ever squared, so a negative one would act as its magnitude.
-        if not (math.isfinite(self.comm_range) and self.comm_range > 0):
-            raise ValueError("comm_range must be positive and finite")
+        positive_finite(self, "comm_range")
         # Compared with a neighbour count, 2.5 acts as 3 and True as 1.
-        threshold = self.density_threshold
-        if not isinstance(threshold, int) or isinstance(threshold, bool):
-            raise ValueError(f"density_threshold must be an integer, got {threshold!r}")
-        if threshold < 1:
-            raise ValueError("density_threshold must be at least 1")
-        if self.post_reaction_suppression < 0 or self.post_avoidance_suppression < 0:
-            raise ValueError("suppression windows must be non-negative")
+        integer_at_least(self, 1, "density_threshold")
+        integer_at_least(self, 0, "post_reaction_suppression", "post_avoidance_suppression")
 
 
 LDR_RANDOM = LdrParams(comm_range=10.0, density_threshold=5, repulsive=False)
@@ -97,8 +94,8 @@ class PmParams:
     post_avoidance_suppression: int = 50
 
     def __post_init__(self) -> None:
-        if self.post_reaction_suppression < 0 or self.post_avoidance_suppression < 0:
-            raise ValueError("suppression windows must be non-negative")
+        positive_finite(self, "turn_angle")
+        integer_at_least(self, 0, "post_reaction_suppression", "post_avoidance_suppression")
 
 
 PM = PmParams()

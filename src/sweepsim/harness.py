@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .arena import ArenaSpec
+from .checks import integer_at_least, positive_finite
 from .decentralized import LDR_ADD_ON, make_controller
 from .metrics import (
     RunRecord,
@@ -42,18 +43,9 @@ class PlacementSpec:
     stall_rejects: int = 2_000  # consecutive rejects before scrapping the layout
 
     def __post_init__(self) -> None:
-        for name in ("width", "depth", "min_spacing"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("max_rejects", "stall_rejects"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.stall_rejects < 1:
-            raise ValueError(f"stall_rejects must be at least 1, got {self.stall_rejects!r}")
-        if self.max_rejects < 0:
-            raise ValueError(f"max_rejects must be non-negative, got {self.max_rejects!r}")
+        positive_finite(self, "width", "depth", "min_spacing")
+        integer_at_least(self, 0, "max_rejects")
+        integer_at_least(self, 1, "stall_rejects")
 
 
 _BLOCK = 1024  # candidates drawn from the stream at a time
@@ -152,7 +144,7 @@ def place_decentralized(
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One strategy's batch: how many runs, where, and with what world."""
 
@@ -170,18 +162,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {self.strategy}")
-        for name in ("runs", "n_uavs", "jobs", "base_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.n_uavs < 1:
-            raise ValueError("n_uavs must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
+        integer_at_least(self, 1, "runs", "n_uavs", "jobs")
+        integer_at_least(self, 0, "base_seed")
+        if self.sim.seed != 0:
+            raise ValueError(f"sim.seed must be 0, got {self.sim.seed!r}; base_seed sets the run seeds")
         check_step_length(self.sim, self.arena)
 
     def split_roles(self) -> tuple[int, int]:

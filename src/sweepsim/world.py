@@ -17,6 +17,7 @@ import numpy as np
 
 from .angles import TWO_PI, wrap_angle
 from .arena import ArenaSpec
+from .checks import finite, integer_at_least, positive_finite
 from .metrics import RunRecord
 
 if TYPE_CHECKING:
@@ -25,7 +26,7 @@ if TYPE_CHECKING:
 SPEED_EPS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Step size, speed/altitude envelope, and the run-level seed.
 
@@ -46,19 +47,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # At a turn rate of zero no in-place turn would ever end, freezing every reacting agent.
-        for name in ("dt", "target_sampling_velocity", "turn_rate_default"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not isinstance(self.max_steps, int) or isinstance(self.max_steps, bool):
-            raise ValueError("max_steps must be an integer")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        positive_finite(self, "dt", "target_sampling_velocity", "turn_rate_default", "comm_range_max")
+        integer_at_least(self, 1, "max_steps")
+        integer_at_least(self, 0, "seed")
         # A nan altitude never equals itself, so no sampler would ever score a visit.
-        for name in ("sampling_altitude", "supervisory_altitude"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        finite(self, "sampling_altitude", "supervisory_altitude")
 
 
 def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
@@ -104,11 +97,15 @@ class AgentState:
     rng: np.random.Generator | None = None
 
 
-class Unicycle(NamedTuple):
-    """Turn-then-translate command integrated by the world."""
+class Unicycle(NamedTuple("Unicycle", [("linear_speed", float), ("angular_rate", float)])):
+    """Turn-then-translate command integrated by the world; a negative linear_speed raises here."""
 
-    linear_speed: float
-    angular_rate: float
+    __slots__ = ()
+
+    def __new__(cls, linear_speed: float, angular_rate: float):
+        if linear_speed < 0:
+            raise ValueError("linear_speed must be non-negative")
+        return tuple.__new__(cls, (linear_speed, angular_rate))
 
 
 class PoseTarget(NamedTuple):
@@ -224,8 +221,6 @@ class World:
                 hs[i] = heading
             else:
                 speed = motion.linear_speed
-                if speed < 0:
-                    raise ValueError("linear_speed must be non-negative")
                 h = hs[i] + motion.angular_rate * dt
                 if not 0.0 <= h < TWO_PI:
                     h = wrap_angle(h)

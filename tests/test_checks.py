@@ -1,0 +1,49 @@
+"""Every numeric field of every config record goes through a rule of sweepsim.checks."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields, replace
+
+import pytest
+
+from sweepsim.arena import ArenaSpec
+from sweepsim.decentralized import LDR_RANDOM, PM, RbParams
+from sweepsim.harness import ExperimentConfig, PlacementSpec
+from sweepsim.world import SimConfig
+
+RECORDS = [
+    SimConfig(),
+    ArenaSpec(),
+    PlacementSpec(),
+    ExperimentConfig("rb"),
+    RbParams(),
+    LDR_RANDOM,
+    PM,
+]
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+NUMERIC_FIELDS = [
+    pytest.param(record, f.name, id=f"{type(record).__name__}.{f.name}")
+    for record in RECORDS
+    for f in fields(record)
+    if is_number(getattr(record, f.name))
+]
+
+
+def test_every_record_has_numeric_fields():
+    assert {type(param.values[0]) for param in NUMERIC_FIELDS} == {type(r) for r in RECORDS}
+
+
+@pytest.mark.parametrize("record, name", NUMERIC_FIELDS)
+def test_numeric_field_goes_through_a_rule(record, name):
+    # A field added without a rule fails here: True would act as 1, and nan
+    # or 2.5 would run silently.
+    bad = math.nan if isinstance(getattr(record, name), float) else 2.5
+    for value in (True, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+            replace(record, **{name: value})

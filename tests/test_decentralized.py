@@ -28,6 +28,7 @@ from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
     LDR_RANDOM,
     LDR_REPULSIVE,
+    PM,
     CommRows,
     DecentralizedController,
     PheromoneField,
@@ -615,19 +616,29 @@ class TestRejectsWhatItCannotRun:
             # 2.5 acted as 3 and True as 1
             (lambda: replace(LDR_RANDOM, density_threshold=2.5), "density_threshold must be an integer"),
             (lambda: replace(LDR_RANDOM, density_threshold=True), "density_threshold must be an integer"),
-            (lambda: replace(LDR_RANDOM, post_reaction_suppression=-1), "suppression windows"),
-            (lambda: replace(LDR_RANDOM, post_avoidance_suppression=-1), "suppression windows"),
+            (lambda: replace(LDR_RANDOM, post_reaction_suppression=-1), "post_reaction_suppression must be non-negative"),
+            (lambda: replace(LDR_RANDOM, post_avoidance_suppression=-1), "post_avoidance_suppression must be non-negative"),
             (lambda: replace(LDR_REPULSIVE, comm_range=-10.0), "comm_range"),
             (lambda: replace(LDR_REPULSIVE, comm_range=0.0), "comm_range"),
             (lambda: replace(LDR_RANDOM, comm_range=math.nan), "comm_range"),
             (lambda: replace(LDR_RANDOM, comm_range=math.inf), "comm_range"),
-            (lambda: PmParams(post_reaction_suppression=-1), "suppression windows"),
-            (lambda: PmParams(post_avoidance_suppression=-1), "suppression windows"),
+            # True acted as a 1 m range
+            (lambda: replace(LDR_RANDOM, comm_range=True), "comm_range must be positive and finite, got True"),
+            (lambda: PmParams(post_reaction_suppression=-1), "post_reaction_suppression must be non-negative"),
+            (lambda: PmParams(post_avoidance_suppression=-1), "post_avoidance_suppression must be non-negative"),
         ],
     )
     def test_raises_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True])
+    @pytest.mark.parametrize("window", ["post_reaction_suppression", "post_avoidance_suppression"])
+    @pytest.mark.parametrize("add_on", [LDR_RANDOM, PM], ids=["ldr", "pm"])
+    def test_quiet_windows_are_integers(self, add_on, window, value):
+        # A nan window switched an agent's add-on off after its first turn.
+        with pytest.raises(ValueError, match=f"{window} must be an integer, got {value!r}"):
+            replace(add_on, **{window: value})
 
 
 class TestPmRunState:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,32 @@ class TestExperimentConfig:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sweepsim.__file__).parent.parent)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize(
+        "value, rule", [(-1, "non-negative"), (1.5, "an integer"), (True, "an integer")]
+    )
+    def test_sim_seed_is_a_non_negative_integer(self, value, rule):
+        # -1 failed only inside SeedSequence when a World was built; 1.5 and True were accepted
+        with pytest.raises(ValueError, match=f"seed must be {rule}, got {value!r}"):
+            SimConfig(seed=value)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, True])
+    def test_comm_range_max_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match=f"comm_range_max must be positive and finite, got {value!r}"):
+            SimConfig(comm_range_max=value)
+
+    def test_sim_seed_other_than_zero_rejected(self):
+        # build_world replaces it with base_seed + i, so seed 99 ran seed 1 without a word
+        with pytest.raises(ValueError, match="sim.seed must be 0, got 99; base_seed sets"):
+            ExperimentConfig(strategy="rb", runs=1, sim=SimConfig(seed=99))
+
+    def test_configs_are_frozen(self):
+        # a check then holds for the object's whole life
+        with pytest.raises(FrozenInstanceError):
+            SimConfig().dt = -1.0
+        with pytest.raises(FrozenInstanceError):
+            ExperimentConfig(strategy="rb").runs = 0
+        assert replace(SimConfig(), dt=0.05).dt == 0.05
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="base_seed must be non-negative"):

@@ -343,15 +343,21 @@ class TestStepLoop:
         with pytest.raises(ValueError, match="agent ids must be 0"):
             World(ARENA, CFG, agents, ScriptedController([]))
 
-    def test_tally_agrees_with_the_counts_after_a_raise(self):
-        # Agent 0 scores a first visit before agent 1's negative speed raises.
-        agents = [spawn((0.5, 0.5), agent_id=0), spawn((5.5, 0.5), agent_id=1)]
-        command = [Unicycle(1.0, 0.0), Unicycle(-1.0, 0.0)]
-        world = World(ARENA, CFG, agents, ScriptedController([command]))
+    def test_negative_speed_raises_when_the_command_is_built(self):
+        with pytest.raises(ValueError, match="linear_speed must be non-negative"):
+            Unicycle(-1.0, 0.0)
+
+    def test_negative_speed_raises_before_the_world_changes(self):
+        # Agent 0 used to move and score before agent 1's negative speed raised.
+        class Reverses(ScriptedController):
+            def decide(self, world):
+                return [Unicycle(1.0, 0.0), Unicycle(-1.0, 0.0)]
+
+        agents = [spawn((0.5, 0.5), agent_id=i) for i in range(2)]
+        world = World(ARENA, CFG, agents, Reverses([]))
         with pytest.raises(ValueError, match="linear_speed must be non-negative"):
             world.step()
-        assert world.visits[820] == 1
-        assert world.visited_count == sum(1 for c in world.visits if c)
+        self.assert_untouched(world)
 
     def test_spawn_ids_in_any_order(self):
         agents = [spawn((0.5 + i, 0.5), agent_id=i) for i in (2, 0, 1)]
