@@ -8,11 +8,10 @@ from the minimum corner; -1 names no cell (outside the arena).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .checks import positive_finite
+from .checks import finite_point, positive_finite
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,7 @@ class ArenaSpec:
     def __post_init__(self) -> None:
         positive_finite(self, "side_length", "cell_size", "region_size")
         # A non-finite centre puts no position inside the arena, so no cell is ever visited.
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError(f"center must be finite, got {self.center!r}")
+        finite_point(self, "center")
         if abs(round(self.side_length / self.cell_size) - self.side_length / self.cell_size) > 1e-9:
             raise ValueError("side_length must be an integer multiple of cell_size")
         if abs(round(self.side_length / self.region_size) - self.side_length / self.region_size) > 1e-9:

@@ -11,7 +11,11 @@ import math
 def _check(record, names, rule: str, ok) -> None:
     for name in names:
         value = getattr(record, name)
-        if isinstance(value, bool) or not ok(value):
+        try:
+            good = not isinstance(value, bool) and ok(value)
+        except TypeError:  # not a number at all, such as a string or None
+            good = False
+        if not good:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -21,6 +25,10 @@ def positive_finite(record, *names: str) -> None:
 
 def finite(record, *names: str) -> None:
     _check(record, names, "finite", math.isfinite)
+
+
+def finite_point(record, *names: str) -> None:
+    _check(record, names, "a finite (x, y) pair", lambda p: len(p) == 2 and all(map(math.isfinite, p)))
 
 
 def integer_at_least(record, floor: int, *names: str) -> None:

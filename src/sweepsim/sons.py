@@ -273,8 +273,8 @@ class SonsRwController(SonsController):
         cfg = world.cfg
         dt = cfg.dt
         outside = edges_outside(self.brain_pos, world.arena)
-        depth = math.hypot(*(excess for _, excess in outside))
-        exceeded = frozenset(n for n, _ in outside)
+        depth = math.hypot(*(excess for _, excess in outside)) if outside else 0.0
+        exceeded = frozenset(n for n, _ in outside) if outside else frozenset()
         if not self.armed and (depth < self.prev_depth - 1e-15 or not exceeded <= self.fired_edges):
             self.armed = True
         sampling = True

@@ -107,6 +107,9 @@ class Unicycle(NamedTuple("Unicycle", [("linear_speed", float), ("angular_rate",
             raise ValueError("linear_speed must be non-negative")
         return tuple.__new__(cls, (linear_speed, angular_rate))
 
+    # namedtuple's _make, which _replace calls too, would skip __new__ and its check.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
 
 class PoseTarget(NamedTuple):
     """Direct pose assignment for a whole servo-perfect formation.
@@ -180,15 +183,14 @@ class World:
         heading from the PoseTarget), and the cell it ends the step in is
         scored with entry semantics: a visit needs a new cell inside the
         arena, sampling on (unicycle moves always sample), the sampling
-        altitude, and a speed of at most the target velocity: the commanded
-        one, or the distance jumped over dt. Every unicycle move is clamped:
-        one that would leave the arena ends on its edge and counts in
-        clamp_count. This is the one place a position is mapped to a cell,
-        its flat index (-1 outside), kept in cells and reported in
-        visit_events as (agent index, cell); a visit counts in visits, and a
-        first visit in visited_count at once, so a later raise leaves them
-        agreeing. After the first step, an agent with zero linear speed only
-        turns: its cell cannot change, so it is neither mapped nor scored again.
+        altitude, and then a speed of at most the target velocity: the
+        commanded one, or the jump over dt, computed only at that point.
+        A unicycle move that would leave the arena ends on its edge and
+        counts in clamp_count. Only here is a position mapped to a cell (its
+        flat index, -1 outside), kept in cells and reported in visit_events
+        as (agent, cell); visits and visited_count count each visit at once,
+        so a later raise leaves them agreeing. After step 1 a zero-speed
+        agent only turns, and its unchanged cell is not mapped or scored.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -217,7 +219,6 @@ class World:
         for i, motion in enumerate(moves):
             if formation:
                 x, y = motion
-                speed = math.hypot(x - xs[i], y - ys[i]) / dt
                 hs[i] = heading
             else:
                 speed = motion.linear_speed
@@ -239,8 +240,6 @@ class World:
                         x = minx if x < minx else (maxx if x > maxx else x)
                         y = miny if y < miny else (maxy if y > maxy else y)
                         self.clamp_count += 1
-            xs[i] = x
-            ys[i] = y
             if minx <= x <= maxx and miny <= y <= maxy:
                 col = int((x - minx) / cell_size)
                 row = int((y - miny) / cell_size)
@@ -253,14 +252,19 @@ class World:
                 cell = -1
             if cell != cells[i]:
                 cells[i] = cell
-                if cell >= 0 and sampling and samplers[i] and speed <= speed_cap:
-                    count = visits[cell]
-                    visits[cell] = count + 1
-                    if count == 0:
-                        self.visited_count += 1
-                    events.append((i, cell))
-                    if pheromone is not None:
-                        pheromone.deposit(cell, step_idx)
+                if cell >= 0 and sampling and samplers[i]:
+                    if formation:  # xs[i], ys[i] still hold the pose before this step
+                        speed = math.hypot(x - xs[i], y - ys[i]) / dt
+                    if speed <= speed_cap:
+                        count = visits[cell]
+                        visits[cell] = count + 1
+                        if count == 0:
+                            self.visited_count += 1
+                        events.append((i, cell))
+                        if pheromone is not None:
+                            pheromone.deposit(cell, step_idx)
+            xs[i] = x
+            ys[i] = y
         self.visit_events = events
 
     def is_complete(self) -> bool:

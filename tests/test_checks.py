@@ -42,8 +42,25 @@ def test_every_record_has_numeric_fields():
 @pytest.mark.parametrize("record, name", NUMERIC_FIELDS)
 def test_numeric_field_goes_through_a_rule(record, name):
     # A field added without a rule fails here: True would act as 1, and nan
-    # or 2.5 would run silently.
+    # or 2.5 would run silently. A string or None raised a bare TypeError
+    # that named no field.
     bad = math.nan if isinstance(getattr(record, name), float) else 2.5
-    for value in (True, bad):
+    for value in (True, bad, "1", None):
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
             replace(record, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SimConfig(dt="0.1"), "dt must be positive and finite, got '0.1'"),
+        (lambda: SimConfig(dt=None), "dt must be positive and finite, got None"),
+        (lambda: ArenaSpec(center=("a", 0)), "center must be a finite (x, y) pair, got ('a', 0)"),
+        (lambda: ArenaSpec(center=None), "center must be a finite (x, y) pair, got None"),
+        (lambda: ArenaSpec(center=(0.0, 0.0, 0.0)), "center must be a finite (x, y) pair, got (0.0, 0.0, 0.0)"),
+    ],
+)
+def test_bad_value_raises_the_standard_error(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message

@@ -8,8 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cw_distance, heading_vector
+from sweepsim import world as world_module
 from sweepsim.angles import ccw_distance
 from sweepsim.arena import ArenaSpec
 from sweepsim.harness import ExperimentConfig, build_world
@@ -170,6 +173,35 @@ def record_phase(phases):
     return lambda world: phases.append(world.controller.phase)
 
 
+def tiling_roster():
+    """(side, n_uavs) whose sampler count (n_uavs less its supervisors) divides side, at least 2."""
+
+    def samplers(n_uavs):
+        return ExperimentConfig("sons_bs", n_uavs=n_uavs).split_roles()[1]
+
+    def rosters(side):
+        # n_uavs keeps at least 4/5 of itself as samplers, so 2 * side is past every divisor.
+        return [n for n in range(3, 2 * side) if samplers(n) >= 2 and side % samplers(n) == 0]
+
+    return st.sampled_from([10, 20, 30, 40]).flatmap(
+        lambda side: st.tuples(st.just(side), st.sampled_from(rosters(side)))
+    )
+
+
+class CountingMath:
+    """Stands in for the math module and counts hypot calls."""
+
+    def __init__(self):
+        self.hypot_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def hypot(self, *coordinates):
+        self.hypot_calls += 1
+        return math.hypot(*coordinates)
+
+
 class TestBoustrophedon:
     def test_default_arena_every_cell_exactly_once(self):
         _, record = run_sons("sons_bs", seed=1)
@@ -208,6 +240,37 @@ class TestBoustrophedon:
         # every visit event belongs to a sampler
         assert record.final_visits.sum() == ARENA.cell_count
         assert world.agents[0].altitude == CFG.supervisory_altitude
+
+    @settings(max_examples=30, deadline=None)
+    @given(tiling_roster())
+    def test_tiling_strips_visit_every_cell_exactly_once(self, roster):
+        # TCU 0 whenever the strips tile the arena, not only at the defaults.
+        side, n_uavs = roster
+        arena = ArenaSpec(side_length=float(side), region_size=10.0)
+        config = ExperimentConfig(strategy="sons_bs", runs=1, n_uavs=n_uavs, arena=arena)
+        record = build_world(config, seed=1).run()
+        assert record.complete
+        assert record.final_visits.min() == 1 and record.final_visits.max() == 1
+
+    def test_jump_speed_computed_only_for_scoring_entries(self, monkeypatch):
+        # A member's jump speed is read only when a sampler enters a new cell
+        # with sampling on (always, for sons_bs); computing it for every
+        # member-step made one math.hypot call per member-step.
+        counting = CountingMath()
+        monkeypatch.setattr(world_module, "math", counting)
+        entries = 0
+        last = {}
+
+        def count_entries(world):
+            nonlocal entries
+            for i, cell in enumerate(world.cells):
+                if world.samplers[i] and cell >= 0 and cell != last.get(i, -1):
+                    entries += 1
+                last[i] = cell
+
+        world, _ = run_sons("sons_bs", seed=1, on_step=count_entries, max_steps=400)
+        assert 0 < counting.hypot_calls == entries
+        assert counting.hypot_calls < world.step_count * len(world.cells) / 5
 
 
 class AuditRW:

@@ -104,7 +104,7 @@ class TestArenaSpec:
         # a nan centre failed rb placement as infeasible and gave sons_rw no visit
         center = [0.0, 0.0]
         center[axis] = value
-        with pytest.raises(ValueError, match="center must be finite"):
+        with pytest.raises(ValueError, match=r"center must be a finite \(x, y\) pair"):
             ArenaSpec(center=tuple(center))
 
 
@@ -346,6 +346,17 @@ class TestStepLoop:
     def test_negative_speed_raises_when_the_command_is_built(self):
         with pytest.raises(ValueError, match="linear_speed must be non-negative"):
             Unicycle(-1.0, 0.0)
+
+    def test_negative_speed_raises_through_make(self):
+        # namedtuple's _make built the tuple without __new__'s sign check.
+        with pytest.raises(ValueError, match="linear_speed must be non-negative"):
+            Unicycle._make([-1.0, 0.0])
+        assert Unicycle._make([1.0, 0.5]) == Unicycle(1.0, 0.5)
+
+    def test_negative_speed_raises_through_replace(self):
+        with pytest.raises(ValueError, match="linear_speed must be non-negative"):
+            HOLD._replace(linear_speed=-2.0)
+        assert HOLD._replace(linear_speed=2.0) == Unicycle(2.0, 0.0)
 
     def test_negative_speed_raises_before_the_world_changes(self):
         # Agent 0 used to move and score before agent 1's negative speed raised.
