@@ -28,7 +28,8 @@ def finite(record, *names: str) -> None:
 
 
 def finite_point(record, *names: str) -> None:
-    _check(record, names, "a finite (x, y) pair", lambda p: len(p) == 2 and all(map(math.isfinite, p)))
+    _check(record, names, "a finite (x, y) pair",
+           lambda p: len(p) == 2 and all(not isinstance(v, bool) and math.isfinite(v) for v in p))
 
 
 def integer_at_least(record, floor: int, *names: str) -> None:

@@ -99,8 +99,7 @@ class SonsController:
         self.brain_heading = brain_heading
 
     def _emit(self, sampling_active: bool) -> PoseTarget:
-        positions = follow_formation(self.brain_pos, self.brain_heading, self.formation)
-        return PoseTarget(positions, self.brain_heading, sampling_active)
+        return PoseTarget(self.brain_pos, self.brain_heading, self.formation.offsets, sampling_active)
 
 
 class SonsBsController(SonsController):

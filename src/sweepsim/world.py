@@ -98,13 +98,15 @@ class AgentState:
 
 
 class Unicycle(NamedTuple("Unicycle", [("linear_speed", float), ("angular_rate", float)])):
-    """Turn-then-translate command integrated by the world; a negative linear_speed raises here."""
+    """Turn-then-translate command integrated by the world; a negative or non-finite value raises here."""
 
     __slots__ = ()
 
     def __new__(cls, linear_speed: float, angular_rate: float):
-        if linear_speed < 0:
-            raise ValueError("linear_speed must be non-negative")
+        if not 0.0 <= linear_speed < math.inf:
+            raise ValueError(f"linear_speed must be non-negative and finite, got {linear_speed!r}")
+        if not -math.inf < angular_rate < math.inf:
+            raise ValueError(f"angular_rate must be finite, got {angular_rate!r}")
         return tuple.__new__(cls, (linear_speed, angular_rate))
 
     # namedtuple's _make, which _replace calls too, would skip __new__ and its check.
@@ -112,14 +114,16 @@ class Unicycle(NamedTuple("Unicycle", [("linear_speed", float), ("angular_rate",
 
 
 class PoseTarget(NamedTuple):
-    """Direct pose assignment for a whole servo-perfect formation.
+    """Direct pose assignment for a whole servo-perfect formation, as one rigid transform.
 
-    positions holds one (x, y) per agent in id order; every agent takes the
-    shared heading, and sampling_active gates this step's visits for all.
+    position and heading are the brain's pose, and offsets holds each agent's
+    (x, y) in the brain's frame, in id order. Every agent takes the shared
+    heading, and sampling_active gates this step's visits for all.
     """
 
-    positions: list[tuple[float, float]]
+    position: tuple[float, float]
     heading: float
+    offsets: tuple[tuple[float, float], ...]
     sampling_active: bool
 
 
@@ -178,13 +182,14 @@ class World:
         """Advance the whole swarm by one synchronous round.
 
         The controller must command every agent exactly once; any other
-        number of moves or positions raises ValueError before anything
-        moves. Each agent turns, then translates (or takes its place and
-        heading from the PoseTarget), and the cell it ends the step in is
-        scored with entry semantics: a visit needs a new cell inside the
-        arena, sampling on (unicycle moves always sample), the sampling
-        altitude, and then a speed of at most the target velocity: the
-        commanded one, or the jump over dt, computed only at that point.
+        number of moves or offsets raises ValueError before anything
+        moves. Each agent turns, then translates (or takes the PoseTarget's
+        heading and its offset moved by the PoseTarget's pose), and the cell
+        it ends the step in is scored with entry semantics: a visit needs a
+        new cell inside the arena, sampling on (unicycle moves always
+        sample), the sampling altitude, and then a speed of at most the
+        target velocity: the commanded one, or the jump over dt, computed
+        only at that point.
         A unicycle move that would leave the arena ends on its edge and
         counts in clamp_count. Only here is a position mapped to a cell (its
         flat index, -1 outside), kept in cells and reported in visit_events
@@ -199,9 +204,12 @@ class World:
         formation = moves.__class__ is PoseTarget
         sampling = True
         if formation:
+            bx, by = moves.position
+            c = math.cos(moves.heading)
+            s = math.sin(moves.heading)
             heading = wrap_angle(moves.heading)
             sampling = moves.sampling_active
-            moves = moves.positions
+            moves = moves.offsets
         if len(moves) != len(xs):
             raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
         visits = self.visits
@@ -218,7 +226,9 @@ class World:
         events = []
         for i, motion in enumerate(moves):
             if formation:
-                x, y = motion
+                ox, oy = motion  # follow_formation's expression, term for term
+                x = bx + c * ox - s * oy
+                y = by + s * ox + c * oy
                 hs[i] = heading
             else:
                 speed = motion.linear_speed

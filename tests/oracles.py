@@ -27,6 +27,7 @@ from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.harness import PlacementSpec
+from sweepsim.sons import SonsFormation, follow_formation
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
 Cell = tuple[int, int]
@@ -193,14 +194,17 @@ def pose_step_reference(
 ) -> list[tuple[int, Cell]]:
     """World.step for a formation command, one pose target per member.
 
-    Every member first takes the sampling state, then in id order its
-    position, the wrapped heading and the speed flown, and is scored by
-    record_visit. Returns the visit events in order.
+    The command's rigid transform is expanded into one position per member
+    by follow_formation. Every member first takes the sampling state, then
+    in id order its position, the wrapped heading and the speed flown, and
+    is scored by record_visit. Returns the visit events in order.
     """
     for agent in agents:
         agent.sampling_active = command.sampling_active
+    formation = SonsFormation(offsets=command.offsets, sampler_ids=(), span=0.0)
+    positions = follow_formation(command.position, command.heading, formation)
     events = []
-    for agent, (x, y) in zip(agents, command.positions, strict=True):
+    for agent, (x, y) in zip(agents, positions, strict=True):
         px, py = agent.position
         agent.position = (x, y)
         agent.heading = wrap_angle(command.heading)

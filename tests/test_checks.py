@@ -58,6 +58,9 @@ def test_numeric_field_goes_through_a_rule(record, name):
         (lambda: ArenaSpec(center=("a", 0)), "center must be a finite (x, y) pair, got ('a', 0)"),
         (lambda: ArenaSpec(center=None), "center must be a finite (x, y) pair, got None"),
         (lambda: ArenaSpec(center=(0.0, 0.0, 0.0)), "center must be a finite (x, y) pair, got (0.0, 0.0, 0.0)"),
+        # A bool coordinate would act as 1 or 0, as a bool scalar would.
+        (lambda: ArenaSpec(center=(True, 0)), "center must be a finite (x, y) pair, got (True, 0)"),
+        (lambda: ArenaSpec(center=(0.0, False)), "center must be a finite (x, y) pair, got (0.0, False)"),
     ],
 )
 def test_bad_value_raises_the_standard_error(make, message):

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cw_distance, heading_vector
+from sweepsim import sons as sons_module
 from sweepsim import world as world_module
-from sweepsim.angles import ccw_distance
+from sweepsim.angles import ccw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.metrics import lcu, tcu
@@ -271,6 +272,54 @@ class TestBoustrophedon:
         world, _ = run_sons("sons_bs", seed=1, on_step=count_entries, max_steps=400)
         assert 0 < counting.hypot_calls == entries
         assert counting.hypot_calls < world.step_count * len(world.cells) / 5
+
+
+class TestRigidTransform:
+    """A formation step is the brain's pose and the offsets; World.step places the members."""
+
+    @pytest.mark.parametrize("strategy", ["sons_bs", "sons_rw"])
+    def test_follow_formation_runs_only_at_spawn(self, strategy, monkeypatch):
+        # Expanding the offsets into one position list per step made one
+        # follow_formation call per step, plus the one at spawn.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return follow_formation(*args)
+
+        monkeypatch.setattr(sons_module, "follow_formation", counting)
+        world, _ = run_sons(strategy, seed=1, max_steps=300)
+        assert world.step_count == 300
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "strategy, seed, arena",
+        [
+            pytest.param("sons_bs", 1, ARENA, id="sons_bs-1"),
+            pytest.param("sons_bs", 1, OFF_CENTRE, id="sons_bs-1-off_centre"),
+            pytest.param("sons_rw", 1, ARENA, id="sons_rw-1"),
+            pytest.param("sons_rw", 2, ARENA, id="sons_rw-2"),
+            pytest.param("sons_rw", 3, OFF_CENTRE, id="sons_rw-3-off_centre"),
+        ],
+    )
+    def test_members_hold_follow_formation_bit_for_bit(self, strategy, seed, arena):
+        headings = set()
+
+        def check(world):
+            brain = world.controller
+            expected = follow_formation(brain.brain_pos, brain.brain_heading, brain.formation)
+            assert [(x.hex(), y.hex()) for x, y in zip(world.xs, world.ys)] == [
+                (x.hex(), y.hex()) for x, y in expected
+            ]
+            heading = wrap_angle(brain.brain_heading).hex()
+            assert [h.hex() for h in world.hs] == [heading] * len(world.hs)
+            headings.add(heading)
+
+        world, _ = run_sons(strategy, seed, arena=arena, on_step=check, max_steps=800)
+        assert world.step_count >= 180
+        # The sweep brain holds pi / 2 throughout (its cosine is not 0.0);
+        # the random-walk brain turns, so several rotations are checked.
+        assert len(headings) == 1 if strategy == "sons_bs" else len(headings) > 1
 
 
 class AuditRW:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
 )
 from sweepsim.angles import TWO_PI
 from sweepsim.arena import ArenaSpec, edges_outside
+from sweepsim.sons import SonsFormation, follow_formation
 from sweepsim.world import (
     HOLD,
     SPEED_EPS,
@@ -327,12 +329,12 @@ class TestStepLoop:
             world.step()
         self.assert_untouched(world)
 
-    @pytest.mark.parametrize("n_positions", [1, 3])
-    def test_wrong_number_of_positions_raises(self, n_positions):
+    @pytest.mark.parametrize("n_offsets", [1, 3])
+    def test_wrong_number_of_positions_raises(self, n_offsets):
         agents = [spawn((0.5, 0.5), agent_id=i) for i in range(2)]
-        command = PoseTarget([(0.5, 0.6)] * n_positions, 0.0, True)
+        command = PoseTarget((0.5, 0.5), 0.0, ((0.0, 0.1),) * n_offsets, True)
         world = World(ARENA, CFG, agents, ScriptedController([command]))
-        with pytest.raises(ValueError, match=f"commanded {n_positions} moves for 2 agents"):
+        with pytest.raises(ValueError, match=f"commanded {n_offsets} moves for 2 agents"):
             world.step()
         self.assert_untouched(world)
 
@@ -357,6 +359,24 @@ class TestStepLoop:
         with pytest.raises(ValueError, match="linear_speed must be non-negative"):
             HOLD._replace(linear_speed=-2.0)
         assert HOLD._replace(linear_speed=2.0) == Unicycle(2.0, 0.0)
+
+    @pytest.mark.parametrize("route", ["new", "make", "replace"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "field, rule",
+        [("linear_speed", "non-negative and finite"), ("angular_rate", "finite")],
+    )
+    def test_non_finite_command_raises(self, field, rule, value, route):
+        # A nan speed passed the sign check (nan < 0 is false) and parked the
+        # agent at (nan, nan) for good.
+        fields = {"linear_speed": 1.0, "angular_rate": 0.5, field: value}
+        build = {
+            "new": lambda: Unicycle(**fields),
+            "make": lambda: Unicycle._make([fields["linear_speed"], fields["angular_rate"]]),
+            "replace": lambda: Unicycle(1.0, 0.5)._replace(**{field: value}),
+        }[route]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be {rule}, got {value!r}") + "$"):
+            build()
 
     def test_negative_speed_raises_before_the_world_changes(self):
         # Agent 0 used to move and score before agent 1's negative speed raised.
@@ -567,10 +587,13 @@ FORMATION_ARENAS = [
 def formation_script(draw):
     """An arena, a formation's members and a few formation commands for it.
 
-    Members jump to grid lines (some just off the grid) or to free points up
-    to 2 m outside the arena, or they move: a small step that keeps the
-    speed gate open, or a snap to the nearest grid line. Headings reach
-    outside [0, 2 pi).
+    One offset tuple is drawn for the whole script: each coordinate up to
+    three cells on the grid, or free up to 1.5 m. Each command draws the
+    brain's pose: the brain jumps to a grid line (some just off the grid)
+    or a free point up to 2 m outside the arena, or it moves: a small step
+    that can keep the speed gate open, or a snap to the nearest grid line.
+    The heading is kept, nudged, or drawn afresh, reaching outside
+    [0, 2 pi). Members spawn on the formation's first pose.
     """
     arena = draw(st.sampled_from(FORMATION_ARENAS))
     minx = arena.min_corner[0]
@@ -588,24 +611,34 @@ def formation_script(draw):
             )
         )
 
+    def turn(prev):
+        return draw(
+            st.one_of(
+                st.just(prev),
+                st.floats(-0.01, 0.01).map(lambda d: prev + d),
+                st.floats(-20.0, 20.0),
+                st.sampled_from([-TWO_PI, TWO_PI, 3 * TWO_PI]),
+            )
+        )
+
     n = draw(st.integers(1, 5))
-    starts = [(draw(jump), draw(jump)) for _ in range(n)]
+    offset = st.one_of(st.integers(-3, 3).map(lambda k: k * cs), st.floats(-1.5, 1.5))
+    offsets = tuple((draw(offset), draw(offset)) for _ in range(n))
+    position = (draw(jump), draw(jump))
+    heading = turn(0.0)
+    formation = SonsFormation(offsets=offsets, sampler_ids=(), span=0.0)
+    starts = follow_formation(position, heading, formation)
     # three in four members sample, and three in four commands keep sampling on
     altitudes = [
         draw(st.sampled_from([CFG.sampling_altitude] * 3 + [CFG.supervisory_altitude]))
         for _ in range(n)
     ]
     commands = []
-    positions = starts
     for _ in range(draw(st.integers(1, 6))):
-        positions = [
-            (move(x), move(y)) if draw(st.integers(0, 3)) else (draw(jump), draw(jump))
-            for x, y in positions
-        ]
-        heading = draw(
-            st.one_of(st.floats(-20.0, 20.0), st.sampled_from([-TWO_PI, TWO_PI, 3 * TWO_PI]))
-        )
-        commands.append(PoseTarget(positions, heading, draw(st.integers(0, 3)) > 0))
+        x, y = position
+        position = (move(x), move(y)) if draw(st.integers(0, 3)) else (draw(jump), draw(jump))
+        heading = turn(heading)
+        commands.append(PoseTarget(position, heading, offsets, draw(st.integers(0, 3)) > 0))
     return arena, starts, altitudes, commands
 
 
