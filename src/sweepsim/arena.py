@@ -4,12 +4,17 @@ The world is a convex square arena decomposed into unit cells; agents fly in
 continuous coordinates and World scores them by cell. A cell is named by
 its row-major index row * cols + col, with col along +x and row along +y
 from the minimum corner; -1 names no cell (outside the arena).
+
+cell_boxes, each cell's exact box of positions, is memoized per arena value:
+callers build an equal ArenaSpec afresh for every run, and a table takes about
+a millisecond.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .checks import finite_point, positive_finite
 
@@ -35,6 +40,9 @@ class ArenaSpec:
             raise ValueError("side_length must be an integer multiple of cell_size")
         if abs(round(self.side_length / self.region_size) - self.side_length / self.region_size) > 1e-9:
             raise ValueError("side_length must be an integer multiple of region_size")
+        # Otherwise metrics.split_blocks rounds the cells per region down and leaves cells out.
+        if abs(round(self.region_size / self.cell_size) - self.region_size / self.cell_size) > 1e-9:
+            raise ValueError("region_size must be an integer multiple of cell_size")
 
     @cached_property
     def half_side(self) -> float:
@@ -76,3 +84,24 @@ def edges_outside(position: tuple[float, float], arena: ArenaSpec) -> list[tuple
     """(inward normal, excess) for every edge the position lies beyond."""
     dists = edge_distances(position[0], position[1], arena)
     return [(EDGE_NORMALS[i], -dists[i]) for i in range(4) if dists[i] < 0.0]
+
+
+@lru_cache(maxsize=16)
+def cell_boxes(arena: ArenaSpec) -> tuple[tuple[float, float, float, float], ...]:
+    """(xlo, xhi, ylo, yhi) per flat cell index c: World.step maps (x, y) to c exactly when
+    xlo <= x < xhi and ylo <= y < yhi. Index -1 finds a last box that no point lies in."""
+    axes, cell_size = [], arena.cell_size
+    for lo, hi in zip(arena.min_corner, arena.max_corner):
+        edges = [lo]
+        for k in range(1, arena.cols):
+            # Edge k is the least double x with (x - lo) / cell_size >= k, found by bisection:
+            # stepping down from lo + k * cell_size does not end where that is 0.0.
+            below, at = edges[-1], hi
+            while (mid := below + (at - below) / 2) not in (below, at):
+                below, at = (below, mid) if (mid - lo) / cell_size >= k else (mid, at)
+            edges.append(at)
+        # World.step clamps index cols to cols - 1, so the last cell ends just after hi.
+        axes.append(edges + [math.nextafter(hi, math.inf)])
+    xe, ye = axes
+    boxes = [(xe[c], xe[c + 1], ye[r], ye[r + 1]) for r in range(arena.rows) for c in range(arena.cols)]
+    return tuple(boxes) + ((math.inf, -math.inf, math.inf, -math.inf),)

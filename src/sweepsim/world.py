@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
 import numpy as np
 
 from .angles import TWO_PI, wrap_angle
-from .arena import ArenaSpec
+from .arena import ArenaSpec, cell_boxes
 from .checks import finite, integer_at_least, positive_finite
 from .metrics import RunRecord
 
@@ -52,6 +52,12 @@ class SimConfig:
         integer_at_least(self, 0, "seed")
         # A nan altitude never equals itself, so no sampler would ever score a visit.
         finite(self, "sampling_altitude", "supervisory_altitude")
+        # World takes every agent at the sampling altitude for a sampler, supervisors included.
+        if self.supervisory_altitude == self.sampling_altitude:
+            raise ValueError(
+                "supervisory_altitude must differ from sampling_altitude, "
+                f"both are {self.sampling_altitude!r}"
+            )
 
 
 def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
@@ -153,6 +159,7 @@ class World:
     agent's last flat cell index (-1 before step 1 and outside the arena).
     samplers marks the agents at the sampling altitude, which never changes.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
+    boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step).
     """
 
     def __init__(
@@ -169,6 +176,8 @@ class World:
         self.ys = [a.position[1] for a in self.agents]
         self.hs = [wrap_angle(a.heading) for a in self.agents]
         self.cells = [-1] * n
+        self.boxes = cell_boxes(arena)
+        self.cruise = [(math.nan, 0.0, 0.0, 0.0)] * n  # a nan heading matches none
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
         self.visits = [0] * arena.cell_count
@@ -196,10 +205,14 @@ class World:
         as (agent, cell); visits and visited_count count each visit at once,
         so a later raise leaves them agreeing. After step 1 a zero-speed
         agent only turns, and its unchanged cell is not mapped or scored.
+        A position in the box of cells[i] is stored unmapped: the boxes are
+        derived from this mapping, which stays the one definition. A move
+        reuses the agent's last step vector at an unchanged heading and speed.
         """
         cfg = self.cfg
         dt = cfg.dt
         xs, ys, hs, cells, samplers = self.xs, self.ys, self.hs, self.cells, self.samplers
+        boxes, cruise = self.boxes, self.cruise
         moves = self.controller.decide(self)
         formation = moves.__class__ is PoseTarget
         sampling = True
@@ -244,35 +257,41 @@ class World:
                 x = xs[i]
                 y = ys[i]
                 if speed != 0.0:
-                    x += speed * dt * math.cos(h)
-                    y += speed * dt * math.sin(h)
+                    step = cruise[i]
+                    # 0.0 == -0.0, yet sin(-0.0) is -0.0: a zero heading is never reused.
+                    if step[0] != h or step[1] != speed or h == 0.0:
+                        step = cruise[i] = (h, speed, speed * dt * math.cos(h), speed * dt * math.sin(h))
+                    x += step[2]
+                    y += step[3]
                     if not (minx <= x <= maxx and miny <= y <= maxy):
                         x = minx if x < minx else (maxx if x > maxx else x)
                         y = miny if y < miny else (maxy if y > maxy else y)
                         self.clamp_count += 1
-            if minx <= x <= maxx and miny <= y <= maxy:
-                col = int((x - minx) / cell_size)
-                row = int((y - miny) / cell_size)
-                if col > last:
-                    col = last
-                if row > last:
-                    row = last
-                cell = row * cols + col
-            else:
-                cell = -1
-            if cell != cells[i]:
-                cells[i] = cell
-                if cell >= 0 and sampling and samplers[i]:
-                    if formation:  # xs[i], ys[i] still hold the pose before this step
-                        speed = math.hypot(x - xs[i], y - ys[i]) / dt
-                    if speed <= speed_cap:
-                        count = visits[cell]
-                        visits[cell] = count + 1
-                        if count == 0:
-                            self.visited_count += 1
-                        events.append((i, cell))
-                        if pheromone is not None:
-                            pheromone.deposit(cell, step_idx)
+            xlo, xhi, ylo, yhi = boxes[cells[i]]
+            if not (xlo <= x < xhi and ylo <= y < yhi):  # else the mapping gives cells[i] again
+                if minx <= x <= maxx and miny <= y <= maxy:
+                    col = int((x - minx) / cell_size)
+                    row = int((y - miny) / cell_size)
+                    if col > last:
+                        col = last
+                    if row > last:
+                        row = last
+                    cell = row * cols + col
+                else:
+                    cell = -1
+                if cell != cells[i]:
+                    cells[i] = cell
+                    if cell >= 0 and sampling and samplers[i]:
+                        if formation:  # xs[i], ys[i] still hold the pose before this step
+                            speed = math.hypot(x - xs[i], y - ys[i]) / dt
+                        if speed <= speed_cap:
+                            count = visits[cell]
+                            visits[cell] = count + 1
+                            if count == 0:
+                                self.visited_count += 1
+                            events.append((i, cell))
+                            if pheromone is not None:
+                                pheromone.deposit(cell, step_idx)
             xs[i] = x
             ys[i] = y
         self.visit_events = events

@@ -213,6 +213,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{option} must be finite"):
             SimConfig(**{option: value})
 
+    @pytest.mark.parametrize("altitude", [1.5, 4.0, 0.0])
+    def test_equal_altitudes_rejected(self, altitude):
+        # at 1.5 m every sons_bs member scored as a sampler: 25 of them, not 20
+        with pytest.raises(
+            ValueError,
+            match=f"^supervisory_altitude must differ from sampling_altitude, both are {altitude!r}$",
+        ):
+            SimConfig(sampling_altitude=altitude, supervisory_altitude=altitude)
+
     @pytest.mark.parametrize("value", [2.5, 300.0, True, "300", None])
     def test_max_steps_not_an_integer_rejected(self, value):
         # 2.5 ran 3 steps and True ran 1

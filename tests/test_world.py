@@ -25,7 +25,7 @@ from oracles import (
     step_kinematics,
 )
 from sweepsim.angles import TWO_PI
-from sweepsim.arena import ArenaSpec, edges_outside
+from sweepsim.arena import ArenaSpec, cell_boxes, edges_outside
 from sweepsim.sons import SonsFormation, follow_formation
 from sweepsim.world import (
     HOLD,
@@ -87,6 +87,13 @@ class TestArenaSpec:
     def test_side_must_divide_region(self):
         with pytest.raises(ValueError):
             ArenaSpec(side_length=25.0, region_size=10.0)
+
+    @pytest.mark.parametrize("cell_size", [4.0, 3.0, 1.5])
+    def test_region_must_divide_cell(self, cell_size):
+        # 4 m cells made 2.5 cells a region; split_blocks rounded that to 2,
+        # and its 16 blocks left 36 of the 100 cells out of LCU and block_NN
+        with pytest.raises(ValueError, match="^region_size must be an integer multiple of cell_size$"):
+            ArenaSpec(side_length=120.0, cell_size=cell_size, region_size=10.0)
 
     @pytest.mark.parametrize("length", ["side_length", "cell_size", "region_size"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -458,30 +465,47 @@ class ScriptedController:
 
 
 def assert_step_matches_oracles(arena, start, heading, commands):
-    """Run commands through World.step and through the oracles; compare.
+    """assert_swarm_matches_oracles for one agent."""
+    assert_swarm_matches_oracles(arena, [start], [heading], [[c] for c in commands])
 
-    World.step clamps every unicycle move, so the oracle path applies
-    clamp_into after each command with a non-zero linear speed.
+
+def assert_swarm_matches_oracles(arena, starts, headings, script, writes=()):
+    """Run script, one command per agent a step, through World.step and through the oracles; compare.
+
+    The oracles move and score one agent at a time, in id order. World.step
+    clamps every unicycle move, so the oracle path applies clamp_into after
+    each command with a non-zero linear speed. Poses are compared by
+    float.hex, so the sign of a zero counts. writes holds (step, agent,
+    cell) triples: before that step, cell is written into world.cells and
+    into the reference's prev_cell.
     """
-    world = World(arena, CFG, [spawn(start, heading)], ScriptedController([[c] for c in commands]))
-    manual = RefAgent(id=0, position=start, heading=heading, altitude=1.5)
+    spawns = [spawn(p, h, i) for i, (p, h) in enumerate(zip(starts, headings))]
+    world = World(arena, CFG, spawns, ScriptedController(script))
+    manual = [
+        RefAgent(id=i, position=p, heading=h, altitude=1.5)
+        for i, (p, h) in enumerate(zip(starts, headings))
+    ]
     coverage = RefCoverage(arena)
     clamps = 0
-    for command in commands:
+    for step, commands in enumerate(script, start=1):
+        for when, i, cell in writes:
+            if when == step:
+                world.cells[i] = manual[i].prev_cell = cell
         world.step()
-        step_kinematics(manual, command, CFG.dt)
-        if command.linear_speed != 0.0:
-            clamped = clamp_into(manual.position, arena)
-            clamps += clamped != manual.position
-            manual.position = clamped
-        cell = record_visit(manual, coverage, CFG)
-        where = (arena.cell_size, start, world.step_count)
+        events = []
+        for agent, command in zip(manual, commands, strict=True):
+            step_kinematics(agent, command, CFG.dt)
+            if command.linear_speed != 0.0:
+                clamped = clamp_into(agent.position, arena)
+                clamps += clamped != agent.position
+                agent.position = clamped
+            cell = record_visit(agent, coverage, CFG)
+            if cell is not None:
+                events.append((agent.id, flat_index(cell, arena)))
+        where = (arena, starts, step)
         # pm_sense reads the world's cells, so they must be the oracle's cells too
-        assert world.cells[0] == manual.prev_cell, where
-        (x, y), h = pose(world, 0)
-        assert (x, y) == manual.position, where
-        assert h.hex() == manual.heading.hex(), where
-        assert world.visit_events == ([] if cell is None else [(0, flat_index(cell, arena))]), where
+        assert member_views(world) == reference_views(manual), where
+        assert world.visit_events == events, where
         assert world.visits == coverage.visits, where
         assert world.clamp_count == clamps, where
     assert world.visited_count == coverage.visited_count
@@ -576,6 +600,161 @@ class TestFusedStepEquivalence:
                 pool = holds if rng.random() < 0.5 else moves
                 commands.append(pool[rng.integers(len(pool))])
             assert_step_matches_oracles(arena, start, float(rng.uniform(0, TWO_PI)), commands)
+
+
+def in_box(box, x, y):
+    xlo, xhi, ylo, yhi = box
+    return xlo <= x < xhi and ylo <= y < yhi
+
+
+@st.composite
+def grid_arenas(draw):
+    """An arena whose side is a whole number of cells, centred anywhere.
+
+    Half-cell centres put a grid line at 0.0 in some draws. Below such a
+    line x - minx rounds up to the line's index for every tiny x, so its
+    edge lies far below 0.0, not an ulp or two.
+    """
+    cell = draw(st.sampled_from([0.1, 0.2, 0.5, 1.0, 4.0]))
+    side = cell * draw(st.integers(1, 60))
+    centre = st.one_of(
+        st.integers(-60, 60).map(lambda k: k * cell / 2.0),
+        st.floats(-100.0, 100.0),
+    )
+    return ArenaSpec(side_length=side, cell_size=cell, center=(draw(centre), draw(centre)), region_size=side)
+
+
+class TestCellBoxes:
+    @settings(max_examples=60, deadline=None)
+    @given(arena=grid_arenas(), data=st.data())
+    def test_boxes_are_the_cell_mapping(self, arena, data):
+        boxes = cell_boxes(arena)
+        cols = arena.cols
+        (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
+        assert len(boxes) == arena.cell_count + 1
+        xe = [boxes[c][0] for c in range(cols)] + [boxes[cols - 1][1]]
+        ye = [boxes[r * cols][2] for r in range(cols)] + [boxes[-2][3]]
+        for idx, box in enumerate(boxes[:-1]):
+            row, col = divmod(idx, cols)
+            assert box == (xe[col], xe[col + 1], ye[row], ye[row + 1])
+        assert (xe[0], ye[0]) == (minx, miny)
+        for k in range(1, cols):
+            assert cell_of((xe[k], miny), arena) == (k, 0)
+            assert cell_of((math.nextafter(xe[k], -math.inf), miny), arena) == (k - 1, 0)
+            assert cell_of((minx, ye[k]), arena) == (0, k)
+            assert cell_of((minx, math.nextafter(ye[k], -math.inf)), arena) == (0, k - 1)
+        # a move clamped onto the maximum edges stays in the last cells
+        assert in_box(boxes[cols - 1], maxx, miny)
+        assert in_box(boxes[-2], maxx, maxy)
+        beyond = [(math.nextafter(maxx, math.inf), miny), (minx, math.nextafter(maxy, math.inf))]
+        for x, y in beyond:
+            assert not any(in_box(box, x, y) for box in boxes)
+        probes = [-math.inf, math.inf, math.nan, 0.0, -0.0, minx, maxx, miny, maxy]
+        for x in probes + xe:
+            for y in probes + ye:
+                assert not in_box(boxes[-1], x, y)
+        # any point lies in exactly the box of the cell it maps to
+        near = st.sampled_from(xe + ye).flatmap(lambda e: st.floats(e - 1e-12, e + 1e-12))
+        coordinate = st.one_of(st.floats(minx - 1.0, maxx + 1.0), near)
+        for _ in range(20):
+            x, y = data.draw(coordinate), data.draw(coordinate)
+            cell = cell_of((x, y), arena)
+            found = [i for i, box in enumerate(boxes[:-1]) if in_box(box, x, y)]
+            assert found == ([] if cell is None else [flat_index(cell, arena)])
+
+    def test_memoized_per_arena_value(self):
+        assert cell_boxes(ArenaSpec()) is cell_boxes(ArenaSpec(side_length=40, center=(-0.0, 0.0)))
+
+
+OFF_CENTRE_HALF_METRE = ArenaSpec(side_length=20.0, cell_size=0.5, center=(7.0, -3.0), region_size=10.0)
+
+
+def grid_line_scene(arena):
+    """Starts and headings for agents on and just below grid lines, cruising along and across them.
+
+    Every fourth interior line is used, the centre lines (x = 0 and y = 0
+    on the default arena), and the maximum edges, where a move outward is
+    clamped back onto the edge.
+    """
+    boxes = cell_boxes(arena)
+    cols = arena.cols
+    (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
+    xe = [boxes[c][0] for c in range(cols)] + [maxx]
+    ye = [boxes[r * cols][2] for r in range(cols)] + [maxy]
+    lines = sorted(set(range(1, cols, 4)) | {cols // 2, cols})
+    mid_x = xe[cols // 2 + 1] + 0.3 * arena.cell_size
+    mid_y = ye[cols // 2 + 1] + 0.3 * arena.cell_size
+    east, north, west, south = 0.0, math.pi / 2.0, math.pi, 1.5 * math.pi
+    starts, headings = [], []
+    for k in lines:
+        for x in (xe[k], math.nextafter(xe[k], -math.inf)):
+            for heading in (north, east, west):  # along the column line, across it both ways
+                starts.append((x, mid_y))
+                headings.append(heading)
+        for y in (ye[k], math.nextafter(ye[k], -math.inf)):
+            for heading in (east, north, south):
+                starts.append((mid_x, y))
+                headings.append(heading)
+    return starts, headings
+
+
+def cruise_script(n, steps):
+    """A hold first, so the start cell is scored, then mostly full-speed straight
+    moves, with a slower stretch, more holds, and a turn out and back."""
+    script = []
+    for step in range(steps):
+        if step % 9 == 0:
+            command = Unicycle(0.0, 0.0)
+        elif step % 9 in (6, 7):
+            command = Unicycle(0.6, 0.0)
+        elif step % 13 == 10:
+            command = Unicycle(1.0, 0.5)
+        elif step % 13 == 11:
+            command = Unicycle(1.0, -0.5)
+        else:
+            command = Unicycle(1.0, 0.0)
+        script.append([command] * n)
+    return script
+
+
+class TestCellSkip:
+    """World.step stores a position inside its cell's box without mapping it, and reuses a cruise step."""
+
+    @pytest.mark.parametrize(
+        "arena",
+        [ARENA, *SIZED_ARENAS[1:], OFF_CENTRE_HALF_METRE],
+        ids=["default", "cell0.1", "cell0.2", "off_centre"],
+    )
+    def test_grid_line_cruises_match_the_oracles(self, arena):
+        starts, headings = grid_line_scene(arena)
+        assert_swarm_matches_oracles(arena, starts, headings, cruise_script(len(starts), 40))
+
+    def test_signed_zero_headings_match_the_oracles(self):
+        # 0.0 == -0.0, but a step along -0.0 moves y = -0.0 by -0.0 and keeps
+        # its sign: a step vector cached for one must not serve the other.
+        # A rate of -2 pi / dt turns 0.0 to -2 pi, which wraps to -0.0.
+        back = -TWO_PI / CFG.dt
+        script = [
+            [Unicycle(1.0, -0.0), Unicycle(1.0, 0.0)],
+            [Unicycle(1.0, 0.0), Unicycle(1.0, -0.0)],
+            [Unicycle(1.0, back), Unicycle(1.0, back)],
+            [Unicycle(1.0, -0.0), Unicycle(1.0, 0.0)],
+            [Unicycle(1.0, 0.0), Unicycle(1.0, -0.0)],
+        ]
+        assert_swarm_matches_oracles(ARENA, [(0.5, -0.0), (0.5, -0.0)], [-0.0, 0.0], script)
+
+    @pytest.mark.parametrize("written", [(19, 20), (20, 20), (21, 20), None], ids=str)
+    def test_written_cell_is_scored_as_the_mapping_scores_it(self, written):
+        # Tests write world.cells to set up sensing; the next step must score
+        # against the written cell. Agent 0 maps to (20, 20) on step 1, is
+        # written over, and stays in (20, 20) for three more steps, then
+        # leaves east. Agent 1 flies north along the line between columns 20
+        # and 21, in column 21, and is written over with its column's left
+        # neighbour.
+        line = cell_boxes(ARENA)[21][0]
+        script = [[Unicycle(1.0, 0.0), Unicycle(1.0, 0.0)]] * 12
+        writes = [(2, 0, flat_index(written, ARENA)), (2, 1, flat_index((20, 20), ARENA))]
+        assert_swarm_matches_oracles(ARENA, [(0.45, 0.5), (line, 0.5)], [0.0, math.pi / 2.0], script, writes)
 
 
 FORMATION_ARENAS = [
