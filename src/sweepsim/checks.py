@@ -1,18 +1,18 @@
-"""The rules every numeric configuration field is checked by.
+"""The rules every numeric or boolean configuration field is checked by.
 
-Each config record passes its numeric fields through these in
-__post_init__. A bool is never a number (True would act as 1), and a
-breach raises ValueError reading "<field> must be <rule>, got <value>".
+Each config record passes those fields through these in __post_init__. A
+bool is never a number (True would act as 1), and a breach raises
+ValueError reading "<field> must be <rule>, got <value>".
 """
 
 import math
 
 
-def _check(record, names, rule: str, ok) -> None:
+def _check(record, names, rule: str, ok, number: bool = True) -> None:
     for name in names:
         value = getattr(record, name)
         try:
-            good = not isinstance(value, bool) and ok(value)
+            good = not (number and isinstance(value, bool)) and ok(value)
         except TypeError:  # not a number at all, such as a string or None
             good = False
         if not good:
@@ -35,3 +35,7 @@ def finite_point(record, *names: str) -> None:
 def integer_at_least(record, floor: int, *names: str) -> None:
     _check(record, names, "an integer", lambda v: isinstance(v, int))
     _check(record, names, "non-negative" if floor == 0 else f"at least {floor}", lambda v: v >= floor)
+
+
+def boolean(record, *names: str) -> None:
+    _check(record, names, "a boolean", lambda v: isinstance(v, bool), number=False)

@@ -17,19 +17,6 @@ from .arena import ArenaSpec
 from .harness import STRATEGIES, ExperimentConfig, export, run_experiment
 from .world import SimConfig
 
-_DEFAULTS = {
-    "strategy": None,
-    "runs": ExperimentConfig.runs,
-    "seed": ExperimentConfig.base_seed,
-    "arena_side": ArenaSpec.side_length,
-    "uavs": ExperimentConfig.n_uavs,
-    "dt": SimConfig.dt,
-    "max_steps": SimConfig.max_steps,
-    "out": ExperimentConfig.output_dir,
-    "heatmaps": ExperimentConfig.heatmaps,
-    "jobs": ExperimentConfig.jobs,
-}
-
 # The JSON type each --config key must have; a boolean is never a number.
 _CONFIG_TYPES = {
     "strategy": ((str, type(None)), "a string or null"),
@@ -47,33 +34,42 @@ _CONFIG_TYPES = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    d = _DEFAULTS
     parser = argparse.ArgumentParser(
         prog="sweepsim",
         description="Deterministic multi-UAV sweep-coverage benchmark harness.",
     )
     parser.add_argument("--strategy", choices=STRATEGIES, help="strategy to run")
     parser.add_argument("--all", action="store_true", help="run every strategy")
-    parser.add_argument("--runs", type=int, help=f"runs per strategy (default {d['runs']})")
-    parser.add_argument("--seed", type=int, help=f"base seed; run i uses seed+i (default {d['seed']})")
-    parser.add_argument("--arena-side", type=float,
-                        help=f"arena side length in m (default {d['arena_side']:g})")
-    parser.add_argument("--uavs", type=int, help=f"swarm size (default {d['uavs']})")
-    parser.add_argument("--dt", type=float, help=f"step duration in s (default {d['dt']:g})")
-    parser.add_argument("--max-steps", type=int,
-                        help=f"per-run step budget (default {d['max_steps']})")
-    parser.add_argument("--out", help=f"output directory (default {d['out']})")
-    parser.add_argument("--heatmaps", action="store_true", default=None,
+    parser.add_argument("--runs", type=int, default=ExperimentConfig.runs,
+                        help="runs per strategy (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.base_seed,
+                        help="base seed; run i uses seed+i (default %(default)s)")
+    parser.add_argument("--arena-side", type=float, default=ArenaSpec.side_length,
+                        help="arena side length in m (default %(default)g)")
+    parser.add_argument("--uavs", type=int, default=ExperimentConfig.n_uavs,
+                        help="swarm size (default %(default)s)")
+    parser.add_argument("--dt", type=float, default=SimConfig.dt,
+                        help="step duration in s (default %(default)g)")
+    parser.add_argument("--max-steps", type=int, default=SimConfig.max_steps,
+                        help="per-run step budget (default %(default)s)")
+    parser.add_argument("--out", default=ExperimentConfig.output_dir,
+                        help="output directory (default %(default)s)")
+    parser.add_argument("--heatmaps", action="store_true",
                         help="also write per-run visit-count heatmaps")
-    parser.add_argument("--jobs", type=int, help=f"parallel runs (default {d['jobs']})")
+    parser.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
+                        help="parallel runs (default %(default)s)")
     parser.add_argument("--config", help="JSON file with the flat option schema; flags override")
     return parser
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
-    options = dict(_DEFAULTS)
+def _options(argv) -> argparse.Namespace:
+    """Parse argv; a --config file's values replace the defaults, so a flag still wins."""
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.config:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -81,52 +77,45 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             types, expected = _CONFIG_TYPES[key]
             if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
-        options.update(loaded)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    return options
+        parser.set_defaults(**loaded)
+        args = parser.parse_args(argv)
+    return args
 
 
-def _experiment(options: dict, strategy: str, out_dir: str) -> ExperimentConfig:
-    arena = ArenaSpec(side_length=float(options["arena_side"]))
-    sim = SimConfig(dt=float(options["dt"]), max_steps=options["max_steps"])
+def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> ExperimentConfig:
     return ExperimentConfig(
         strategy=strategy,
-        runs=options["runs"],
-        base_seed=options["seed"],
-        arena=arena,
-        n_uavs=options["uavs"],
-        sim=sim,
+        runs=args.runs,
+        base_seed=args.seed,
+        arena=ArenaSpec(side_length=float(args.arena_side)),
+        n_uavs=args.uavs,
+        sim=SimConfig(dt=float(args.dt), max_steps=args.max_steps),
         output_dir=out_dir,
-        heatmaps=options["heatmaps"],
-        jobs=options["jobs"],
+        heatmaps=args.heatmaps,
+        jobs=args.jobs,
     )
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        options = _resolve_options(args)
-        out_root = Path(options["out"])
+        args = _options(argv)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    run_all = args.all or options.get("all")
-    if run_all:
+    if args.all:
         strategies = list(STRATEGIES)
-    elif options["strategy"]:
-        strategies = [options["strategy"]]
+    elif args.strategy:
+        strategies = [args.strategy]
     else:
         print("error: provide --strategy or --all", file=sys.stderr)
         return 1
 
+    out_root = Path(args.out)
     incomplete = failed = 0
     for strategy in strategies:
-        out_dir = out_root / strategy if run_all else out_root
+        out_dir = out_root / strategy if args.all else out_root
         try:
-            config = _experiment(options, strategy, str(out_dir))
+            config = _experiment(args, strategy, str(out_dir))
             records, summary = run_experiment(config)
             export(records, summary, out_dir, config)
         except Exception as exc:  # noqa: BLE001 - one strategy's failure does not stop the rest

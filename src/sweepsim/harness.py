@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .arena import ArenaSpec
-from .checks import integer_at_least, positive_finite
+from .checks import boolean, integer_at_least, positive_finite
 from .decentralized import LDR_ADD_ON, make_controller
 from .metrics import (
     RunRecord,
@@ -164,6 +164,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown strategy: {self.strategy}")
         integer_at_least(self, 1, "runs", "n_uavs", "jobs")
         integer_at_least(self, 0, "base_seed")
+        boolean(self, "heatmaps")
         if self.sim.seed != 0:
             raise ValueError(f"sim.seed must be 0, got {self.sim.seed!r}; base_seed sets the run seeds")
         check_step_length(self.sim, self.arena)
@@ -202,10 +203,12 @@ def _run_index(args: tuple[ExperimentConfig, int]) -> RunRecord:
 def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], "object"]:
     """Execute the batch and return (records, summary), in run-index order."""
     tasks = [(config, i) for i in range(config.runs)]
-    if config.jobs > 1:
+    # A pool forks all its workers at the first submit, so more than runs would idle.
+    workers = min(config.jobs, config.runs)
+    if workers > 1:
         # Imported here: it is a sizeable share of the package's import time.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_index, tasks))
     else:
         records = [_run_index(t) for t in tasks]

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 from .angles import (
     ccw_distance,
-    half_plane_arc,
     interior_arcs,
-    intersect_arcs,
     sample_arcs,
     subtract_arc,
     turn_direction,
     turn_remaining,
     wrap_angle,
 )
-from .arena import ArenaSpec, edges_outside
+from .arena import EDGE_NORMALS, ArenaSpec, edges_outside
 from .world import AgentState, PoseTarget, SimConfig, World, agent_stream
 
 
@@ -106,8 +104,8 @@ class SonsBsController(SonsController):
     """Deterministic back-and-forth sweep in abutting formation-wide strips.
 
     The brain starts centered on the easternmost strip, hugging the southern
-    boundary and heading north. Its cycle is sweep, exit past the edge,
-    sidestep one stride west, reverse.
+    boundary and heading north. Its cycle is sweep on past the edge by
+    exit_margin, sidestep one stride west, reverse.
     """
 
     name = "sons_bs"
@@ -133,35 +131,25 @@ class SonsBsController(SonsController):
 
         while True:
             if self.phase == "sweep":
-                if (self.sweep_dir > 0 and y >= cy + h) or (self.sweep_dir < 0 and y <= cy - h):
-                    self.phase = "exit_boundary"
-                    continue
-                dy = self.sweep_dir * step_len
-                self.brain_pos = (x, y + dy)
-                break
-            if self.phase == "exit_boundary":
                 beyond = (y - (cy + h)) if self.sweep_dir > 0 else ((cy - h) - y)
-                if beyond >= self.exit_margin:
-                    self.phase = "shift"
-                    self.shift_remaining = self.stride
-                    continue
-                self.brain_pos = (x, y + self.sweep_dir * step_len)
-                break
-            if self.phase == "shift":
-                if self.shift_remaining <= 1e-12:
-                    self.phase = "turn"
-                    if x + self.formation.span / 2.0 < arena.min_corner[0]:
-                        raise SweepGeometryError(
-                            "sweep shifted fully past the arena before completing coverage"
-                        )
-                    continue
-                dx = min(step_len, self.shift_remaining)
-                self.shift_remaining -= dx
-                self.brain_pos = (x - dx, y)
-                break
-            # turn: reverse direction and resume sweeping, instantaneous
-            self.sweep_dir = -self.sweep_dir
-            self.phase = "sweep"
+                if beyond < self.exit_margin:
+                    self.brain_pos = (x, y + self.sweep_dir * step_len)
+                    break
+                self.phase = "shift"
+                self.shift_remaining = self.stride
+                continue
+            if self.shift_remaining <= 1e-12:
+                if x + self.formation.span / 2.0 < arena.min_corner[0]:
+                    raise SweepGeometryError(
+                        "sweep shifted fully past the arena before completing coverage"
+                    )
+                self.sweep_dir = -self.sweep_dir
+                self.phase = "sweep"
+                continue
+            dx = min(step_len, self.shift_remaining)
+            self.shift_remaining -= dx
+            self.brain_pos = (x - dx, y)
+            break
 
         return self._emit(sampling_active=True)
 
@@ -202,8 +190,8 @@ class SonsRwController(SonsController):
     def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng):
         cx, cy = arena.center
         h = arena.half_side
-        interior = intersect_arcs(half_plane_arc(math.pi), half_plane_arc(math.pi / 2.0))
-        super().__init__(formation, (cx + h, cy - h), sample_arcs(interior, brain_rng))
+        east, _, _, south = EDGE_NORMALS
+        super().__init__(formation, (cx + h, cy - h), sample_arcs(interior_arcs((east, south)), brain_rng))
         self.omega_max = max_formation_omega(formation, cfg.target_sampling_velocity)
         self.brain_rng = brain_rng
         self.phase = "cruise"

@@ -61,6 +61,9 @@ def test_numeric_field_goes_through_a_rule(record, name):
         # A bool coordinate would act as 1 or 0, as a bool scalar would.
         (lambda: ArenaSpec(center=(True, 0)), "center must be a finite (x, y) pair, got (True, 0)"),
         (lambda: ArenaSpec(center=(0.0, False)), "center must be a finite (x, y) pair, got (0.0, False)"),
+        # A truthy string would write heatmaps while summary.json echoed "false".
+        (lambda: ExperimentConfig("rb", heatmaps="false"), "heatmaps must be a boolean, got 'false'"),
+        (lambda: ExperimentConfig("rb", heatmaps=1), "heatmaps must be a boolean, got 1"),
     ],
 )
 def test_bad_value_raises_the_standard_error(make, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import run_digests
 import sweepsim
 from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
-from sweepsim.cli import main
+from sweepsim.cli import _CONFIG_TYPES, _options, _parser, main
 from sweepsim.harness import (
     ExperimentConfig,
     PlacementSpec,
@@ -321,6 +322,30 @@ class TestRunExperiment:
         for name in ("runs.csv", "cpr.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (3, 2, [2]), (1, 64, [])])
+    def test_pool_never_outnumbers_the_runs(self, monkeypatch, runs, jobs, pools):
+        # A pool forks every worker at its first submit, so jobs=64 for two
+        # runs forked 64 processes. The stand-in starts none.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        records, _ = run_experiment(small_config(runs=runs, max_steps=20, jobs=jobs))
+        assert sizes == pools
+        assert [r.seed for r in records] == list(range(1, runs + 1))
+
 
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
@@ -497,6 +522,50 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "summary.json").read_text(encoding="utf-8"))
         assert doc["config"]["runs"] == 2  # flag wins
         assert doc["config"]["base_seed"] == 3  # file value survives
+
+    @pytest.mark.parametrize("doc", [[], "runs", 3, None])
+    def test_config_file_not_an_object_rejected(self, tmp_path, capsys, doc):
+        out = tmp_path / "out"
+        config_file = tmp_path / "exp.json"
+        config_file.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--config", str(config_file), "--strategy", "rb", "--out", str(out)]) == 1
+        expected = f"error: config file must hold a JSON object, got {type(doc).__name__}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_config_keys_are_the_options(self):
+        # An option missing from _CONFIG_TYPES could not be set from a file.
+        assert set(_CONFIG_TYPES) == set(vars(_parser().parse_args([]))) - {"config"}
+
+    @pytest.mark.parametrize(
+        "key, file_value, flag",
+        [
+            ("strategy", "rb", ["--strategy", "pm"]),
+            ("all", True, ["--all"]),
+            ("runs", 3, ["--runs", "4"]),
+            ("seed", 5, ["--seed", "6"]),
+            ("arena_side", 30, ["--arena-side", "20"]),
+            ("uavs", 10, ["--uavs", "12"]),
+            ("dt", 0.2, ["--dt", "0.25"]),
+            ("max_steps", 100, ["--max-steps", "200"]),
+            ("out", "from_file", ["--out", "from_flag"]),
+            ("heatmaps", True, ["--heatmaps"]),
+            ("jobs", 2, ["--jobs", "3"]),
+        ],
+    )
+    def test_flag_beats_file_beats_default(self, tmp_path, key, file_value, flag):
+        config_file = tmp_path / "exp.json"
+
+        def resolved(doc, *argv):
+            config_file.write_text(json.dumps(doc), encoding="utf-8")
+            return getattr(_options(["--config", str(config_file), *argv]), key)
+
+        default = getattr(_options([]), key)
+        flag_value = getattr(_options(flag), key)
+        assert resolved({key: file_value}) == file_value != default
+        # A store_true flag says only true, so it is pitted against a file's false.
+        rival = False if file_value is True else file_value
+        assert resolved({key: rival}, *flag) == flag_value != rival
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config_file = tmp_path / "exp.json"

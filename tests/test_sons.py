@@ -20,12 +20,13 @@ from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.metrics import lcu, tcu
 from sweepsim.sons import (
     SonsRwController,
+    SweepGeometryError,
     build_line_formation,
     follow_formation,
     make_sons_controller,
     max_formation_omega,
 )
-from sweepsim.world import SPEED_EPS, SimConfig, agent_stream
+from sweepsim.world import SPEED_EPS, SimConfig, World, agent_stream
 
 ARENA = ArenaSpec()
 OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
@@ -229,12 +230,22 @@ class TestBoustrophedon:
     def test_phase_cycle_order(self):
         phases = []
         run_sons("sons_bs", seed=1, on_step=record_phase(phases))
-        # phases at step ends, repeats collapsed: sweep -> exit_boundary -> shift,
-        # then sweep again; the reversing turn takes no step, so it never shows
+        # phases at step ends, repeats collapsed: the two strips of the default
+        # arena, each swept on past the edge, with one shift between them; the
+        # reversal takes no step, so it never shows
         cycle = [phase for i, phase in enumerate(phases) if i == 0 or phase != phases[i - 1]]
-        assert len(cycle) > 3
-        for i, phase in enumerate(cycle):
-            assert phase == ("sweep", "exit_boundary", "shift")[i % 3]
+        assert cycle == ["sweep", "shift", "sweep"]
+
+    def test_strips_planned_for_a_smaller_arena_raise(self):
+        # Strips planned for a 20 m arena, flown in a 40 m one: the sweep
+        # shifts fully past the west edge with 600 cells never visited.
+        small = ArenaSpec(side_length=20.0, region_size=10.0)
+        agents, controller = make_sons_controller("sons_bs", small, CFG, 5, 20)
+        world = World(ARENA, CFG, agents, controller)
+        with pytest.raises(SweepGeometryError, match="shifted fully past the arena"):
+            world.run()
+        assert world.step_count == 1110
+        assert world.visited_count == 1000
 
     def test_brain_never_samples(self):
         world, record = run_sons("sons_bs", seed=1)
