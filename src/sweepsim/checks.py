@@ -27,9 +27,21 @@ def finite(record, *names: str) -> None:
     _check(record, names, "finite", math.isfinite)
 
 
+def _finite_pair(p) -> bool:
+    return len(p) == 2 and all(not isinstance(v, bool) and math.isfinite(v) for v in p)
+
+
 def finite_point(record, *names: str) -> None:
-    _check(record, names, "a finite (x, y) pair",
-           lambda p: len(p) == 2 and all(not isinstance(v, bool) and math.isfinite(v) for v in p))
+    _check(record, names, "a finite (x, y) pair", _finite_pair)
+
+
+def turn_range(record, *names: str) -> None:
+    _check(record, names, "a finite (low, high) pair with 0 <= low <= high",
+           lambda p: _finite_pair(p) and 0 <= p[0] <= p[1])
+
+
+def field_of_view(record, *names: str) -> None:
+    _check(record, names, "positive and at most 2 pi", lambda v: 0 < v <= 2 * math.pi)
 
 
 def integer_at_least(record, floor: int, *names: str) -> None:

@@ -27,7 +27,7 @@ from .angles import (
     wrap_pi,
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
-from .checks import integer_at_least, positive_finite
+from .checks import boolean, field_of_view, integer_at_least, positive_finite, turn_range
 from .world import HOLD, Unicycle, World
 
 
@@ -45,8 +45,10 @@ class RbParams:
     medium_turn: tuple[float, float] = (math.radians(5.0), math.radians(70.0))
 
     def __post_init__(self) -> None:
-        positive_finite(self, "boundary_trigger", "reciprocal_exclusion", "short_range")
-        positive_finite(self, "short_fov", "medium_range", "medium_fov")
+        positive_finite(self, "boundary_trigger", "reciprocal_exclusion", "short_range", "medium_range")
+        # decide's forward test for avoidance takes each half-cone as at most pi.
+        field_of_view(self, "short_fov", "medium_fov")
+        turn_range(self, "short_turn", "medium_turn")
         if not self.short_range < self.medium_range:
             raise ValueError("short_range must be below medium_range")
 
@@ -68,6 +70,8 @@ class LdrParams:
         # Compared with a neighbour count, 2.5 acts as 3 and True as 1.
         integer_at_least(self, 1, "density_threshold")
         integer_at_least(self, 0, "post_reaction_suppression", "post_avoidance_suppression")
+        boolean(self, "repulsive")  # a truthy string would pick the repulsive escape
+        turn_range(self, "random_turn")
 
 
 LDR_RANDOM = LdrParams(comm_range=10.0, density_threshold=5, repulsive=False)
@@ -345,6 +349,7 @@ class DecentralizedController:
         # Avoidance candidates (i, j) and the steps they are complete for.
         self._pairs: list[tuple[int, int]] = []
         self._pairs_from, self._pairs_until = 1, 0
+        self._shared = (None,)  # ((speed, rate), cruise, spin_ccw, spin_cw)
 
     def _begin_turn(self, i: int, target: float, direction: float, quiet: int) -> None:
         self.turn_target[i] = target
@@ -356,6 +361,8 @@ class DecentralizedController:
     def neighbours(self, xs: list[float], ys: list[float], now: int, step_len: float):
         """near[i]: the (dx, dy, dist) offsets of the agents within medium range of agent i.
 
+        A row is a tuple, grown by concatenation (it holds the few agents in
+        medium range), and the shared () where there is none.
         Offsets come in ascending index order; j gets the negated offset of
         the pair (i, j), so coincident agents see -0.0. Only the candidate
         pairs are walked: those within medium_range + SKIN when the list was
@@ -377,15 +384,15 @@ class DecentralizedController:
             # The margin covers the rounding of the moves.
             self._pairs_until = now + int((SKIN - 1e-9) / (2.0 * step_len))
         med2 = med * med
-        near: list[list] = [[] for _ in xs]
+        near: list[tuple] = [()] * len(xs)
         for i, j in self._pairs:
             dx = xs[j] - xs[i]
             dy = ys[j] - ys[i]
             dd = dx * dx + dy * dy
             if dd <= med2:
                 d = math.sqrt(dd)
-                near[i].append((dx, dy, d))
-                near[j].append((-dx, -dy, d))
+                near[i] += ((dx, dy, d),)
+                near[j] += ((-dx, -dy, d),)
         return near
 
     def density(self, xs: list[float], ys: list[float]) -> CommRows:
@@ -410,15 +417,20 @@ class DecentralizedController:
 
         # Shared commands: Unicycle is an immutable tuple, and a turn
         # direction is exactly +1.0 or -1.0, so direction * turn_rate is one
-        # of the two spins.
-        cruise = Unicycle(v_target, 0.0)
-        spin_ccw = Unicycle(0.0, turn_rate)
-        spin_cw = Unicycle(0.0, -turn_rate)
+        # of the two spins. They are built once per (speed, rate) pair.
+        if self._shared[0] != (v_target, turn_rate):
+            self._shared = ((v_target, turn_rate), Unicycle(v_target, 0.0),
+                            Unicycle(0.0, turn_rate), Unicycle(0.0, -turn_rate))
+        _, cruise, spin_ccw, spin_cw = self._shared
         last_turn = turn_rate * dt + 1e-12  # the most a turn's final step covers
-        turn_dir = self.turn_dir
-        turn_target = self.turn_target
+        turn_dir, turn_target, quiet_until = self.turn_dir, self.turn_target, self.quiet_until
         step_len = v_target * dt
         near = self.neighbours(xs, ys, now, step_len)
+        # avoidance_turn dodges only an offset inside the wider half-cone (at
+        # most pi): its projection on the heading is at least the cone's cosine
+        # times dist, less rounding. Under 1e-150 m, where dd may be subnormal, all pass.
+        ahead = math.cos(min(math.pi, max(rb.short_fov, rb.medium_fov) / 2.0)) - 1e-9
+        ldr, pheromone = self.ldr, self.pheromone
         rows = None  # LDR density, built when the first agent asks
         clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
         moves: list[Unicycle] = []
@@ -429,7 +441,7 @@ class DecentralizedController:
                 if remaining <= last_turn:
                     moves.append(Unicycle(0.0, direction * remaining / dt))
                     turn_dir[i] = 0.0
-                    self.quiet_until[i] = now + self.turn_quiet[i]
+                    quiet_until[i] = now + self.turn_quiet[i]
                 else:
                     moves.append(spin_ccw if direction > 0 else spin_cw)
                 continue
@@ -470,18 +482,24 @@ class DecentralizedController:
                 continue
 
             # Obstacle avoidance, short range before medium.
-            if near[i]:
-                dodge = avoidance_turn(h, near[i], rb, agents[i].rng)
-                if dodge is not None:
-                    target, direction, tier = dodge
-                    self._begin_turn(i, target, direction, self.avoid_quiet)
-                    if self.collect_events:
-                        self.events.append(ReactionEvent(now, i, "avoid_" + tier, target))
-                    moves.append(HOLD)
-                    continue
+            row = near[i]
+            dodge = None
+            if row:
+                cos_h, sin_h = math.cos(h), math.sin(h)
+                for dx, dy, dist in row:
+                    if dx * cos_h + dy * sin_h >= ahead * dist or dist < 1e-150:
+                        dodge = avoidance_turn(h, row, rb, agents[i].rng)
+                        break
+            if dodge is not None:
+                target, direction, tier = dodge
+                self._begin_turn(i, target, direction, self.avoid_quiet)
+                if self.collect_events:
+                    self.events.append(ReactionEvent(now, i, "avoid_" + tier, target))
+                moves.append(HOLD)
+                continue
 
             # Strategy add-on, only outside its quiet window.
-            if self.ldr is not None and now > self.quiet_until[i]:
+            if ldr is not None and now > quiet_until[i]:
                 if rows is None:
                     rows = self.density(xs, ys)
                 if not rows.notified(i):
@@ -489,25 +507,25 @@ class DecentralizedController:
                     continue
                 if self.collect_events:
                     self.events.append(ReactionEvent(now, i, "density", h))
-                if self.ldr.repulsive:
+                if ldr.repulsive:
                     rel = [(xs[j] - x, ys[j] - y) for j in rows[i]]
                     target = repulsive_escape(rel)
                     if target is None:
                         # Perfectly centered neighbors: hold heading, still back off.
-                        self.quiet_until[i] = now + self.react_quiet
+                        quiet_until[i] = now + self.react_quiet
                         moves.append(cruise)
                         continue
                     direction = turn_direction(h, target)
                 else:
-                    lo, hi = self.ldr.random_turn
+                    lo, hi = ldr.random_turn
                     target = wrap_angle(h - agents[i].rng.uniform(lo, hi))
                     direction = -1.0
                 self._begin_turn(i, target, direction, self.react_quiet)
                 moves.append(HOLD)
                 continue
 
-            if self.pheromone is not None and now > self.quiet_until[i]:
-                readings = pm_sense(self.pheromone, now - 1, cells[i], h)
+            if pheromone is not None and now > quiet_until[i]:
+                readings = pm_sense(pheromone, now - 1, cells[i], h)
                 outcome = pm_choose(readings, agents[i].rng)
                 if outcome != "no_reaction":
                     if self.collect_events:

@@ -159,7 +159,8 @@ class World:
     agent's last flat cell index (-1 before step 1 and outside the arena).
     samplers marks the agents at the sampling altitude, which never changes.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
-    boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step).
+    boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
+    rotated, the last PoseTarget's heading, offsets and their (c ox, s oy, s ox, c oy) terms.
     """
 
     def __init__(
@@ -178,6 +179,7 @@ class World:
         self.cells = [-1] * n
         self.boxes = cell_boxes(arena)
         self.cruise = [(math.nan, 0.0, 0.0, 0.0)] * n  # a nan heading matches none
+        self.rotated = (math.nan, (), [])
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
         self.visits = [0] * arena.cell_count
@@ -207,7 +209,8 @@ class World:
         agent only turns, and its unchanged cell is not mapped or scored.
         A position in the box of cells[i] is stored unmapped: the boxes are
         derived from this mapping, which stays the one definition. A move
-        reuses the agent's last step vector at an unchanged heading and speed.
+        reuses the agent's last step vector at an unchanged heading and speed, and
+        a formation its rotated offsets at an unchanged heading and offsets tuple.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -218,11 +221,16 @@ class World:
         sampling = True
         if formation:
             bx, by = moves.position
-            c = math.cos(moves.heading)
-            s = math.sin(moves.heading)
-            heading = wrap_angle(moves.heading)
             sampling = moves.sampling_active
-            moves = moves.offsets
+            heading, offsets, terms = self.rotated
+            # 0.0 == -0.0, yet their sines differ: a zero heading is never reused.
+            if moves.heading != heading or moves.offsets is not offsets or heading == 0.0:
+                heading, offsets = moves.heading, moves.offsets
+                c, s = math.cos(heading), math.sin(heading)
+                terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
+                self.rotated = (heading, offsets, terms)
+            heading = wrap_angle(heading)
+            moves = terms
         if len(moves) != len(xs):
             raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
         visits = self.visits
@@ -239,16 +247,18 @@ class World:
         events = []
         for i, motion in enumerate(moves):
             if formation:
-                ox, oy = motion  # follow_formation's expression, term for term
-                x = bx + c * ox - s * oy
-                y = by + s * ox + c * oy
+                cox, soy, sox, coy = motion  # follow_formation's expression, term for term
+                x = bx + cox - soy
+                y = by + sox + coy
                 hs[i] = heading
             else:
-                speed = motion.linear_speed
-                h = hs[i] + motion.angular_rate * dt
-                if not 0.0 <= h < TWO_PI:
-                    h = wrap_angle(h)
-                hs[i] = h
+                speed, rate = motion
+                h = hs[i]
+                if rate or not 0.0 < h < TWO_PI:  # else h + rate * dt is h itself
+                    h += rate * dt
+                    if not 0.0 <= h < TWO_PI:
+                        h = wrap_angle(h)
+                    hs[i] = h
                 if speed == 0.0 and step_idx != 1:
                     # Turning or holding in place: cells[i] is already this
                     # cell, so no visit can be credited. On step 1 it is

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import pytest
 
 from sweepsim.arena import ArenaSpec
-from sweepsim.decentralized import LDR_RANDOM, PM, RbParams
+from sweepsim.decentralized import LDR_RANDOM, LDR_REPULSIVE, PM, RbParams
 from sweepsim.harness import ExperimentConfig, PlacementSpec
 from sweepsim.world import SimConfig
 
@@ -21,6 +21,9 @@ RECORDS = [
     LDR_RANDOM,
     PM,
 ]
+
+
+TURN_RANGE = "a finite (low, high) pair with 0 <= low <= high"
 
 
 def is_number(value) -> bool:
@@ -64,9 +67,31 @@ def test_numeric_field_goes_through_a_rule(record, name):
         # A truthy string would write heatmaps while summary.json echoed "false".
         (lambda: ExperimentConfig("rb", heatmaps="false"), "heatmaps must be a boolean, got 'false'"),
         (lambda: ExperimentConfig("rb", heatmaps=1), "heatmaps must be a boolean, got 1"),
+        # A reversed range failed mid-run, in numpy, at the first density reaction.
+        (lambda: replace(LDR_RANDOM, random_turn=(2.0, 1.0)), f"random_turn must be {TURN_RANGE}, got (2.0, 1.0)"),
+        (lambda: RbParams(short_turn=(math.nan, -1.0)), f"short_turn must be {TURN_RANGE}, got (nan, -1.0)"),
+        (lambda: RbParams(medium_turn=(-0.1, 0.5)), f"medium_turn must be {TURN_RANGE}, got (-0.1, 0.5)"),
+        (lambda: RbParams(medium_turn=(0.1, math.inf)), f"medium_turn must be {TURN_RANGE}, got (0.1, inf)"),
+        (lambda: RbParams(short_turn=(True, 1.0)), f"short_turn must be {TURN_RANGE}, got (True, 1.0)"),
+        (lambda: RbParams(short_turn=(0.5,)), f"short_turn must be {TURN_RANGE}, got (0.5,)"),
+        (lambda: RbParams(short_turn="ab"), f"short_turn must be {TURN_RANGE}, got 'ab'"),
+        (lambda: RbParams(short_turn=None), f"short_turn must be {TURN_RANGE}, got None"),
+        # decide's forward test for avoidance takes each half-cone as at most pi.
+        (lambda: RbParams(short_fov=7.0), "short_fov must be positive and at most 2 pi, got 7.0"),
+        (lambda: RbParams(medium_fov=100.0), "medium_fov must be positive and at most 2 pi, got 100.0"),
+        # A truthy string read as repulsive.
+        (lambda: replace(LDR_RANDOM, repulsive="yes"), "repulsive must be a boolean, got 'yes'"),
+        (lambda: replace(LDR_REPULSIVE, repulsive=1), "repulsive must be a boolean, got 1"),
     ],
 )
 def test_bad_value_raises_the_standard_error(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+def test_the_widest_values_each_rule_allows_are_accepted():
+    # A full circle of view, and turn ranges of one value or starting at zero.
+    full = RbParams(short_fov=2 * math.pi, medium_fov=2 * math.pi, short_turn=(0.0, 0.0), medium_turn=(1, 1))
+    assert (full.short_fov, full.medium_turn) == (2 * math.pi, (1, 1))
+    assert replace(LDR_RANDOM, random_turn=(0.0, math.pi)).random_turn == (0.0, math.pi)

@@ -890,3 +890,98 @@ class TestNeighbourScanInRuns:
         world = World(ARENA, SimConfig(), line(stepped), make_controller("rb", line(built), ARENA))
         with pytest.raises(ValueError, match=f"built for {built} agents, world has {stepped}"):
             world.step()
+
+
+def test_an_agent_with_no_neighbour_gets_the_shared_empty_row():
+    # Agents 0 and 1 are 2 m apart, agent 2 is alone: only 0 and 1 get a row.
+    points = [(0.0, 0.0), (2.0, 0.0), (10.0, 0.0)]
+    near = DecentralizedController("rb", points).neighbours(
+        [p[0] for p in points], [p[1] for p in points], 1, STEP_LEN
+    )
+    assert near == [((2.0, 0.0, 2.0),), ((-2.0, -0.0, 2.0),), ()]
+    assert type(near[2]) is tuple
+
+
+def test_shared_commands_are_built_once(monkeypatch):
+    # A run builds its cruise and two spins once; only a turn's last,
+    # shortened step builds its own command.
+    world = build_world(ExperimentConfig("rb", runs=1, sim=SimConfig(max_steps=300)), seed=1)
+    built = []
+    new = Unicycle.__new__
+    monkeypatch.setattr(Unicycle, "__new__", lambda cls, v, w: built.append((v, w)) or new(cls, v, w))
+    controller = world.controller
+    ends = 0
+    for _ in range(300):
+        turning = list(controller.turn_dir)
+        world.step()
+        ends += sum(1 for was, now in zip(turning, controller.turn_dir) if was and not now)
+    assert ends > 0
+    assert len(built) == 3 + ends
+    assert sorted(built[:3]) == [(0.0, -math.pi / 6.0), (0.0, math.pi / 6.0), (1.0, 0.0)]
+
+
+# Offsets on avoidance's edges: the 30 and 45 degree half-cones either side,
+# and beside and behind the heading.
+EDGE_BEARINGS = [0.0, math.pi / 6.0, -math.pi / 6.0, math.pi / 4.0, -math.pi / 4.0, math.pi / 2.0, math.pi]
+TINY = 2e-162  # a distance whose square is subnormal, with a few bits left
+forward_heading = st.one_of(
+    st.sampled_from([0.0, math.nextafter(2.0 * math.pi, 0.0)]),
+    st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+
+
+@st.composite
+def forward_scene(draw):
+    """Agent 0 at the arena's centre, and a few agents around it: coincident
+    at either sign of zero, or on an edge bearing or any bearing from agent
+    0's heading, at exactly short_range or medium_range, at any distance,
+    or at a tiny one. Every agent has its own heading."""
+    heading = draw(forward_heading)
+    points = [(0.0, 0.0)]
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            zero = st.sampled_from([0.0, -0.0])
+            points.append((draw(zero), draw(zero)))
+            continue
+        bearing = heading + draw(st.one_of(st.sampled_from(EDGE_BEARINGS), st.floats(-math.pi, math.pi)))
+        dist = draw(st.one_of(st.sampled_from([RB.short_range, RB.medium_range, TINY]), st.floats(0.0, 2.6)))
+        points.append((dist * math.cos(bearing), dist * math.sin(bearing)))
+    headings = [heading] + [draw(forward_heading) for _ in points[1:]]
+    return points, headings
+
+
+class TestForwardBound:
+    @settings(max_examples=200, deadline=None)
+    @given(forward_scene())
+    # On the 45 degree edge at heading 0, exactly; that edge at a tiny
+    # distance; and agents coincident at either sign of zero.
+    @example(([(0.0, 0.0), (0.5, 0.5), (0.5, -0.5)], [0.0, math.pi, math.pi]))
+    @example(([(0.0, 0.0), (TINY, TINY)], [0.0, 0.0]))
+    @example(([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)], [0.0, math.pi, 0.0]))
+    def test_decide_skips_avoidance_only_where_it_would_not_dodge(self, drawn):
+        points, headings = drawn
+        agents = [
+            AgentState(id=i, position=p, heading=h, altitude=1.5, rng=agent_stream(0, i))
+            for i, (p, h) in enumerate(zip(points, headings))
+        ]
+        world = World(ARENA, SimConfig(), agents, make_controller("rb", agents, ARENA))
+        near = pairwise_scan_reference(world.xs, world.ys, RB.medium_range, None)[0]
+        states = [a.rng.bit_generator.state for a in agents]
+        calls = {}
+        real = decentralized.avoidance_turn
+
+        def recording(heading, row, params, rng):
+            calls[id(rng)] = row
+            return real(heading, row, params, rng)
+
+        decentralized.avoidance_turn = recording
+        try:
+            world.controller.decide(world)
+        finally:
+            decentralized.avoidance_turn = real
+        for i, agent in enumerate(agents):
+            if id(agent.rng) in calls:
+                assert hexed([calls[id(agent.rng)]]) == hexed([near[i]]), i
+            else:
+                assert agent.rng.bit_generator.state == states[i], i
+                assert real(world.hs[i], near[i], RB, agent.rng) is None, i

@@ -1,8 +1,9 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
-and the package's public names resolve."""
+the package's public names resolve, and the benchmark's traced functions exist."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,17 @@ def test_failing_hypothesis_test_leaves_the_rest_of_the_session_running(tmp_path
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_every_traced_function_exists():
+    # The benchmark's tracer patches owner.__dict__[attr] for each of its
+    # targets; a refactor that moves one breaks the traced benchmark run.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in tracing.TARGETS if attr not in owner.__dict__]
+    assert missing == []
+    assert len(tracing.TARGETS) > 0
 
 
 def test_every_public_name_resolves():

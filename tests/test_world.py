@@ -469,7 +469,7 @@ def assert_step_matches_oracles(arena, start, heading, commands):
     assert_swarm_matches_oracles(arena, [start], [heading], [[c] for c in commands])
 
 
-def assert_swarm_matches_oracles(arena, starts, headings, script, writes=()):
+def assert_swarm_matches_oracles(arena, starts, headings, script, writes=(), heading_writes=()):
     """Run script, one command per agent a step, through World.step and through the oracles; compare.
 
     The oracles move and score one agent at a time, in id order. World.step
@@ -477,7 +477,8 @@ def assert_swarm_matches_oracles(arena, starts, headings, script, writes=()):
     each command with a non-zero linear speed. Poses are compared by
     float.hex, so the sign of a zero counts. writes holds (step, agent,
     cell) triples: before that step, cell is written into world.cells and
-    into the reference's prev_cell.
+    into the reference's prev_cell. heading_writes holds (step, agent,
+    heading) triples, written into world.hs and the reference's heading.
     """
     spawns = [spawn(p, h, i) for i, (p, h) in enumerate(zip(starts, headings))]
     world = World(arena, CFG, spawns, ScriptedController(script))
@@ -491,6 +492,9 @@ def assert_swarm_matches_oracles(arena, starts, headings, script, writes=()):
         for when, i, cell in writes:
             if when == step:
                 world.cells[i] = manual[i].prev_cell = cell
+        for when, i, heading in heading_writes:
+            if when == step:
+                world.hs[i] = manual[i].heading = heading
         world.step()
         events = []
         for agent, command in zip(manual, commands, strict=True):
@@ -756,6 +760,18 @@ class TestCellSkip:
         writes = [(2, 0, flat_index(written, ARENA)), (2, 1, flat_index((20, 20), ARENA))]
         assert_swarm_matches_oracles(ARENA, [(0.45, 0.5), (line, 0.5)], [0.0, math.pi / 2.0], script, writes)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.0])
+    def test_written_headings_cruise_as_the_oracles(self, rate):
+        # At a zero rate World.step leaves a heading strictly inside (0, 2 pi)
+        # as it is, since h + 0.0 * dt is h. Any other heading takes the sum
+        # and the wrap: -0.0 and 0.0 become 0.0, 2 pi wraps to 0.0 and 7.0 to
+        # 7.0 - 2 pi. Each is written before a cruise step, twice.
+        written = [-0.0, 0.0, TWO_PI, 7.0, math.nextafter(TWO_PI, 0.0), 5e-324, 1.0]
+        starts = [(-9.5 + 3.0 * k, 0.5) for k in range(len(written))]
+        script = [[Unicycle(1.0, rate)] * len(written)] * 6
+        writes = [(step, i, h) for step in (2, 4) for i, h in enumerate(written)]
+        assert_swarm_matches_oracles(ARENA, starts, [1.0] * len(written), script, heading_writes=writes)
+
 
 FORMATION_ARENAS = [
     ArenaSpec(side_length=10.0, cell_size=c, region_size=10.0) for c in (1.0, 0.5, 0.1)
@@ -841,24 +857,48 @@ class TestFormationStepEquivalence:
     def test_formation_command_matches_per_member_reference(self, script):
         # World.step takes one PoseTarget for the whole formation; the
         # reference places and scores one member at a time
-        arena, starts, altitudes, commands = script
+        assert_formation_matches_reference(*script)
 
-        spawns = [
-            AgentState(id=i, position=p, heading=0.0, altitude=alt)
-            for i, (p, alt) in enumerate(zip(starts, altitudes))
+    def test_signed_zero_headings_and_new_offsets_match_the_reference(self):
+        # World.step reuses a formation's rotated offsets while the heading
+        # compares equal and the offsets are the same tuple. 0.0 == -0.0, yet
+        # their sines differ and so does the sign of y here: a zero heading
+        # is rotated afresh, and so is a new offsets tuple at the same heading.
+        first = ((0.0, -0.0), (0.0, 1.0), (-0.5, -1.5))
+        second = ((0.25, -0.0), (0.0, 2.0), (-0.5, -1.0))
+        origin = (-0.0, -0.0)
+        commands = [
+            PoseTarget(origin, 0.0, first, True),
+            PoseTarget(origin, -0.0, first, True),
+            PoseTarget(origin, 0.0, first, True),
+            PoseTarget(origin, 1.0, first, True),
+            PoseTarget(origin, 1.0, second, True),
+            PoseTarget((0.5, 0.5), 1.0, second, True),
+            PoseTarget((0.5, 0.5), -0.0, second, True),
+            PoseTarget((0.5, 0.5), -0.0, first, True),
         ]
-        world = World(arena, CFG, spawns, ScriptedController(commands))
-        manual = [
-            RefAgent(id=i, position=p, heading=0.0, altitude=alt)
-            for i, (p, alt) in enumerate(zip(starts, altitudes))
-        ]
-        coverage = RefCoverage(arena)
-        for command in commands:
-            world.step()
-            events = pose_step_reference(manual, coverage, CFG, command)
-            assert member_views(world) == reference_views(manual)
-            assert world.visit_events == [(i, flat_index(cell, arena)) for i, cell in events]
-            assert world.visits == coverage.visits
+        starts = follow_formation((1.0, 1.0), 2.0, SonsFormation(offsets=first, sampler_ids=(), span=0.0))
+        assert_formation_matches_reference(FORMATION_ARENAS[0], starts, [CFG.sampling_altitude] * 3, commands)
+
+
+def assert_formation_matches_reference(arena, starts, altitudes, commands):
+    """Step a formation through commands in World and in pose_step_reference; compare by float.hex."""
+    spawns = [
+        AgentState(id=i, position=p, heading=0.0, altitude=alt)
+        for i, (p, alt) in enumerate(zip(starts, altitudes))
+    ]
+    world = World(arena, CFG, spawns, ScriptedController(commands))
+    manual = [
+        RefAgent(id=i, position=p, heading=0.0, altitude=alt)
+        for i, (p, alt) in enumerate(zip(starts, altitudes))
+    ]
+    coverage = RefCoverage(arena)
+    for command in commands:
+        world.step()
+        events = pose_step_reference(manual, coverage, CFG, command)
+        assert member_views(world) == reference_views(manual)
+        assert world.visit_events == [(i, flat_index(cell, arena)) for i, cell in events]
+        assert world.visits == coverage.visits
 
 
 class TestWholeRuns:
