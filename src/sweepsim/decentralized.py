@@ -109,6 +109,10 @@ PM = PmParams()
 _COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
+# The turn direction of each pm_choose reaction; "ahead" goes straight on.
+_PM_TURN = {"ahead": 0.0, "turn_left_45": 1.0, "turn_right_45": -1.0}
+
+
 # Padding of the avoidance candidate list beyond medium range, in metres.
 SKIN = 2.0
 
@@ -159,9 +163,7 @@ class PheromoneField:
         self._stamp[slot] = step
 
 
-def boundary_escape_heading(
-    heading: float, inward_normals, rng, exclusion_half_angle: float = math.radians(5.0)
-) -> float:
+def boundary_escape_heading(heading: float, inward_normals, rng, exclusion_half_angle: float) -> float:
     """Random interior-facing heading for a boundary reflection.
 
     Uniform over the intersection of the triggering edges' interior
@@ -311,31 +313,30 @@ class DecentralizedController:
 
     All sensing reads the swarm state from before the step began; per-agent
     decisions never see each other's same-step reactions, so agents can be
-    evaluated in any order. An agent carries at most one add-on: an ldr adds
-    density dispersal, or a pheromone field adds PM's sensing and turns, with
-    the PM constants. The add-on keeps one quiet window per agent. Each turn
-    carries the window it opens when it ends: the add-on's post-avoidance
-    window for a boundary or avoidance turn, its post-reaction window for
-    its own.
+    evaluated in any order. The controller carries one add-on or none: an
+    LdrParams adds density dispersal, a PmParams adds sensing and turns on a
+    pheromone field over the arena. The add-on keeps one quiet window per
+    agent. Each turn carries the window it opens when it ends: the add-on's
+    post-avoidance window for a boundary or avoidance turn, its
+    post-reaction window for its own. rb carries PM's windows, which nothing reads.
     """
 
     def __init__(
         self,
         name: str,
         agents,
-        ldr: LdrParams | None = None,
-        pheromone: PheromoneField | None = None,
+        arena: ArenaSpec,
+        addon: LdrParams | PmParams | None = None,
         collect_events: bool = False,
     ):
-        if ldr is not None and pheromone is not None:
-            raise ValueError("ldr and pheromone: a controller carries at most one add-on")
         self.name = name
         self.rb = RbParams()
-        self.ldr = ldr
-        self.pheromone = pheromone
-        addon = ldr if ldr is not None else PM
-        self.avoid_quiet = addon.post_avoidance_suppression
-        self.react_quiet = addon.post_reaction_suppression
+        self.addon = addon
+        self.ldr = addon if isinstance(addon, LdrParams) else None
+        self.pheromone = PheromoneField(arena) if isinstance(addon, PmParams) else None
+        windows = PM if addon is None else addon
+        self.avoid_quiet = windows.post_avoidance_suppression
+        self.react_quiet = windows.post_reaction_suppression
         n = len(agents)
         self.turn_target = [0.0] * n
         self.turn_dir = [0.0] * n  # +1.0 or -1.0 while turning, 0.0 while cruising
@@ -351,10 +352,15 @@ class DecentralizedController:
         self._pairs_from, self._pairs_until = 1, 0
         self._shared = (None,)  # ((speed, rate), cruise, spin_ccw, spin_cw)
 
-    def _begin_turn(self, i: int, target: float, direction: float, quiet: int) -> None:
-        self.turn_target[i] = target
-        self.turn_dir[i] = direction
-        self.turn_quiet[i] = quiet
+    def _react(self, i: int, now: int, kind: str, heading: float, direction=0.0, target=0.0, quiet=0, **detail):
+        """Agent i reacts at step now: the reaction is logged when events are collected,
+        and a non-zero direction starts the turn to target that opens quiet when it ends."""
+        if self.collect_events:
+            self.events.append(ReactionEvent(now, i, kind, heading, **detail))
+        if direction:
+            self.turn_target[i] = target
+            self.turn_dir[i] = direction
+            self.turn_quiet[i] = quiet
 
     # -- the step -------------------------------------------------------------
 
@@ -473,11 +479,8 @@ class DecentralizedController:
                             trigger = True
             if trigger:
                 target = boundary_escape_heading(h, constraints, agents[i].rng, rb.reciprocal_exclusion)
-                self._begin_turn(i, target, turn_direction(h, target), self.avoid_quiet)
-                if self.collect_events:
-                    self.events.append(
-                        ReactionEvent(now, i, "boundary", target, normals=tuple(constraints))
-                    )
+                self._react(i, now, "boundary", target, turn_direction(h, target), target, self.avoid_quiet,
+                            normals=tuple(constraints))
                 moves.append(HOLD)
                 continue
 
@@ -492,9 +495,7 @@ class DecentralizedController:
                         break
             if dodge is not None:
                 target, direction, tier = dodge
-                self._begin_turn(i, target, direction, self.avoid_quiet)
-                if self.collect_events:
-                    self.events.append(ReactionEvent(now, i, "avoid_" + tier, target))
+                self._react(i, now, "avoid_" + tier, target, direction, target, self.avoid_quiet)
                 moves.append(HOLD)
                 continue
 
@@ -505,37 +506,30 @@ class DecentralizedController:
                 if not rows.notified(i):
                     moves.append(cruise)
                     continue
-                if self.collect_events:
-                    self.events.append(ReactionEvent(now, i, "density", h))
                 if ldr.repulsive:
-                    rel = [(xs[j] - x, ys[j] - y) for j in rows[i]]
-                    target = repulsive_escape(rel)
-                    if target is None:
-                        # Perfectly centered neighbors: hold heading, still back off.
-                        quiet_until[i] = now + self.react_quiet
-                        moves.append(cruise)
-                        continue
-                    direction = turn_direction(h, target)
+                    target = repulsive_escape([(xs[j] - x, ys[j] - y) for j in rows[i]])
+                    direction = 0.0 if target is None else turn_direction(h, target)
                 else:
                     lo, hi = ldr.random_turn
                     target = wrap_angle(h - agents[i].rng.uniform(lo, hi))
                     direction = -1.0
-                self._begin_turn(i, target, direction, self.react_quiet)
-                moves.append(HOLD)
+                self._react(i, now, "density", h, direction, target, self.react_quiet)
+                if direction:
+                    moves.append(HOLD)
+                else:
+                    # Perfectly centered neighbors: hold heading, still back off.
+                    quiet_until[i] = now + self.react_quiet
+                    moves.append(cruise)
                 continue
 
             if pheromone is not None and now > quiet_until[i]:
                 readings = pm_sense(pheromone, now - 1, cells[i], h)
                 outcome = pm_choose(readings, agents[i].rng)
                 if outcome != "no_reaction":
-                    if self.collect_events:
-                        self.events.append(
-                            ReactionEvent(now, i, "pheromone", h, outcome=outcome)
-                        )
-                    if outcome != "ahead":
-                        direction = 1.0 if outcome == "turn_left_45" else -1.0
-                        target = wrap_angle(h + direction * PM.turn_angle)
-                        self._begin_turn(i, target, direction, self.react_quiet)
+                    direction = _PM_TURN[outcome]
+                    target = wrap_angle(h + direction * self.addon.turn_angle)
+                    self._react(i, now, "pheromone", h, direction, target, self.react_quiet, outcome=outcome)
+                    if direction:
                         moves.append(HOLD)
                         continue
 
@@ -543,17 +537,14 @@ class DecentralizedController:
         return moves
 
 
-# Each decentralized strategy's LDR add-on; PM is RB plus the pheromone field.
-LDR_ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": None}
+# Each decentralized strategy's add-on on the RB core.
+ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": PM}
 
 
 def make_controller(
     name: str, agents, arena: ArenaSpec, collect_events: bool = False
 ) -> DecentralizedController:
-    """Build the controller for a strategy name; PM's carries its pheromone field."""
-    if name not in LDR_ADD_ON:
+    """Build the controller for a strategy name."""
+    if name not in ADD_ON:
         raise ValueError(f"unknown decentralized strategy: {name}")
-    field = PheromoneField(arena) if name == "pm" else None
-    return DecentralizedController(
-        name, agents, ldr=LDR_ADD_ON[name], pheromone=field, collect_events=collect_events
-    )
+    return DecentralizedController(name, agents, arena, ADD_ON[name], collect_events)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arena import ArenaSpec
 from .checks import boolean, integer_at_least, positive_finite
-from .decentralized import LDR_ADD_ON, make_controller
+from .decentralized import ADD_ON, make_controller
 from .metrics import (
     RunRecord,
     block_uniformities,
@@ -28,7 +28,7 @@ from .metrics import (
 from .sons import make_sons_controller
 from .world import AgentState, SimConfig, World, agent_stream, check_step_length, harness_stream
 
-DECENTRALIZED = tuple(LDR_ADD_ON)
+DECENTRALIZED = tuple(ADD_ON)
 STRATEGIES = DECENTRALIZED + ("sons_bs", "sons_rw")
 
 
@@ -179,18 +179,20 @@ class ExperimentConfig:
 
 
 def build_world(config: ExperimentConfig, seed: int, collect_events: bool = False) -> World:
-    """Assemble one seeded, ready-to-run world for the configured strategy."""
+    """Assemble one seeded, ready-to-run world for the configured strategy.
+
+    collect_events switches on the controller's log: reactions for the
+    decentralized strategies, boundary crossings for sons_rw.
+    """
     sim = replace(config.sim, seed=seed)
     if config.strategy in DECENTRALIZED:
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
         )
-        controller = make_controller(
-            config.strategy, agents, config.arena, collect_events=collect_events
-        )
+        controller = make_controller(config.strategy, agents, config.arena, collect_events)
     else:
         agents, controller = make_sons_controller(
-            config.strategy, config.arena, sim, *config.split_roles()
+            config.strategy, config.arena, sim, *config.split_roles(), collect_events
         )
     return World(config.arena, sim, agents, controller)
 

@@ -187,7 +187,7 @@ class SonsRwController(SonsController):
     crossing_depth = 0.95  # m past the boundary before turning
     exclusion_half_angle = math.radians(30.0)
 
-    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng):
+    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng, collect_events: bool = False):
         cx, cy = arena.center
         h = arena.half_side
         east, _, _, south = EDGE_NORMALS
@@ -202,6 +202,7 @@ class SonsRwController(SonsController):
         self.d_rand = 1.0
         self.d_adjust = 1.0
         self.align_target = 0.0
+        self.collect_events = collect_events
         self.events: list[CrossingEvent] = []
 
     def _select_crossing(self, world: World, outside) -> None:
@@ -230,9 +231,9 @@ class SonsRwController(SonsController):
         self.d_adjust = turn_direction(h, align)
         aligned = self.d_rand == self.d_adjust
         self.phase = "align" if aligned else "prepare"
-        self.events.append(
-            CrossingEvent(
-                step=world.step_count,
+        if self.collect_events:
+            self.events.append(CrossingEvent(
+                step=world.step_count + 1,  # the step being decided
                 entry_heading=h,
                 theta_rand=self.theta_rand,
                 d_rand=self.d_rand,
@@ -240,8 +241,7 @@ class SonsRwController(SonsController):
                 aligned=aligned,
                 normals=tuple(normals),
                 exclusion_dropped=dropped,
-            )
-        )
+            ))
 
     def _rotation_done(self, target: float, direction: float) -> bool:
         # the final partial step can land an ulp past the target, which reads
@@ -299,12 +299,13 @@ class SonsRwController(SonsController):
 
 
 def make_sons_controller(
-    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int
+    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int,
+    collect_events: bool = False,
 ) -> tuple[list[AgentState], SonsController]:
     """Wire up the brain of sons_bs or sons_rw and spawn the formation at its start pose.
 
     Samplers fly at the sampling altitude; the brain and the supervisors at
-    the supervisory altitude.
+    the supervisory altitude. collect_events switches on sons_rw's crossing log.
     """
     formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
     if formation.span > arena.side_length:
@@ -312,7 +313,7 @@ def make_sons_controller(
     if strategy == "sons_bs":
         controller = SonsBsController(formation, arena)
     elif strategy == "sons_rw":
-        controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0))
+        controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0), collect_events)
     else:
         raise ValueError(f"unknown formation strategy: {strategy}")
     heading = controller.brain_heading

@@ -306,9 +306,6 @@ class World:
             ys[i] = y
         self.visit_events = events
 
-    def is_complete(self) -> bool:
-        return self.visited_count == self.arena.cell_count
-
     def run(self, on_step: Callable[["World"], None] | None = None) -> RunRecord:
         """Step until full coverage or the step budget runs out."""
         cell_count = self.arena.cell_count

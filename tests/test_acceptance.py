@@ -253,7 +253,7 @@ def test_c6_field_nonnegative_over_full_run(sweep):
 
 def test_c7_random_walk_formation_invariants():
     config = ExperimentConfig(strategy="sons_rw", runs=1, base_seed=BASE_SEED)
-    world = build_world(config, seed=BASE_SEED)
+    world = build_world(config, seed=BASE_SEED, collect_events=True)
     controller = world.controller
     formation = controller.formation
     ids = range(len(world.agents))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -50,6 +51,30 @@ def test_numeric_field_goes_through_a_rule(record, name):
     bad = math.nan if isinstance(getattr(record, name), float) else 2.5
     for value in (True, bad, "1", None):
         with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
+            replace(record, **{name: value})
+
+
+TUPLE_FIELDS = [
+    pytest.param(record, f.name, id=f"{type(record).__name__}.{f.name}")
+    for record in RECORDS
+    for f in fields(record)
+    if isinstance(getattr(record, f.name), tuple)
+]
+
+
+def test_tuple_fields_are_the_known_pairs():
+    assert [param.id for param in TUPLE_FIELDS] == [
+        "ArenaSpec.center", "RbParams.short_turn", "RbParams.medium_turn", "LdrParams.random_turn",
+    ]
+
+
+@pytest.mark.parametrize("record, name", TUPLE_FIELDS)
+def test_tuple_field_goes_through_a_rule(record, name):
+    # A tuple field added without a rule fails here: a bool would act as 1,
+    # nan or a short tuple would run silently, and a string or None raised a
+    # bare TypeError or indexed into the string.
+    for value in ((True, 0.0), (math.nan, 0.0), (0.5,), "ab", None):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
             replace(record, **{name: value})
 
 

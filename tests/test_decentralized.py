@@ -67,7 +67,7 @@ class TestBoundaryEscape:
         # heading due east at the east edge; reciprocal is due west (180deg)
         rng = rng_for(1)
         for _ in range(500):
-            theta = boundary_escape_heading(0.0, [(-1.0, 0.0)], rng)
+            theta = boundary_escape_heading(0.0, [(-1.0, 0.0)], rng, RB.reciprocal_exclusion)
             dx, dy = heading_vector(theta)
             assert dx < 0.0  # interior half-plane
             gap = min(ccw_distance(math.pi, theta), cw_distance(math.pi, theta))
@@ -77,23 +77,24 @@ class TestBoundaryEscape:
         rng = rng_for(2)
         normals = [(-1.0, 0.0), (0.0, 1.0)]  # south-east corner
         for _ in range(500):
-            theta = boundary_escape_heading(math.radians(-45.0), normals, rng)
+            theta = boundary_escape_heading(math.radians(-45.0), normals, rng, RB.reciprocal_exclusion)
             dx, dy = heading_vector(theta)
             assert dx < 0.0 and dy > 0.0
 
     def test_normal_equal_to_reciprocal_keeps_symmetric_halves(self):
         # heading due east; inward normal due west = exactly the reciprocal
         rng = rng_for(3)
-        thetas = [boundary_escape_heading(0.0, [(-1.0, 0.0)], rng) for _ in range(2000)]
+        thetas = [boundary_escape_heading(0.0, [(-1.0, 0.0)], rng, RB.reciprocal_exclusion) for _ in range(2000)]
         left = sum(1 for t in thetas if t < math.pi)
         right = len(thetas) - left
         assert abs(left - right) < 5 * math.sqrt(len(thetas)) / 2
 
     def test_matches_rejection_sampling_oracle(self):
         rng = rng_for(4)
-        draws = np.array(
-            [boundary_escape_heading(math.radians(30.0), [(-1.0, 0.0)], rng) for _ in range(3000)]
-        )
+        draws = np.array([
+            boundary_escape_heading(math.radians(30.0), [(-1.0, 0.0)], rng, RB.reciprocal_exclusion)
+            for _ in range(3000)
+        ])
         oracle_rng = rng_for(5)
         reciprocal = wrap_angle(math.radians(30.0) + math.pi)
         oracle = []
@@ -389,7 +390,7 @@ class TestControllerTraces:
         for arena, strategy in cases:
             world, _ = short_world(strategy, arena=arena, collect=False)
             (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
-            while not world.is_complete() and world.step_count < 4000:
+            while world.visited_count < arena.cell_count and world.step_count < 4000:
                 world.step()
                 for x, y in zip(world.xs, world.ys):
                     assert minx <= x <= maxx and miny <= y <= maxy, (arena.center, strategy)
@@ -505,8 +506,8 @@ class TestPmQuietWindow:
         # one pm agent at the centre, facing east, with pheromone in the
         # cells ahead, left and right of it
         agent = AgentState(id=0, position=(0.5, 0.5), heading=0.0, altitude=1.5, rng=agent_stream(0, 0))
-        field = PheromoneField(ARENA)
-        controller = DecentralizedController("pm", [agent], pheromone=field)
+        controller = DecentralizedController("pm", [agent], ARENA, PM)
+        field = controller.pheromone
         world = World(ARENA, SimConfig(), [agent], controller)
         world.cells[0] = flat_index((20, 20), ARENA)
         for cell in ((21, 20), (21, 21), (21, 19)):
@@ -605,12 +606,6 @@ class TestRejectsWhatItCannotRun:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (
-                lambda: DecentralizedController(
-                    "pm", [], ldr=LDR_RANDOM, pheromone=PheromoneField(ARENA)
-                ),
-                "ldr and pheromone",
-            ),
             (lambda: RbParams(short_range=2.5), "short_range"),
             (lambda: replace(LDR_RANDOM, density_threshold=0), "density_threshold"),
             # 2.5 acted as 3 and True as 1
@@ -717,7 +712,7 @@ class TestPairwiseScan:
         # A freshly built candidate list, then the same list at every step of
         # its window while each agent makes the longest move there is.
         for name, ldr in (("rb", None), ("ldr_random", LDR_RANDOM), ("ldr_repulsive", LDR_REPULSIVE)):
-            controller = DecentralizedController(name, points, ldr=ldr)
+            controller = DecentralizedController(name, points, ARENA, ldr)
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             now = 1
@@ -761,7 +756,7 @@ class TestPairwiseScan:
         order = data.draw(st.permutations(range(n))) if data is not None else range(n)[::-1]
         for ldr in (LDR_RANDOM, LDR_REPULSIVE):
             _, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
-            rows = DecentralizedController("ldr", points, ldr=ldr).density(xs, ys)
+            rows = DecentralizedController("ldr", points, ARENA, ldr).density(xs, ys)
             for i in order:
                 assert rows.notified(i) == ref_notified[i], (ldr.comm_range, i)
                 assert rows[i] == ref_adj[i], (ldr.comm_range, i)
@@ -895,7 +890,7 @@ class TestNeighbourScanInRuns:
 def test_an_agent_with_no_neighbour_gets_the_shared_empty_row():
     # Agents 0 and 1 are 2 m apart, agent 2 is alone: only 0 and 1 get a row.
     points = [(0.0, 0.0), (2.0, 0.0), (10.0, 0.0)]
-    near = DecentralizedController("rb", points).neighbours(
+    near = DecentralizedController("rb", points, ARENA).neighbours(
         [p[0] for p in points], [p[1] for p in points], 1, STEP_LEN
     )
     assert near == [((2.0, 0.0, 2.0),), ((-2.0, -0.0, 2.0),), ()]

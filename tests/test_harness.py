@@ -21,13 +21,17 @@ import sweepsim
 from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.cli import _CONFIG_TYPES, _options, _parser, main
+from sweepsim.decentralized import ReactionEvent
 from sweepsim.harness import (
+    STRATEGIES,
     ExperimentConfig,
     PlacementSpec,
+    build_world,
     export,
     place_decentralized,
     run_experiment,
 )
+from sweepsim.sons import CrossingEvent
 from sweepsim.world import SimConfig, harness_stream
 
 ARENA = ArenaSpec()
@@ -345,6 +349,25 @@ class TestRunExperiment:
         records, _ = run_experiment(small_config(runs=runs, max_steps=20, jobs=jobs))
         assert sizes == pools
         assert [r.seed for r in records] == list(range(1, runs + 1))
+
+
+class TestEventSwitch:
+    """build_world's collect_events is the one switch for both controller families' logs."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_logs_only_when_asked_and_never_change_the_run(self, strategy):
+        config = ExperimentConfig(strategy, runs=1, sim=SimConfig(max_steps=1000))
+        logs, records = {}, {}
+        for collect in (False, True):
+            world = build_world(config, seed=1, collect_events=collect)
+            records[collect] = world.run()
+            logs[collect] = getattr(world.controller, "events", [])
+        assert logs[False] == []
+        # sons_bs keeps no log; sons_rw logs crossings, the others reactions.
+        logged = {"sons_bs": set(), "sons_rw": {CrossingEvent}}.get(strategy, {ReactionEvent})
+        assert {type(e) for e in logs[True]} == logged
+        for field in ("coverage_fraction", "final_visits"):
+            assert np.array_equal(getattr(records[False], field), getattr(records[True], field))
 
 
 @pytest.fixture(scope="module")

@@ -392,7 +392,7 @@ class AuditRW:
 
 def audit_rw(seed, arena=ARENA):
     config = ExperimentConfig(strategy="sons_rw", runs=1, arena=arena, sim=SimConfig())
-    world = build_world(config, seed=seed)
+    world = build_world(config, seed=seed, collect_events=True)
     audit = AuditRW(world)
     record = world.run(on_step=audit)
     return world, record, audit
@@ -450,6 +450,7 @@ class TestRandomWalk:
 
     def test_d_rand_is_shortest_rotation(self, audited_run):
         world, _, _ = audited_run
+        assert world.controller.events
         for event in world.controller.events:
             ccw = ccw_distance(event.entry_heading, event.theta_rand)
             expected = 1.0 if ccw <= math.pi else -1.0
@@ -457,13 +458,32 @@ class TestRandomWalk:
 
     def test_alignment_only_when_directions_agree(self, audited_run):
         world, _, _ = audited_run
+        assert world.controller.events
         for event in world.controller.events:
             assert event.aligned == (event.d_rand == event.d_adjust)
 
     def test_sampling_resumes_after_prepare(self, audited_run):
         world, _, audit = audited_run
         assert world.controller.phase in ("cruise", "align", "prepare")
-        assert audit.sampling or not world.is_complete()
+        assert audit.sampling or world.visited_count < world.arena.cell_count
+
+    def test_a_crossing_is_numbered_by_the_step_being_decided(self):
+        config = ExperimentConfig(strategy="sons_rw", runs=1, sim=SimConfig(max_steps=3000))
+        world = build_world(config, seed=3, collect_events=True)
+        controller = world.controller
+        decide = controller.decide
+        numbered = []
+
+        def checked(w):
+            seen = len(controller.events)
+            command = decide(w)
+            numbered.extend((e.step, w.step_count + 1) for e in controller.events[seen:])
+            return command
+
+        controller.decide = checked
+        world.run()
+        assert numbered
+        assert all(step == deciding for step, deciding in numbered)
 
 
 class TestOffCentreArena:
