@@ -1,6 +1,6 @@
-"""Square arena geometry: the arena, its cells and its edges.
+"""Arena geometry: the arena, its cells and its edges.
 
-The world is a convex square arena decomposed into unit cells; agents fly in
+The world is a convex rectangle, today a square, decomposed into unit cells; agents fly in
 continuous coordinates and World scores them by cell. A cell is named by
 its row-major index row * cols + col, with col along +x and row along +y
 from the minimum corner; -1 names no cell (outside the arena).
@@ -21,10 +21,10 @@ from .checks import finite_point, positive_finite
 
 @dataclass(frozen=True)
 class ArenaSpec:
-    """The arena square, its cell decomposition, and the local-metric region size.
+    """The arena, its cell decomposition, and the local-metric region size.
 
-    The derived values (half side, grid shape, corners) are computed on first
-    use and cached; they are not fields, so they stay out of asdict().
+    extents alone decides the shape. The values derived from it, one axis at a time, are
+    computed on first use and cached; they are not fields, so they stay out of asdict().
     """
 
     side_length: float = 40.0
@@ -45,16 +45,25 @@ class ArenaSpec:
             raise ValueError("region_size must be an integer multiple of cell_size")
 
     @cached_property
-    def half_side(self) -> float:
-        return self.side_length / 2.0
+    def extents(self) -> tuple[float, float]:
+        """The side lengths along x and y: this line alone makes the arena a square."""
+        return (self.side_length, self.side_length)
+
+    @cached_property
+    def half_extents(self) -> tuple[float, float]:
+        return (self.extents[0] / 2.0, self.extents[1] / 2.0)
 
     @cached_property
     def cols(self) -> int:
-        return round(self.side_length / self.cell_size)
+        return round(self.extents[0] / self.cell_size)
 
     @cached_property
     def rows(self) -> int:
-        return self.cols
+        return round(self.extents[1] / self.cell_size)
+
+    @cached_property
+    def blocks(self) -> tuple[int, int]:  # region blocks along x and along y
+        return (round(self.extents[0] / self.region_size), round(self.extents[1] / self.region_size))
 
     @cached_property
     def cell_count(self) -> int:
@@ -62,11 +71,11 @@ class ArenaSpec:
 
     @cached_property
     def min_corner(self) -> tuple[float, float]:
-        return (self.center[0] - self.half_side, self.center[1] - self.half_side)
+        return (self.center[0] - self.half_extents[0], self.center[1] - self.half_extents[1])
 
     @cached_property
     def max_corner(self) -> tuple[float, float]:
-        return (self.center[0] + self.half_side, self.center[1] + self.half_side)
+        return (self.center[0] + self.half_extents[0], self.center[1] + self.half_extents[1])
 
 
 # Inward unit normals of the four edges, indexed east, west, north, south.
@@ -76,8 +85,8 @@ EDGE_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
 def edge_distances(x: float, y: float, arena: ArenaSpec) -> tuple[float, float, float, float]:
     """Signed distances to the four edge lines (positive inside), order E, W, N, S."""
     cx, cy = arena.center
-    h = arena.half_side
-    return (h - (x - cx), (x - cx) + h, h - (y - cy), (y - cy) + h)
+    hx, hy = arena.half_extents
+    return (hx - (x - cx), (x - cx) + hx, hy - (y - cy), (y - cy) + hy)
 
 
 def edges_outside(position: tuple[float, float], arena: ArenaSpec) -> list[tuple[tuple[float, float], float]]:
@@ -91,16 +100,16 @@ def cell_boxes(arena: ArenaSpec) -> tuple[tuple[float, float, float, float], ...
     """(xlo, xhi, ylo, yhi) per flat cell index c: World.step maps (x, y) to c exactly when
     xlo <= x < xhi and ylo <= y < yhi. Index -1 finds a last box that no point lies in."""
     axes, cell_size = [], arena.cell_size
-    for lo, hi in zip(arena.min_corner, arena.max_corner):
+    for lo, hi, count in zip(arena.min_corner, arena.max_corner, (arena.cols, arena.rows)):
         edges = [lo]
-        for k in range(1, arena.cols):
+        for k in range(1, count):
             # Edge k is the least double x with (x - lo) / cell_size >= k, found by bisection:
             # stepping down from lo + k * cell_size does not end where that is 0.0.
             below, at = edges[-1], hi
             while (mid := below + (at - below) / 2) not in (below, at):
                 below, at = (below, mid) if (mid - lo) / cell_size >= k else (mid, at)
             edges.append(at)
-        # World.step clamps index cols to cols - 1, so the last cell ends just after hi.
+        # World.step clamps index count to count - 1, so the last cell ends just after hi.
         axes.append(edges + [math.nextafter(hi, math.inf)])
     xe, ye = axes
     boxes = [(xe[c], xe[c + 1], ye[r], ye[r + 1]) for r in range(arena.rows) for c in range(arena.cols)]

@@ -274,7 +274,8 @@ class ReactionEvent:
     step: int
     agent_id: int
     kind: str
-    heading: float
+    heading: float  # the heading the agent reacted at
+    target: float | None  # the heading its turn ends at; None when it starts no turn
     normals: tuple = ()
     outcome: str = ""
 
@@ -353,10 +354,10 @@ class DecentralizedController:
         self._shared = (None,)  # ((speed, rate), cruise, spin_ccw, spin_cw)
 
     def _react(self, i: int, now: int, kind: str, heading: float, direction=0.0, target=0.0, quiet=0, **detail):
-        """Agent i reacts at step now: the reaction is logged when events are collected,
+        """Agent i, flying at heading, reacts at step now: the reaction is logged when events are collected,
         and a non-zero direction starts the turn to target that opens quiet when it ends."""
         if self.collect_events:
-            self.events.append(ReactionEvent(now, i, kind, heading, **detail))
+            self.events.append(ReactionEvent(now, i, kind, heading, target if direction else None, **detail))
         if direction:
             self.turn_target[i] = target
             self.turn_dir[i] = direction
@@ -418,7 +419,7 @@ class DecentralizedController:
         v_target = cfg.target_sampling_velocity
         turn_rate = cfg.turn_rate_default
         rb = self.rb
-        half = arena.half_side
+        hx, hy = arena.half_extents
         cx, cy = arena.center
 
         # Shared commands: Unicycle is an immutable tuple, and a turn
@@ -438,7 +439,8 @@ class DecentralizedController:
         ahead = math.cos(min(math.pi, max(rb.short_fov, rb.medium_fov) / 2.0)) - 1e-9
         ldr, pheromone = self.ldr, self.pheromone
         rows = None  # LDR density, built when the first agent asks
-        clear = half - (rb.boundary_trigger + step_len)  # largest offset with no wall in reach
+        reach = rb.boundary_trigger + step_len
+        clear_x, clear_y = hx - reach, hy - reach  # the largest offsets with no wall in reach
         moves: list[Unicycle] = []
         for i in range(n):
             direction = turn_dir[i]
@@ -461,7 +463,7 @@ class DecentralizedController:
             # (one tick covers twice the trigger band, so the lookahead is what
             # keeps agents inside without ever clamping).
             trigger = False
-            if x - cx < clear and cx - x < clear and y - cy < clear and cy - y < clear:
+            if x - cx < clear_x and cx - x < clear_x and y - cy < clear_y and cy - y < clear_y:
                 pass  # nowhere near a wall
             else:
                 cos_h = math.cos(h)
@@ -479,7 +481,7 @@ class DecentralizedController:
                             trigger = True
             if trigger:
                 target = boundary_escape_heading(h, constraints, agents[i].rng, rb.reciprocal_exclusion)
-                self._react(i, now, "boundary", target, turn_direction(h, target), target, self.avoid_quiet,
+                self._react(i, now, "boundary", h, turn_direction(h, target), target, self.avoid_quiet,
                             normals=tuple(constraints))
                 moves.append(HOLD)
                 continue
@@ -495,7 +497,7 @@ class DecentralizedController:
                         break
             if dodge is not None:
                 target, direction, tier = dodge
-                self._react(i, now, "avoid_" + tier, target, direction, target, self.avoid_quiet)
+                self._react(i, now, "avoid_" + tier, h, direction, target, self.avoid_quiet)
                 moves.append(HOLD)
                 continue
 

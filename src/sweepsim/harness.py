@@ -74,8 +74,10 @@ def place_decentralized(
     nothing reads it afterwards (build_world discards its harness stream).
     """
     box = f"{spec.width:g} m x {spec.depth:g} m"
-    if max(spec.width, spec.depth) > arena.side_length:
-        raise ValueError(f"start box {box} does not fit the {arena.side_length:g} m arena")
+    width, depth = arena.extents
+    if spec.width > width or spec.depth > depth:
+        size = f"{width:g} m" if width == depth else f"{width:g} m x {depth:g} m"
+        raise ValueError(f"start box {box} does not fit the {size} arena")
     infeasible = (
         f"placement infeasible: {n} agents at min_spacing {spec.min_spacing:g} m "
         f"in the {box} start box"
@@ -263,8 +265,7 @@ def export(
     path.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(path)
 
-    per_side = round(arena.side_length / arena.region_size)
-    n_blocks = per_side * per_side
+    n_blocks = math.prod(arena.blocks)
     lines = [
         "strategy,seed,cct,tcu,lcu," + ",".join(f"block_{i:02d}" for i in range(n_blocks))
     ]

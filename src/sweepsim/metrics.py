@@ -51,13 +51,13 @@ def split_blocks(visits, arena: ArenaSpec) -> list[np.ndarray]:
     Blocks are ordered row-major over the block grid: the southern row of
     blocks first, west to east within each row.
     """
-    per_side = round(arena.side_length / arena.region_size)
+    across, up = arena.blocks
     cells = round(arena.region_size / arena.cell_size)
     grid = np.asarray(visits).reshape(arena.rows, arena.cols)
     return [
         grid[by * cells : (by + 1) * cells, bx * cells : (bx + 1) * cells].ravel()
-        for by in range(per_side)
-        for bx in range(per_side)
+        for by in range(up)
+        for bx in range(across)
     ]
 
 

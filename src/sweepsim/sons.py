@@ -112,9 +112,7 @@ class SonsBsController(SonsController):
 
     def __init__(self, formation, arena: ArenaSpec):
         self.stride = formation.span + arena.cell_size
-        cx, cy = arena.center
-        h = arena.half_side
-        start = (cx + h - self.stride / 2.0, cy - h + arena.cell_size / 2.0)
+        start = (arena.max_corner[0] - self.stride / 2.0, arena.min_corner[1] + arena.cell_size / 2.0)
         super().__init__(formation, start, math.pi / 2.0)
         self.phase = "sweep"
         self.sweep_dir = 1.0  # +1 north, -1 south
@@ -124,14 +122,13 @@ class SonsBsController(SonsController):
     def decide(self, world: World) -> PoseTarget:
         arena = world.arena
         cfg = world.cfg
-        cy = arena.center[1]
-        h = arena.half_side
+        (minx, miny), maxy = arena.min_corner, arena.max_corner[1]
         x, y = self.brain_pos
         step_len = cfg.target_sampling_velocity * cfg.dt
 
         while True:
             if self.phase == "sweep":
-                beyond = (y - (cy + h)) if self.sweep_dir > 0 else ((cy - h) - y)
+                beyond = (y - maxy) if self.sweep_dir > 0 else (miny - y)
                 if beyond < self.exit_margin:
                     self.brain_pos = (x, y + self.sweep_dir * step_len)
                     break
@@ -139,7 +136,7 @@ class SonsBsController(SonsController):
                 self.shift_remaining = self.stride
                 continue
             if self.shift_remaining <= 1e-12:
-                if x + self.formation.span / 2.0 < arena.min_corner[0]:
+                if x + self.formation.span / 2.0 < minx:
                     raise SweepGeometryError(
                         "sweep shifted fully past the arena before completing coverage"
                     )
@@ -188,10 +185,9 @@ class SonsRwController(SonsController):
     exclusion_half_angle = math.radians(30.0)
 
     def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng, collect_events: bool = False):
-        cx, cy = arena.center
-        h = arena.half_side
         east, _, _, south = EDGE_NORMALS
-        super().__init__(formation, (cx + h, cy - h), sample_arcs(interior_arcs((east, south)), brain_rng))
+        start = (arena.max_corner[0], arena.min_corner[1])
+        super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), brain_rng))
         self.omega_max = max_formation_omega(formation, cfg.target_sampling_velocity)
         self.brain_rng = brain_rng
         self.phase = "cruise"
@@ -308,7 +304,7 @@ def make_sons_controller(
     the supervisory altitude. collect_events switches on sons_rw's crossing log.
     """
     formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
-    if formation.span > arena.side_length:
+    if formation.span > min(arena.extents):
         raise ValueError("formation span exceeds the arena side")
     if strategy == "sons_bs":
         controller = SonsBsController(formation, arena)

@@ -239,7 +239,7 @@ class World:
         cell_size = arena.cell_size
         minx, miny = arena.min_corner
         maxx, maxy = arena.max_corner
-        last = cols - 1
+        last_col, last_row = cols - 1, arena.rows - 1
         speed_cap = cfg.target_sampling_velocity + SPEED_EPS
         self.step_count += 1
         step_idx = self.step_count
@@ -282,10 +282,10 @@ class World:
                 if minx <= x <= maxx and miny <= y <= maxy:
                     col = int((x - minx) / cell_size)
                     row = int((y - miny) / cell_size)
-                    if col > last:
-                        col = last
-                    if row > last:
-                        row = last
+                    if col > last_col:
+                        col = last_col
+                    if row > last_row:
+                        row = last_row
                     cell = row * cols + col
                 else:
                     cell = -1

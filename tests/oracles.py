@@ -73,12 +73,7 @@ def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
         return None
     col = int((x - minx) / arena.cell_size)
     row = int((y - miny) / arena.cell_size)
-    last = arena.cols - 1
-    if col > last:
-        col = last
-    if row > last:
-        row = last
-    return (col, row)
+    return (min(col, arena.cols - 1), min(row, arena.rows - 1))
 
 
 @dataclass(frozen=True)
@@ -114,9 +109,9 @@ def edges_within(
 def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, float]:
     """Project a point onto the arena (identity for interior points)."""
     cx, cy = arena.center
-    h = arena.half_side
-    x = min(max(position[0], cx - h), cx + h)
-    y = min(max(position[1], cy - h), cy + h)
+    hx, hy = arena.half_extents
+    x = min(max(position[0], cx - hx), cx + hx)
+    y = min(max(position[1], cy - hy), cy + hy)
     return (x, y)
 
 
@@ -351,8 +346,10 @@ def place_decentralized_reference(
     after the last candidate.
     """
     box = f"{spec.width:g} m x {spec.depth:g} m"
-    if max(spec.width, spec.depth) > arena.side_length:
-        raise ValueError(f"start box {box} does not fit the {arena.side_length:g} m arena")
+    width, depth = arena.extents
+    if spec.width > width or spec.depth > depth:
+        size = f"{width:g} m" if width == depth else f"{width:g} m x {depth:g} m"
+        raise ValueError(f"start box {box} does not fit the {size} arena")
     infeasible = (
         f"placement infeasible: {n} agents at min_spacing {spec.min_spacing:g} m "
         f"in the {box} start box"

@@ -362,7 +362,7 @@ def test_c8_determinism_byte_identical(tmp_path):
 
 
 def test_c9_trace_audits():
-    half = ARENA.half_side
+    hx, hy = ARENA.half_extents
 
     config = ExperimentConfig(strategy="rb", runs=1, base_seed=BASE_SEED)
     world = build_world(config, seed=BASE_SEED, collect_events=True)
@@ -371,7 +371,7 @@ def test_c9_trace_audits():
     def check_inside(w):
         nonlocal inside
         for x, y in zip(w.xs, w.ys):
-            if abs(x) > half or abs(y) > half:
+            if abs(x) > hx or abs(y) > hy:
                 inside = False
 
     record = world.run(on_step=check_inside)
@@ -386,7 +386,7 @@ def test_c9_trace_audits():
     )
     boundary = [e for e in world.controller.events if e.kind == "boundary"]
     inward = all(
-        math.cos(e.heading) * nx + math.sin(e.heading) * ny > 0.0
+        math.cos(e.target) * nx + math.sin(e.target) * ny > 0.0
         for e in boundary
         for nx, ny in e.normals
     )

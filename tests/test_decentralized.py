@@ -403,9 +403,33 @@ class TestControllerTraces:
         events = [e for e in world.controller.events if e.kind == "boundary"]
         assert len(events) > 20
         for event in events:
-            dx, dy = heading_vector(event.heading)
+            dx, dy = heading_vector(event.target)
             for nx, ny in event.normals:
                 assert dx * nx + dy * ny > 0.0
+
+    def test_event_heading_is_the_heading_reacted_at(self):
+        # heading is the agent's heading as the step began, for every kind; target is where
+        # the turn it starts ends, or None when it starts none (pm's "ahead").
+        for strategy in ("rb", "ldr_random", "ldr_repulsive", "pm"):
+            world, _ = short_world(strategy, seed=3)
+            controller = world.controller
+            kinds, untargeted = set(), 0
+            for _ in range(1500):
+                before = list(world.hs)
+                n_before = len(controller.events)
+                world.step()
+                for event in controller.events[n_before:]:
+                    i = event.agent_id
+                    kinds.add(event.kind)
+                    assert event.heading == before[i], (strategy, event)
+                    assert (controller.turn_dir[i] != 0.0) == (event.target is not None), (strategy, event)
+                    if event.target is None:
+                        untargeted += 1
+                    else:
+                        assert controller.turn_target[i] == event.target, (strategy, event)
+            assert {"boundary", "avoid_short"} <= kinds, (strategy, kinds)
+            if strategy == "pm":
+                assert "pheromone" in kinds and untargeted > 0
 
     def test_density_reactions_respect_suppression(self):
         for strategy in ("ldr_random", "ldr_repulsive"):

@@ -380,10 +380,10 @@ class AuditRW:
         if phase == "prepare":
             self.prepare_visits += len(world.visit_events)
         cx, cy = world.arena.center
-        half = world.arena.half_side
+        hx, hy = world.arena.half_extents
 
         def depth(x, y):
-            return math.hypot(max(0.0, abs(x - cx) - half), max(0.0, abs(y - cy) - half))
+            return math.hypot(max(0.0, abs(x - cx) - hx), max(0.0, abs(y - cy) - hy))
 
         self.max_brain_depth = max(self.max_brain_depth, depth(*positions[0]))
         for x, y in positions:

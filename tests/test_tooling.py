@@ -1,9 +1,11 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
-the package's public names resolve, and the benchmark's traced functions exist."""
+the package's public names resolve, the benchmark's traced functions exist, and only
+the arena module decides the arena's shape."""
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,18 @@ def test_every_traced_function_exists():
 def test_every_public_name_resolves():
     # from sweepsim import * fails on any name in __all__ the package lacks
     assert [name for name in sweepsim.__all__ if not hasattr(sweepsim, name)] == []
+
+
+def test_only_the_arena_and_the_cli_read_the_square_side():
+    # ArenaSpec.extents decides the arena's shape; a module that reads side_length or
+    # half_side directly assumes a square. Only arena.py, which derives extents, and
+    # cli.py, which builds an ArenaSpec from --arena-side, may.
+    allowed = {"arena.py", "cli.py"}
+    readers = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))
+        if path.name not in allowed
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"\.(side_length|half_side)\b", line)
+    ]
+    assert readers == []

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,13 +21,17 @@ from oracles import (
     edges_within,
     flat_index,
     neighbors_within,
+    place_decentralized_reference,
     pose_step_reference,
     record_visit,
     step_kinematics,
 )
 from sweepsim.angles import TWO_PI
-from sweepsim.arena import ArenaSpec, cell_boxes, edges_outside
-from sweepsim.sons import SonsFormation, follow_formation
+from sweepsim.arena import ArenaSpec, cell_boxes, edge_distances, edges_outside
+from sweepsim.decentralized import PheromoneField, pm_sense
+from sweepsim.harness import ExperimentConfig, PlacementSpec, build_world, place_decentralized
+from sweepsim.metrics import split_blocks
+from sweepsim.sons import SonsFormation, follow_formation, make_sons_controller
 from sweepsim.world import (
     HOLD,
     SPEED_EPS,
@@ -611,9 +616,24 @@ def in_box(box, x, y):
     return xlo <= x < xhi and ylo <= y < yhi
 
 
+@dataclass(frozen=True)
+class Rectangle(ArenaSpec):
+    """A rectangular arena, height metres along y: ArenaSpec with only its extents changed."""
+
+    height: float = 20.0
+
+    @cached_property
+    def extents(self) -> tuple[float, float]:
+        return (self.side_length, self.height)
+
+
+# 40 m x 20 m off the origin: 4 x 2 region blocks of 10 x 10 cells.
+RECT = Rectangle(side_length=40.0, height=20.0, center=(5.0, -3.0), region_size=10.0)
+
+
 @st.composite
 def grid_arenas(draw):
-    """An arena whose side is a whole number of cells, centred anywhere.
+    """An arena whose sides are whole numbers of cells, centred anywhere; square or not.
 
     Half-cell centres put a grid line at 0.0 in some draws. Below such a
     line x - minx rounds up to the line's index for every tiny x, so its
@@ -625,7 +645,50 @@ def grid_arenas(draw):
         st.integers(-60, 60).map(lambda k: k * cell / 2.0),
         st.floats(-100.0, 100.0),
     )
-    return ArenaSpec(side_length=side, cell_size=cell, center=(draw(centre), draw(centre)), region_size=side)
+    spec = dict(side_length=side, cell_size=cell, center=(draw(centre), draw(centre)), region_size=side)
+    if draw(st.booleans()):
+        return ArenaSpec(**spec)
+    return Rectangle(height=cell * draw(st.integers(1, 60)), **spec)
+
+
+def box_edges(arena):
+    """The x and y grid lines of the arena's cell_boxes, last edge included, after checking
+    that the boxes are exactly the products of those lines, row-major, plus the sentinel."""
+    boxes = cell_boxes(arena)
+    cols, rows = arena.cols, arena.rows
+    assert len(boxes) == cols * rows + 1 == arena.cell_count + 1
+    xe = [boxes[c][0] for c in range(cols)] + [boxes[cols - 1][1]]
+    ye = [boxes[r * cols][2] for r in range(rows)] + [boxes[-2][3]]
+    for idx, box in enumerate(boxes[:-1]):
+        row, col = divmod(idx, cols)
+        assert box == (xe[col], xe[col + 1], ye[row], ye[row + 1])
+    return xe, ye
+
+
+def assert_boxes_on_grid_lines(arena):
+    """cell_boxes against the cell_of oracle on every grid line and on the maximum edges."""
+    boxes = cell_boxes(arena)
+    (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
+    xe, ye = box_edges(arena)
+    assert (xe[0], ye[0]) == (minx, miny)
+    for k in range(1, arena.cols):
+        assert cell_of((xe[k], miny), arena) == (k, 0)
+        assert cell_of((math.nextafter(xe[k], -math.inf), miny), arena) == (k - 1, 0)
+    for k in range(1, arena.rows):
+        assert cell_of((minx, ye[k]), arena) == (0, k)
+        assert cell_of((minx, math.nextafter(ye[k], -math.inf)), arena) == (0, k - 1)
+    # a move clamped onto the maximum edges stays in the last cells: the last column, the top row
+    assert in_box(boxes[arena.cols - 1], maxx, miny)
+    assert in_box(boxes[(arena.rows - 1) * arena.cols], minx, maxy)
+    assert cell_of((minx, maxy), arena) == (0, arena.rows - 1)
+    assert in_box(boxes[-2], maxx, maxy)
+    beyond = [(math.nextafter(maxx, math.inf), miny), (minx, math.nextafter(maxy, math.inf))]
+    for x, y in beyond:
+        assert not any(in_box(box, x, y) for box in boxes)
+    probes = [-math.inf, math.inf, math.nan, 0.0, -0.0, minx, maxx, miny, maxy]
+    for x in probes + xe:
+        for y in probes + ye:
+            assert not in_box(boxes[-1], x, y)
 
 
 class TestCellBoxes:
@@ -633,30 +696,9 @@ class TestCellBoxes:
     @given(arena=grid_arenas(), data=st.data())
     def test_boxes_are_the_cell_mapping(self, arena, data):
         boxes = cell_boxes(arena)
-        cols = arena.cols
         (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
-        assert len(boxes) == arena.cell_count + 1
-        xe = [boxes[c][0] for c in range(cols)] + [boxes[cols - 1][1]]
-        ye = [boxes[r * cols][2] for r in range(cols)] + [boxes[-2][3]]
-        for idx, box in enumerate(boxes[:-1]):
-            row, col = divmod(idx, cols)
-            assert box == (xe[col], xe[col + 1], ye[row], ye[row + 1])
-        assert (xe[0], ye[0]) == (minx, miny)
-        for k in range(1, cols):
-            assert cell_of((xe[k], miny), arena) == (k, 0)
-            assert cell_of((math.nextafter(xe[k], -math.inf), miny), arena) == (k - 1, 0)
-            assert cell_of((minx, ye[k]), arena) == (0, k)
-            assert cell_of((minx, math.nextafter(ye[k], -math.inf)), arena) == (0, k - 1)
-        # a move clamped onto the maximum edges stays in the last cells
-        assert in_box(boxes[cols - 1], maxx, miny)
-        assert in_box(boxes[-2], maxx, maxy)
-        beyond = [(math.nextafter(maxx, math.inf), miny), (minx, math.nextafter(maxy, math.inf))]
-        for x, y in beyond:
-            assert not any(in_box(box, x, y) for box in boxes)
-        probes = [-math.inf, math.inf, math.nan, 0.0, -0.0, minx, maxx, miny, maxy]
-        for x in probes + xe:
-            for y in probes + ye:
-                assert not in_box(boxes[-1], x, y)
+        assert_boxes_on_grid_lines(arena)
+        xe, ye = box_edges(arena)
         # any point lies in exactly the box of the cell it maps to
         near = st.sampled_from(xe + ye).flatmap(lambda e: st.floats(e - 1e-12, e + 1e-12))
         coordinate = st.one_of(st.floats(minx - 1.0, maxx + 1.0), near)
@@ -668,6 +710,81 @@ class TestCellBoxes:
 
     def test_memoized_per_arena_value(self):
         assert cell_boxes(ArenaSpec()) is cell_boxes(ArenaSpec(side_length=40, center=(-0.0, 0.0)))
+
+
+class TestRectangle:
+    """Everything that reads the arena's shape follows extents, one axis at a time."""
+
+    def test_grid_shape(self):
+        assert (RECT.cols, RECT.rows, RECT.cell_count, RECT.blocks) == (40, 20, 800, (4, 2))
+        assert RECT.half_extents == (20.0, 10.0)
+        assert (RECT.min_corner, RECT.max_corner) == ((-15.0, -13.0), (25.0, 7.0))
+
+    def test_cell_boxes_tile_it(self):
+        assert_boxes_on_grid_lines(RECT)
+        xe, ye = box_edges(RECT)
+        assert (len(xe), len(ye)) == (41, 21)
+        assert (xe[0], xe[-1]) == (-15.0, math.nextafter(25.0, math.inf))
+        assert (ye[0], ye[-1]) == (-13.0, math.nextafter(7.0, math.inf))
+
+    def test_edge_distances_at_each_edge(self):
+        # order E, W, N, S, at the middle of the east, west, north and south edges
+        assert edge_distances(25.0, -3.0, RECT) == (0.0, 40.0, 10.0, 10.0)
+        assert edge_distances(-15.0, -3.0, RECT) == (40.0, 0.0, 10.0, 10.0)
+        assert edge_distances(5.0, 7.0, RECT) == (20.0, 20.0, 0.0, 20.0)
+        assert edge_distances(5.0, -13.0, RECT) == (20.0, 20.0, 20.0, 0.0)
+        assert edges_outside((5.0, 8.0), RECT) == [((0.0, -1.0), 1.0)]
+
+    def test_split_blocks(self):
+        visits = np.arange(RECT.cell_count)
+        blocks = split_blocks(visits, RECT)
+        assert [block.size for block in blocks] == [100] * 8
+        assert sorted(np.concatenate(blocks).tolist()) == visits.tolist()
+        # row-major over the 4 x 2 block grid: the northern block row starts at block 4
+        assert (blocks[1][0], blocks[4][0]) == (10, 10 * RECT.cols)
+
+    def test_pheromone_reads_zero_one_cell_past_the_north_edge(self):
+        field = PheromoneField(RECT)
+        top = range(RECT.cell_count - RECT.cols, RECT.cell_count)
+        for idx in top:
+            field.deposit(idx, 1)
+        assert len(field._level) == 42 * 22  # the grid and its one-cell border
+        north = math.pi / 2.0
+        for idx in top:
+            assert pm_sense(field, 1, idx, north) == (0.0, 0.0, 0.0)
+            assert pm_sense(field, 1, idx - RECT.cols, north)[0] > 0.0
+
+    def test_rb_stays_inside_without_clamping(self):
+        world = build_world(ExperimentConfig(strategy="rb", runs=1, arena=RECT), seed=3, collect_events=True)
+        for _ in range(600):
+            world.step()
+            assert all(-15.0 <= x <= 25.0 and -13.0 <= y <= 7.0 for x, y in zip(world.xs, world.ys))
+        assert world.clamp_count == 0
+        north = [e for e in world.controller.events if e.kind == "boundary" and (0.0, -1.0) in e.normals]
+        assert north  # agents reached the north edge, 20 m from their start strip
+
+    def test_fits_and_starts_per_axis(self):
+        cfg = SimConfig()
+        deep = PlacementSpec(width=30.0, depth=25.0)
+        for place in (place_decentralized, place_decentralized_reference):
+            with pytest.raises(ValueError, match="^start box 30 m x 25 m does not fit the 40 m x 20 m arena$"):
+                place(deep, 5, RECT, cfg, harness_stream(0))
+        narrow = Rectangle(side_length=40.0, height=10.0, region_size=10.0)
+        with pytest.raises(ValueError, match="^formation span exceeds the arena side$"):
+            make_sons_controller("sons_bs", narrow, cfg, 5, 20)
+        _, rw = make_sons_controller("sons_rw", RECT, cfg, 5, 20)
+        assert rw.brain_pos == (25.0, -13.0)
+        _, bs = make_sons_controller("sons_bs", RECT, cfg, 5, 20)
+        assert bs.brain_pos == (25.0 - bs.stride / 2.0, -12.5)
+
+    def test_step_maps_and_clamps_each_axis_as_the_oracles_do(self):
+        # Moves out through the north and east edges are clamped onto them; a point on the
+        # maximum-y edge lies in the top row, 19, not in a row 20 the grid does not have.
+        commands = [HOLD, Unicycle(1.0, 0.0), Unicycle(1.0, 0.0), Unicycle(0.0, 3.0), Unicycle(1.0, 0.0)]
+        north, east = math.pi / 2.0, 0.0
+        for start, heading in [((5.3, 7.0), north), ((5.3, 6.95), north), ((25.0, 0.5), east),
+                               ((24.97, 6.98), north / 2.0), ((-15.0, 7.0), north)]:
+            assert_step_matches_oracles(RECT, start, heading, commands)
 
 
 OFF_CENTRE_HALF_METRE = ArenaSpec(side_length=20.0, cell_size=0.5, center=(7.0, -3.0), region_size=10.0)
