@@ -3,7 +3,8 @@
 Runs one strategy (or all six) for a batch of seeded simulations and writes
 summary.json, runs.csv, cpr.csv, and optional per-run heatmaps. Exit code 0
 means every run reached full coverage, 2 means some runs hit the step
-budget, 1 means the invocation or a strategy failed (--all still runs the rest).
+budget, 1 means a malformed invocation or config, or a failed strategy (--all
+still runs the rest).
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def _options(argv) -> argparse.Namespace:
             types, expected = _CONFIG_TYPES[key]
             if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
                 raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        strategy = loaded.get("strategy")
+        if strategy not in (None, *STRATEGIES):  # set_defaults skips the parser's choices
+            raise ValueError(f"config key 'strategy' must be one of {list(STRATEGIES)}, got {strategy!r}")
         parser.set_defaults(**loaded)
         args = parser.parse_args(argv)
     return args
@@ -99,6 +103,8 @@ def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> Experi
 def main(argv=None) -> int:
     try:
         args = _options(argv)
+    except SystemExit as exc:  # argparse has printed its help (code 0) or its usage error (2)
+        return 1 if exc.code else 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -322,13 +322,14 @@ class DecentralizedController:
     post-reaction window for its own. rb carries PM's windows, which nothing reads.
     """
 
+    events = None  # build_world hands out the reaction log
+
     def __init__(
         self,
         name: str,
         agents,
         arena: ArenaSpec,
         addon: LdrParams | PmParams | None = None,
-        collect_events: bool = False,
     ):
         self.name = name
         self.rb = RbParams()
@@ -343,8 +344,6 @@ class DecentralizedController:
         self.turn_dir = [0.0] * n  # +1.0 or -1.0 while turning, 0.0 while cruising
         self.turn_quiet = [0] * n  # the window the current turn opens when it ends
         self.quiet_until = [0] * n  # the add-on's last quiet step
-        self.collect_events = collect_events
-        self.events: list[ReactionEvent] = []
         # Upper-triangle pairs (i < j) in row-major order, so a scan over them
         # meets pairs in the same order as a loop over i, then j > i.
         self._iu, self._ju = np.triu_indices(n, 1)
@@ -354,9 +353,9 @@ class DecentralizedController:
         self._shared = (None,)  # ((speed, rate), cruise, spin_ccw, spin_cw)
 
     def _react(self, i: int, now: int, kind: str, heading: float, direction=0.0, target=0.0, quiet=0, **detail):
-        """Agent i, flying at heading, reacts at step now: the reaction is logged when events are collected,
+        """Agent i, flying at heading, reacts at step now: the reaction is logged when there is a log,
         and a non-zero direction starts the turn to target that opens quiet when it ends."""
-        if self.collect_events:
+        if self.events is not None:
             self.events.append(ReactionEvent(now, i, kind, heading, target if direction else None, **detail))
         if direction:
             self.turn_target[i] = target
@@ -543,10 +542,8 @@ class DecentralizedController:
 ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": PM}
 
 
-def make_controller(
-    name: str, agents, arena: ArenaSpec, collect_events: bool = False
-) -> DecentralizedController:
+def make_controller(name: str, agents, arena: ArenaSpec) -> DecentralizedController:
     """Build the controller for a strategy name."""
     if name not in ADD_ON:
         raise ValueError(f"unknown decentralized strategy: {name}")
-    return DecentralizedController(name, agents, arena, ADD_ON[name], collect_events)
+    return DecentralizedController(name, agents, arena, ADD_ON[name])

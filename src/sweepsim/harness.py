@@ -19,6 +19,7 @@ from .checks import boolean, integer_at_least, positive_finite
 from .decentralized import ADD_ON, make_controller
 from .metrics import (
     RunRecord,
+    StrategySummary,
     block_uniformities,
     cpr,
     lcu,
@@ -183,19 +184,20 @@ class ExperimentConfig:
 def build_world(config: ExperimentConfig, seed: int, collect_events: bool = False) -> World:
     """Assemble one seeded, ready-to-run world for the configured strategy.
 
-    collect_events switches on the controller's log: reactions for the
-    decentralized strategies, boundary crossings for sons_rw.
+    collect_events hands the controller an empty log to fill: reactions for
+    the decentralized strategies, boundary crossings for sons_rw, nothing
+    for sons_bs. Without it the controller's events stay None.
     """
     sim = replace(config.sim, seed=seed)
     if config.strategy in DECENTRALIZED:
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
         )
-        controller = make_controller(config.strategy, agents, config.arena, collect_events)
+        controller = make_controller(config.strategy, agents, config.arena)
     else:
-        agents, controller = make_sons_controller(
-            config.strategy, config.arena, sim, *config.split_roles(), collect_events
-        )
+        agents, controller = make_sons_controller(config.strategy, config.arena, sim, *config.split_roles())
+    if collect_events:
+        controller.events = []
     return World(config.arena, sim, agents, controller)
 
 
@@ -204,7 +206,7 @@ def _run_index(args: tuple[ExperimentConfig, int]) -> RunRecord:
     return build_world(config, config.base_seed + index).run()
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], "object"]:
+def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], StrategySummary]:
     """Execute the batch and return (records, summary), in run-index order."""
     tasks = [(config, i) for i in range(config.runs)]
     # A pool forks all its workers at the first submit, so more than runs would idle.

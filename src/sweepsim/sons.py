@@ -90,6 +90,7 @@ class SonsController:
     """Shared plumbing: one brain decides, every member is pose-assigned."""
 
     pheromone = None
+    events = None  # build_world hands out the crossing log (sons_rw's only)
 
     def __init__(self, formation: SonsFormation, brain_pos, brain_heading):
         self.formation = formation
@@ -126,28 +127,24 @@ class SonsBsController(SonsController):
         x, y = self.brain_pos
         step_len = cfg.target_sampling_velocity * cfg.dt
 
-        while True:
-            if self.phase == "sweep":
-                beyond = (y - maxy) if self.sweep_dir > 0 else (miny - y)
-                if beyond < self.exit_margin:
-                    self.brain_pos = (x, y + self.sweep_dir * step_len)
-                    break
+        if self.phase == "sweep":
+            beyond = (y - maxy) if self.sweep_dir > 0 else (miny - y)
+            if beyond >= self.exit_margin:
                 self.phase = "shift"
                 self.shift_remaining = self.stride
-                continue
-            if self.shift_remaining <= 1e-12:
-                if x + self.formation.span / 2.0 < minx:
-                    raise SweepGeometryError(
-                        "sweep shifted fully past the arena before completing coverage"
-                    )
-                self.sweep_dir = -self.sweep_dir
-                self.phase = "sweep"
-                continue
+        if self.phase == "shift" and self.shift_remaining <= 1e-12:
+            if x + self.formation.span / 2.0 < minx:
+                raise SweepGeometryError(
+                    "sweep shifted fully past the arena before completing coverage"
+                )
+            self.sweep_dir = -self.sweep_dir
+            self.phase = "sweep"
+        if self.phase == "sweep":
+            self.brain_pos = (x, y + self.sweep_dir * step_len)
+        else:
             dx = min(step_len, self.shift_remaining)
             self.shift_remaining -= dx
             self.brain_pos = (x - dx, y)
-            break
-
         return self._emit(sampling_active=True)
 
 
@@ -184,7 +181,7 @@ class SonsRwController(SonsController):
     crossing_depth = 0.95  # m past the boundary before turning
     exclusion_half_angle = math.radians(30.0)
 
-    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng, collect_events: bool = False):
+    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng):
         east, _, _, south = EDGE_NORMALS
         start = (arena.max_corner[0], arena.min_corner[1])
         super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), brain_rng))
@@ -198,8 +195,6 @@ class SonsRwController(SonsController):
         self.d_rand = 1.0
         self.d_adjust = 1.0
         self.align_target = 0.0
-        self.collect_events = collect_events
-        self.events: list[CrossingEvent] = []
 
     def _select_crossing(self, world: World, outside) -> None:
         h = self.brain_heading
@@ -227,7 +222,7 @@ class SonsRwController(SonsController):
         self.d_adjust = turn_direction(h, align)
         aligned = self.d_rand == self.d_adjust
         self.phase = "align" if aligned else "prepare"
-        if self.collect_events:
+        if self.events is not None:
             self.events.append(CrossingEvent(
                 step=world.step_count + 1,  # the step being decided
                 entry_heading=h,
@@ -239,18 +234,16 @@ class SonsRwController(SonsController):
                 exclusion_dropped=dropped,
             ))
 
-    def _rotation_done(self, target: float, direction: float) -> bool:
+    def _turn(self, target: float, direction: float, rate: float, dt: float) -> bool:
+        """Turn toward target at up to rate; True, snapping to target instead, when the heading is there."""
+        remaining = turn_remaining(self.brain_heading, target, direction)
         # the final partial step can land an ulp past the target, which reads
         # as a nearly full lap in the rotation direction
-        remaining = turn_remaining(self.brain_heading, target, direction)
         if remaining <= 1e-12 or remaining >= 2.0 * math.pi - 1e-9:
             self.brain_heading = wrap_angle(target)
             return True
+        self.brain_heading = wrap_angle(self.brain_heading + direction * min(rate, remaining / dt) * dt)
         return False
-
-    def _rotate_toward(self, target: float, direction: float, rate: float, dt: float) -> None:
-        omega = min(rate, turn_remaining(self.brain_heading, target, direction) / dt)
-        self.brain_heading = wrap_angle(self.brain_heading + direction * omega * dt)
 
     def decide(self, world: World) -> PoseTarget:
         cfg = world.cfg
@@ -260,48 +253,39 @@ class SonsRwController(SonsController):
         exceeded = frozenset(n for n, _ in outside) if outside else frozenset()
         if not self.armed and (depth < self.prev_depth - 1e-15 or not exceeded <= self.fired_edges):
             self.armed = True
-        sampling = True
-        while True:
-            if self.phase == "cruise":
-                if self.armed and exceeded and depth > self.crossing_depth and depth >= self.prev_depth:
-                    self.armed = False
-                    self.fired_edges = exceeded
-                    self._select_crossing(world, outside)
-                    continue
-                step_len = cfg.target_sampling_velocity * dt
-                x, y = self.brain_pos
-                self.brain_pos = (
-                    x + step_len * math.cos(self.brain_heading),
-                    y + step_len * math.sin(self.brain_heading),
-                )
-                break
-            if self.phase == "align":
-                if self._rotation_done(self.align_target, self.d_adjust):
-                    self.phase = "prepare"
-                    continue
-                self._rotate_toward(self.align_target, self.d_adjust, self.omega_max, dt)
-                break
-            # prepare: sampling paused, speed cap lifted
-            sampling = False
-            if self._rotation_done(self.theta_rand, self.d_rand):
-                self.phase = "cruise"
-                sampling = True
-                continue
-            self._rotate_toward(self.theta_rand, self.d_rand, cfg.turn_rate_default, dt)
-            break
-
+        # A turn holds the brain in place, so the trigger stays disarmed until
+        # the turn ends: it can only fire from a cruise.
+        if (self.phase == "cruise" and self.armed and exceeded
+                and depth > self.crossing_depth and depth >= self.prev_depth):
+            self.armed = False
+            self.fired_edges = exceeded
+            self._select_crossing(world, outside)
         self.prev_depth = depth
-        return self._emit(sampling_active=sampling)
+        if self.phase == "align":
+            if not self._turn(self.align_target, self.d_adjust, self.omega_max, dt):
+                return self._emit(sampling_active=True)
+            self.phase = "prepare"
+        if self.phase == "prepare":
+            # sampling paused, speed cap lifted
+            if not self._turn(self.theta_rand, self.d_rand, cfg.turn_rate_default, dt):
+                return self._emit(sampling_active=False)
+            self.phase = "cruise"
+        step_len = cfg.target_sampling_velocity * dt
+        x, y = self.brain_pos
+        self.brain_pos = (
+            x + step_len * math.cos(self.brain_heading),
+            y + step_len * math.sin(self.brain_heading),
+        )
+        return self._emit(sampling_active=True)
 
 
 def make_sons_controller(
-    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int,
-    collect_events: bool = False,
+    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int
 ) -> tuple[list[AgentState], SonsController]:
     """Wire up the brain of sons_bs or sons_rw and spawn the formation at its start pose.
 
     Samplers fly at the sampling altitude; the brain and the supervisors at
-    the supervisory altitude. collect_events switches on sons_rw's crossing log.
+    the supervisory altitude.
     """
     formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
     if formation.span > min(arena.extents):
@@ -309,7 +293,7 @@ def make_sons_controller(
     if strategy == "sons_bs":
         controller = SonsBsController(formation, arena)
     elif strategy == "sons_rw":
-        controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0), collect_events)
+        controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0))
     else:
         raise ValueError(f"unknown formation strategy: {strategy}")
     heading = controller.brain_heading

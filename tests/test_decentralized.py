@@ -491,7 +491,8 @@ def scene(strategy, positions, heading=math.pi / 2):
         AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
         for i, p in enumerate(positions)
     ]
-    controller = make_controller(strategy, agents, ARENA, collect_events=True)
+    controller = make_controller(strategy, agents, ARENA)
+    controller.events = []
     return World(ARENA, SimConfig(), agents, controller), controller
 
 

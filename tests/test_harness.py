@@ -352,7 +352,8 @@ class TestRunExperiment:
 
 
 class TestEventSwitch:
-    """build_world's collect_events is the one switch for both controller families' logs."""
+    """build_world's collect_events is the one switch for both controller families' logs:
+    it hands the controller an empty list, and without it events stay None."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_logs_only_when_asked_and_never_change_the_run(self, strategy):
@@ -361,8 +362,9 @@ class TestEventSwitch:
         for collect in (False, True):
             world = build_world(config, seed=1, collect_events=collect)
             records[collect] = world.run()
-            logs[collect] = getattr(world.controller, "events", [])
-        assert logs[False] == []
+            logs[collect] = world.controller.events
+        assert logs[False] is None
+        assert isinstance(logs[True], list)
         # sons_bs keeps no log; sons_rw logs crossings, the others reactions.
         logged = {"sons_bs": set(), "sons_rw": {CrossingEvent}}.get(strategy, {ReactionEvent})
         assert {type(e) for e in logs[True]} == logged
@@ -496,7 +498,25 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "key, value", [("heatmaps", "false"), ("runs", 1.9), ("uavs", "25"), ("dt", True)]
+        "argv, message",
+        [
+            (["--strategy", "bogus"], "invalid choice: 'bogus'"),
+            (["--strategy", "rb", "--runs", "x"], "invalid int value: 'x'"),
+            (["--strategy", "rb", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_usage_error_returns_1(self, capsys, argv, message):
+        # 2 is the exit code for runs that hit the step budget
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: sweepsim" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("heatmaps", "false"), ("runs", 1.9), ("uavs", "25"), ("dt", True), ("strategy", "bogus")],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"

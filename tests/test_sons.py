@@ -467,6 +467,22 @@ class TestRandomWalk:
         assert world.controller.phase in ("cruise", "align", "prepare")
         assert audit.sampling or world.visited_count < world.arena.cell_count
 
+    def test_a_finished_turn_cruises_in_the_same_step(self):
+        # align done -> prepare done -> cruise, all in one decide, sampling on
+        world = build_world(ExperimentConfig(strategy="sons_rw", runs=1), seed=3)
+        controller = world.controller
+        heading = controller.brain_heading
+        x, y = controller.brain_pos
+        controller.phase = "align"
+        controller.align_target = controller.theta_rand = heading
+        controller.d_adjust = controller.d_rand = 1.0
+        command = controller.decide(world)
+        step_len = world.cfg.target_sampling_velocity * world.cfg.dt
+        assert controller.phase == "cruise"
+        assert command.sampling_active
+        assert command.heading == heading
+        assert command.position == (x + step_len * math.cos(heading), y + step_len * math.sin(heading))
+
     def test_a_crossing_is_numbered_by_the_step_being_decided(self):
         config = ExperimentConfig(strategy="sons_rw", runs=1, sim=SimConfig(max_steps=3000))
         world = build_world(config, seed=3, collect_events=True)

@@ -1,6 +1,6 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
-the package's public names resolve, the benchmark's traced functions exist, and only
-the arena module decides the arena's shape."""
+the package's public names resolve, the benchmark's traced functions exist, only
+the arena module decides the arena's shape, and only build_world hands out the event log."""
 
 from __future__ import annotations
 
@@ -69,5 +69,18 @@ def test_only_the_arena_and_the_cli_read_the_square_side():
         if path.name not in allowed
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if re.search(r"\.(side_length|half_side)\b", line)
+    ]
+    assert readers == []
+
+
+def test_only_build_world_hands_out_the_event_log():
+    # build_world sets a controller's events to a list under collect_events; a
+    # controller or factory that takes the flag itself is a second switch.
+    readers = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))
+        if path.name != "harness.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "collect_events" in line
     ]
     assert readers == []
