@@ -36,13 +36,16 @@ class ArenaSpec:
         positive_finite(self, "side_length", "cell_size", "region_size")
         # A non-finite centre puts no position inside the arena, so no cell is ever visited.
         finite_point(self, "center")
-        if abs(round(self.side_length / self.cell_size) - self.side_length / self.cell_size) > 1e-9:
-            raise ValueError("side_length must be an integer multiple of cell_size")
-        if abs(round(self.side_length / self.region_size) - self.side_length / self.region_size) > 1e-9:
-            raise ValueError("side_length must be an integer multiple of region_size")
-        # Otherwise metrics.split_blocks rounds the cells per region down and leaves cells out.
-        if abs(round(self.region_size / self.cell_size) - self.region_size / self.cell_size) > 1e-9:
-            raise ValueError("region_size must be an integer multiple of cell_size")
+        multiples = (
+            ("side_length", "cell_size"),
+            ("side_length", "region_size"),
+            # Otherwise metrics.split_blocks rounds the cells per region down and leaves cells out.
+            ("region_size", "cell_size"),
+        )
+        for whole, part in multiples:
+            a, b = getattr(self, whole), getattr(self, part)
+            if abs(round(a / b) - a / b) > 1e-9:
+                raise ValueError(f"{whole} must be an integer multiple of {part}, got {whole} {a:g} and {part} {b:g}")
 
     @cached_property
     def extents(self) -> tuple[float, float]:

@@ -18,20 +18,8 @@ from .arena import ArenaSpec
 from .harness import STRATEGIES, ExperimentConfig, export, run_experiment
 from .world import SimConfig
 
-# The JSON type each --config key must have; a boolean is never a number.
-_CONFIG_TYPES = {
-    "strategy": ((str, type(None)), "a string or null"),
-    "all": (bool, "a boolean"),
-    "runs": (int, "an integer"),
-    "seed": (int, "an integer"),
-    "arena_side": ((int, float), "a number"),
-    "uavs": (int, "an integer"),
-    "dt": ((int, float), "a number"),
-    "max_steps": (int, "an integer"),
-    "out": (str, "a string"),
-    "heatmaps": (bool, "a boolean"),
-    "jobs": (int, "an integer"),
-}
+# The JSON type a --config key takes, from its option's default; a boolean is never a number.
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -71,16 +59,18 @@ def _options(argv) -> argparse.Namespace:
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        unknown = set(loaded) - set(_CONFIG_TYPES)
+        defaults = vars(parser.parse_args([]))
+        del defaults["config"]  # a config file names no further file
+        unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            types, expected = _CONFIG_TYPES[key]
-            if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         strategy = loaded.get("strategy")
         if strategy not in (None, *STRATEGIES):  # set_defaults skips the parser's choices
             raise ValueError(f"config key 'strategy' must be one of {list(STRATEGIES)}, got {strategy!r}")
+        for key, value in loaded.items():
+            kind = type(defaults[key])
+            if key != "strategy" and type(value) is not kind and (kind, type(value)) != (float, int):
+                raise ValueError(f"config key {key!r} must be {_KINDS[kind]}, got {value!r}")
         parser.set_defaults(**loaded)
         args = parser.parse_args(argv)
     return args

@@ -540,10 +540,3 @@ class DecentralizedController:
 
 # Each decentralized strategy's add-on on the RB core.
 ADD_ON = {"rb": None, "ldr_random": LDR_RANDOM, "ldr_repulsive": LDR_REPULSIVE, "pm": PM}
-
-
-def make_controller(name: str, agents, arena: ArenaSpec) -> DecentralizedController:
-    """Build the controller for a strategy name."""
-    if name not in ADD_ON:
-        raise ValueError(f"unknown decentralized strategy: {name}")
-    return DecentralizedController(name, agents, arena, ADD_ON[name])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .arena import ArenaSpec
 from .checks import boolean, integer_at_least, positive_finite
-from .decentralized import ADD_ON, make_controller
+from .decentralized import ADD_ON, DecentralizedController
 from .metrics import (
     RunRecord,
     StrategySummary,
@@ -172,14 +172,6 @@ class ExperimentConfig:
             raise ValueError(f"sim.seed must be 0, got {self.sim.seed!r}; base_seed sets the run seeds")
         check_step_length(self.sim, self.arena)
 
-    def split_roles(self) -> tuple[int, int]:
-        """Supervisor/sampler split for the hierarchy strategies (1:4 of the swarm)."""
-        supervisors = max(1, self.n_uavs // 5)
-        samplers = self.n_uavs - supervisors
-        if samplers < 1:
-            raise ValueError("n_uavs leaves no samplers")
-        return supervisors, samplers
-
 
 def build_world(config: ExperimentConfig, seed: int, collect_events: bool = False) -> World:
     """Assemble one seeded, ready-to-run world for the configured strategy.
@@ -193,9 +185,9 @@ def build_world(config: ExperimentConfig, seed: int, collect_events: bool = Fals
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
         )
-        controller = make_controller(config.strategy, agents, config.arena)
+        controller = DecentralizedController(config.strategy, agents, config.arena, ADD_ON[config.strategy])
     else:
-        agents, controller = make_sons_controller(config.strategy, config.arena, sim, *config.split_roles())
+        agents, controller = make_sons_controller(config.strategy, config.arena, sim, config.n_uavs)
     if collect_events:
         controller.events = []
     return World(config.arena, sim, agents, controller)

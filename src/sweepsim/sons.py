@@ -44,16 +44,16 @@ class SonsFormation:
     span: float
 
 
-def build_line_formation(
-    n_supervisors: int, n_samplers: int, sampler_spacing: float = 1.0
-) -> SonsFormation:
-    """Brain and supervisors over a sampler line.
+def build_line_formation(n_uavs: int, sampler_spacing: float = 1.0) -> SonsFormation:
+    """Brain and supervisors over a sampler line: one supervisor per five UAVs, brain included.
 
-    n_supervisors counts the brain, which sits at the middle of the line;
-    the other supervisors sit evenly spaced over it.
+    The brain sits at the middle of the line; the other supervisors sit
+    evenly spaced over it. The rest of the swarm are samplers.
     """
-    if n_supervisors < 1 or n_samplers < 1:
-        raise ValueError("need at least one supervisor (the brain) and one sampler")
+    n_supervisors = max(1, n_uavs // 5)
+    n_samplers = n_uavs - n_supervisors
+    if n_samplers < 1:
+        raise ValueError("n_uavs leaves no samplers")
     span = (n_samplers - 1) * sampler_spacing
     offsets = [(0.0, 0.0)]
     for k in range(n_supervisors - 1):
@@ -280,16 +280,20 @@ class SonsRwController(SonsController):
 
 
 def make_sons_controller(
-    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_supervisors: int, n_samplers: int
+    strategy: str, arena: ArenaSpec, cfg: SimConfig, n_uavs: int
 ) -> tuple[list[AgentState], SonsController]:
-    """Wire up the brain of sons_bs or sons_rw and spawn the formation at its start pose.
+    """Wire up the brain of sons_bs or sons_rw and spawn the n_uavs formation at its start pose.
 
     Samplers fly at the sampling altitude; the brain and the supervisors at
     the supervisory altitude.
     """
-    formation = build_line_formation(n_supervisors, n_samplers, sampler_spacing=arena.cell_size)
+    formation = build_line_formation(n_uavs, sampler_spacing=arena.cell_size)
     if formation.span > min(arena.extents):
-        raise ValueError("formation span exceeds the arena side")
+        width, depth = arena.extents
+        raise ValueError(
+            f"formation span exceeds the arena side, got span {formation.span:g} m over "
+            f"{len(formation.sampler_ids)} samplers and a {width:g} m x {depth:g} m arena"
+        )
     if strategy == "sons_bs":
         controller = SonsBsController(formation, arena)
     elif strategy == "sons_rw":

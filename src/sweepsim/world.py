@@ -178,8 +178,8 @@ class World:
         self.hs = [wrap_angle(a.heading) for a in self.agents]
         self.cells = [-1] * n
         self.boxes = cell_boxes(arena)
-        self.cruise = [(math.nan, 0.0, 0.0, 0.0)] * n  # a nan heading matches none
-        self.rotated = (math.nan, (), [])
+        self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
+        self.rotated = (None, None, [])
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
         self.visits = [0] * arena.cell_count
@@ -209,8 +209,9 @@ class World:
         agent only turns, and its unchanged cell is not mapped or scored.
         A position in the box of cells[i] is stored unmapped: the boxes are
         derived from this mapping, which stays the one definition. A move
-        reuses the agent's last step vector at an unchanged heading and speed, and
-        a formation its rotated offsets at an unchanged heading and offsets tuple.
+        reuses the agent's last step vector while its heading and speed are the very
+        same objects, and a formation its rotated offsets while its heading and
+        offsets are: identity, unlike ==, never takes -0.0 for 0.0.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -223,8 +224,7 @@ class World:
             bx, by = moves.position
             sampling = moves.sampling_active
             heading, offsets, terms = self.rotated
-            # 0.0 == -0.0, yet their sines differ: a zero heading is never reused.
-            if moves.heading != heading or moves.offsets is not offsets or heading == 0.0:
+            if moves.heading is not heading or moves.offsets is not offsets:
                 heading, offsets = moves.heading, moves.offsets
                 c, s = math.cos(heading), math.sin(heading)
                 terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
@@ -268,8 +268,7 @@ class World:
                 y = ys[i]
                 if speed != 0.0:
                     step = cruise[i]
-                    # 0.0 == -0.0, yet sin(-0.0) is -0.0: a zero heading is never reused.
-                    if step[0] != h or step[1] != speed or h == 0.0:
+                    if step[0] is not h or step[1] is not speed:
                         step = cruise[i] = (h, speed, speed * dt * math.cos(h), speed * dt * math.sin(h))
                     x += step[2]
                     y += step[3]

@@ -26,6 +26,7 @@ from sweepsim import decentralized
 from sweepsim.angles import ccw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
+    ADD_ON,
     LDR_RANDOM,
     LDR_REPULSIVE,
     PM,
@@ -37,7 +38,6 @@ from sweepsim.decentralized import (
     avoidance_turn,
     boundary_escape_heading,
     compass_index,
-    make_controller,
     pm_choose,
     pm_sense,
     repulsive_escape,
@@ -491,7 +491,7 @@ def scene(strategy, positions, heading=math.pi / 2):
         AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
         for i, p in enumerate(positions)
     ]
-    controller = make_controller(strategy, agents, ARENA)
+    controller = DecentralizedController(strategy, agents, ARENA, ADD_ON[strategy])
     controller.events = []
     return World(ARENA, SimConfig(), agents, controller), controller
 
@@ -907,7 +907,7 @@ class TestNeighbourScanInRuns:
                 for i in range(k)
             ]
 
-        world = World(ARENA, SimConfig(), line(stepped), make_controller("rb", line(built), ARENA))
+        world = World(ARENA, SimConfig(), line(stepped), DecentralizedController("rb", line(built), ARENA))
         with pytest.raises(ValueError, match=f"built for {built} agents, world has {stepped}"):
             world.step()
 
@@ -984,7 +984,7 @@ class TestForwardBound:
             AgentState(id=i, position=p, heading=h, altitude=1.5, rng=agent_stream(0, i))
             for i, (p, h) in enumerate(zip(points, headings))
         ]
-        world = World(ARENA, SimConfig(), agents, make_controller("rb", agents, ARENA))
+        world = World(ARENA, SimConfig(), agents, DecentralizedController("rb", agents, ARENA))
         near = pairwise_scan_reference(world.xs, world.ys, RB.medium_range, None)[0]
         states = [a.rng.bit_generator.state for a in agents]
         calls = {}

@@ -20,7 +20,7 @@ import run_digests
 import sweepsim
 from oracles import place_decentralized_reference
 from sweepsim.arena import ArenaSpec
-from sweepsim.cli import _CONFIG_TYPES, _options, _parser, main
+from sweepsim.cli import _options, main
 from sweepsim.decentralized import ReactionEvent
 from sweepsim.harness import (
     STRATEGIES,
@@ -175,11 +175,6 @@ class TestExperimentConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(strategy="quadtree")
-
-    def test_role_split(self):
-        cfg = ExperimentConfig(strategy="sons_bs")
-        assert cfg.split_roles() == (5, 20)
-        assert ExperimentConfig(strategy="sons_bs", n_uavs=10).split_roles() == (2, 8)
 
     def test_runs_positive(self):
         with pytest.raises(ValueError):
@@ -539,6 +534,24 @@ class TestCli:
         assert "exceeds the cell size 1 m" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_arena_not_a_whole_number_of_regions_names_both_sizes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--strategy", "rb", "--arena-side", "25", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: rb: side_length must be an integer multiple of region_size, "
+            "got side_length 25 and region_size 10\n"
+        )
+        assert not out.exists()
+
+    def test_formation_wider_than_the_arena_names_its_sizes(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["--strategy", "sons_bs", "--uavs", "60", "--runs", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sons_bs: formation span exceeds the arena side, "
+            "got span 47 m over 48 samplers and a 40 m x 40 m arena\n"
+        )
+        assert not out.exists()
+
     def test_bad_arena_returns_1(self, tmp_path, capsys):
         code = main(
             ["--strategy", "rb", "--arena-side", "41.5", "--out", str(tmp_path)]
@@ -576,10 +589,6 @@ class TestCli:
         assert capsys.readouterr().err == expected
         assert not out.exists()
 
-    def test_config_keys_are_the_options(self):
-        # An option missing from _CONFIG_TYPES could not be set from a file.
-        assert set(_CONFIG_TYPES) == set(vars(_parser().parse_args([]))) - {"config"}
-
     @pytest.mark.parametrize(
         "key, file_value, flag",
         [
@@ -610,10 +619,13 @@ class TestCli:
         rival = False if file_value is True else file_value
         assert resolved({key: rival}, *flag) == flag_value != rival
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # The keys are the parser's dests, less config: a file names no further file.
         config_file = tmp_path / "exp.json"
-        config_file.write_text(json.dumps({"strateg": "rb"}), encoding="utf-8")
-        assert main(["--config", str(config_file)]) == 1
+        for key in ("strateg", "runz", "config"):
+            config_file.write_text(json.dumps({key: "rb"}), encoding="utf-8")
+            assert main(["--config", str(config_file)]) == 1
+            assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
 
     def test_all_layout(self, tmp_path):
         code = main(

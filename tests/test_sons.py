@@ -35,14 +35,30 @@ CFG = SimConfig()
 
 class TestFormation:
     def test_default_roster(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         assert f.offsets[0] == (0.0, 0.0)  # the brain
         assert len(f.offsets) == 25
         assert f.sampler_ids == tuple(range(5, 25))
         assert f.span == pytest.approx(19.0)
 
+    @pytest.mark.parametrize("n_uavs", [2, 3, 5, 9, 10, 24, 25, 26, 100])
+    def test_one_supervisor_per_five_uavs(self, n_uavs):
+        f = build_line_formation(n_uavs, sampler_spacing=0.5)
+        supervisors = max(1, n_uavs // 5)  # the brain included
+        samplers = n_uavs - supervisors
+        assert f.sampler_ids == tuple(range(supervisors, n_uavs))
+        assert len(f.offsets) == n_uavs
+        assert f.span == (samplers - 1) * 0.5
+
+    def test_a_lone_uav_leaves_no_samplers(self):
+        with pytest.raises(ValueError, match="^n_uavs leaves no samplers$"):
+            build_line_formation(1)
+        for strategy in ("sons_bs", "sons_rw"):
+            with pytest.raises(ValueError, match="^n_uavs leaves no samplers$"):
+                build_world(ExperimentConfig(strategy, n_uavs=1), seed=1)
+
     def test_sampler_chain_collinear_with_unit_spacing(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         offsets = [f.offsets[s] for s in f.sampler_ids]
         assert all(ox == 0.0 for ox, _ in offsets)
         laterals = [oy for _, oy in offsets]
@@ -50,13 +66,13 @@ class TestFormation:
         assert np.allclose(gaps, 1.0)
 
     def test_two_samplers_spacing_two(self):
-        f = build_line_formation(1, 2, sampler_spacing=2.0)
+        f = build_line_formation(3, sampler_spacing=2.0)
         assert f.span == pytest.approx(2.0)
         laterals = sorted(f.offsets[s][1] for s in f.sampler_ids)
         assert laterals == [pytest.approx(-1.0), pytest.approx(1.0)]
 
     def test_supervisors_evenly_spaced_over_the_line(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         supervisors = f.offsets[1:5]
         assert all(ox == 0.0 for ox, _ in supervisors)
         laterals = [oy for _, oy in supervisors]
@@ -65,7 +81,7 @@ class TestFormation:
 
 class TestFollowFormation:
     def test_rigid_translation_keeps_speeds_equal(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         a = follow_formation((0.0, 0.0), math.pi / 2, f)
         b = follow_formation((0.0, 0.1), math.pi / 2, f)
         for member in range(len(f.offsets)):
@@ -74,7 +90,7 @@ class TestFollowFormation:
             assert math.hypot(dx, dy) == pytest.approx(0.1)
 
     def test_rotation_speed_scales_with_radius(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         omega = 0.1
         a = follow_formation((0.0, 0.0), 0.0, f)
         b = follow_formation((0.0, 0.0), omega * 1.0, f)
@@ -85,7 +101,7 @@ class TestFollowFormation:
             assert chord <= omega * radius + 1e-12
 
     def test_pairwise_distances_invariant(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         base = follow_formation((3.0, -7.0), 0.3, f)
         moved = follow_formation((-11.0, 5.0), 4.1, f)
         for i, j in itertools.combinations(range(len(f.offsets)), 2):
@@ -96,25 +112,25 @@ class TestFollowFormation:
 
 class TestMaxFormationOmega:
     def test_twenty_sampler_line(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         assert max_formation_omega(f, 1.0) == pytest.approx(1.0 / 9.5)
 
     def test_unit_radius(self):
-        f = build_line_formation(1, 2)  # samplers at +-0.5
+        f = build_line_formation(3)  # samplers at +-0.5
         assert max_formation_omega(f, 1.0) == pytest.approx(2.0)
 
     def test_linear_in_speed(self):
-        f = build_line_formation(5, 20)
+        f = build_line_formation(25)
         assert max_formation_omega(f, 2.0) == pytest.approx(2 * max_formation_omega(f, 1.0))
 
     def test_zero_offsets_unbounded(self):
-        f = build_line_formation(1, 1)
+        f = build_line_formation(2)
         assert max_formation_omega(f, 1.0) == math.inf
 
 
 class TestSpawn:
     def test_bs_start_pose(self):
-        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 5, 20)
+        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 25)
         formation = controller.formation
         assert controller.brain_pos == (pytest.approx(10.0), pytest.approx(-19.5))
         assert controller.brain_heading == pytest.approx(math.pi / 2)
@@ -129,7 +145,7 @@ class TestSpawn:
         )
 
     def test_bs_altitudes_by_role(self):
-        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 5, 20)
+        agents, controller = make_sons_controller("sons_bs", ARENA, CFG, 25)
         assert [a.id for a in agents] == list(range(25))
         for agent in agents:
             if agent.id in controller.formation.sampler_ids:
@@ -139,23 +155,23 @@ class TestSpawn:
 
     def test_rw_starts_on_corner_facing_interior(self):
         for seed in range(8):
-            agents, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=seed), 5, 20)
+            agents, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=seed), 25)
             assert controller.brain_pos == (pytest.approx(20.0), pytest.approx(-20.0))
             assert math.pi / 2 < controller.brain_heading < math.pi
             assert all(a.heading == controller.brain_heading for a in agents)
 
     def test_rw_start_heading_is_the_first_brain_draw(self):
-        _, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=5), 5, 20)
+        _, controller = make_sons_controller("sons_rw", ARENA, replace(CFG, seed=5), 25)
         u = agent_stream(5, 0).uniform(0.0, math.pi / 2)
         assert controller.brain_heading == math.pi / 2 + u
 
     def test_oversized_formation_rejected(self):
         with pytest.raises(ValueError):
-            make_sons_controller("sons_bs", ArenaSpec(side_length=10.0, region_size=10.0), CFG, 5, 20)
+            make_sons_controller("sons_bs", ArenaSpec(side_length=10.0, region_size=10.0), CFG, 25)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown formation strategy"):
-            make_sons_controller("sons_xy", ARENA, CFG, 5, 20)
+            make_sons_controller("sons_xy", ARENA, CFG, 25)
 
 
 def run_sons(strategy, seed, arena=None, on_step=None, max_steps=60_000):
@@ -179,7 +195,7 @@ def tiling_roster():
     """(side, n_uavs) whose sampler count (n_uavs less its supervisors) divides side, at least 2."""
 
     def samplers(n_uavs):
-        return ExperimentConfig("sons_bs", n_uavs=n_uavs).split_roles()[1]
+        return len(build_line_formation(n_uavs).sampler_ids)
 
     def rosters(side):
         # n_uavs keeps at least 4/5 of itself as samplers, so 2 * side is past every divisor.
@@ -240,7 +256,7 @@ class TestBoustrophedon:
         # Strips planned for a 20 m arena, flown in a 40 m one: the sweep
         # shifts fully past the west edge with 600 cells never visited.
         small = ArenaSpec(side_length=20.0, region_size=10.0)
-        agents, controller = make_sons_controller("sons_bs", small, CFG, 5, 20)
+        agents, controller = make_sons_controller("sons_bs", small, CFG, 25)
         world = World(ARENA, CFG, agents, controller)
         with pytest.raises(SweepGeometryError, match="shifted fully past the arena"):
             world.run()
@@ -512,7 +528,7 @@ class TestOffCentreArena:
         assert record.final_visits.max() == 1
 
     def test_sons_rw_starts_on_the_southeastern_corner(self):
-        _, controller = make_sons_controller("sons_rw", OFF_CENTRE, CFG, 5, 20)
+        _, controller = make_sons_controller("sons_rw", OFF_CENTRE, CFG, 25)
         assert controller.brain_pos == (OFF_CENTRE.max_corner[0], OFF_CENTRE.min_corner[1])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,9 +1,11 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
 the package's public names resolve, the benchmark's traced functions exist, only
-the arena module decides the arena's shape, and only build_world hands out the event log."""
+the arena module decides the arena's shape, only build_world hands out the event log,
+and ExperimentConfig holds settings only."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -84,3 +86,16 @@ def test_only_build_world_hands_out_the_event_log():
         if "collect_events" in line
     ]
     assert readers == []
+
+
+def test_experiment_config_holds_settings_only():
+    # __post_init__ checks the settings; a rule derived from them, such as the
+    # SoNS roster, belongs to the module that uses it.
+    tree = ast.parse((ROOT / "src" / "sweepsim" / "harness.py").read_text(encoding="utf-8"))
+    config = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    methods = [
+        f"harness.py:{node.lineno}: {node.name}"
+        for node in config.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "__post_init__"
+    ]
+    assert methods == []

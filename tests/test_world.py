@@ -26,6 +26,7 @@ from oracles import (
     record_visit,
     step_kinematics,
 )
+from sweepsim import world as world_module
 from sweepsim.angles import TWO_PI
 from sweepsim.arena import ArenaSpec, cell_boxes, edge_distances, edges_outside
 from sweepsim.decentralized import PheromoneField, pm_sense
@@ -97,7 +98,8 @@ class TestArenaSpec:
     def test_region_must_divide_cell(self, cell_size):
         # 4 m cells made 2.5 cells a region; split_blocks rounded that to 2,
         # and its 16 blocks left 36 of the 100 cells out of LCU and block_NN
-        with pytest.raises(ValueError, match="^region_size must be an integer multiple of cell_size$"):
+        message = f"region_size must be an integer multiple of cell_size, got region_size 10 and cell_size {cell_size:g}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ArenaSpec(side_length=120.0, cell_size=cell_size, region_size=10.0)
 
     @pytest.mark.parametrize("length", ["side_length", "cell_size", "region_size"])
@@ -770,11 +772,12 @@ class TestRectangle:
             with pytest.raises(ValueError, match="^start box 30 m x 25 m does not fit the 40 m x 20 m arena$"):
                 place(deep, 5, RECT, cfg, harness_stream(0))
         narrow = Rectangle(side_length=40.0, height=10.0, region_size=10.0)
-        with pytest.raises(ValueError, match="^formation span exceeds the arena side$"):
-            make_sons_controller("sons_bs", narrow, cfg, 5, 20)
-        _, rw = make_sons_controller("sons_rw", RECT, cfg, 5, 20)
+        message = "formation span exceeds the arena side, got span 19 m over 20 samplers and a 40 m x 10 m arena"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_sons_controller("sons_bs", narrow, cfg, 25)
+        _, rw = make_sons_controller("sons_rw", RECT, cfg, 25)
         assert rw.brain_pos == (25.0, -13.0)
-        _, bs = make_sons_controller("sons_bs", RECT, cfg, 5, 20)
+        _, bs = make_sons_controller("sons_bs", RECT, cfg, 25)
         assert bs.brain_pos == (25.0 - bs.stride / 2.0, -12.5)
 
     def test_step_maps_and_clamps_each_axis_as_the_oracles_do(self):
@@ -863,6 +866,35 @@ class TestCellSkip:
             [Unicycle(1.0, 0.0), Unicycle(1.0, -0.0)],
         ]
         assert_swarm_matches_oracles(ARENA, [(0.5, -0.0), (0.5, -0.0)], [-0.0, 0.0], script)
+
+    def test_signed_zero_and_equal_headings_written_between_cruises_match_the_oracles(self):
+        # World.step reuses a cruise step vector only for the very same heading and
+        # speed objects. Written between cruise steps: 0.0, then -0.0 (0.0 == -0.0,
+        # yet sin(-0.0) is -0.0), then a heading and, a step later, an equal but
+        # distinct float. Each agent cruises at one rate, 0.0 or -0.0, on y = -0.0 until then.
+        turned = 1.0
+        twin = float.fromhex(turned.hex())
+        assert twin == turned and twin is not turned
+        script = [[Unicycle(1.0, 0.0), Unicycle(1.0, -0.0)]] * 9
+        writes = [(step, i, h) for step, h in [(3, 0.0), (5, -0.0), (7, turned), (8, twin)] for i in (0, 1)]
+        assert_swarm_matches_oracles(ARENA, [(0.5, -0.0), (3.5, -0.0)], [-0.0, -0.0], script, heading_writes=writes)
+
+    def test_a_cruise_at_an_untouched_heading_takes_one_cosine(self, monkeypatch):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def cos(self, x):
+                calls.append(x)
+                return math.cos(x)
+
+        monkeypatch.setattr(world_module, "math", CountingMath())
+        world = World(ARENA, CFG, [spawn((0.5, 0.5), 1.0)], ScriptedController([[Unicycle(1.0, 0.0)]] * 30))
+        for _ in range(30):
+            world.step()
+        assert calls == [1.0]
 
     @pytest.mark.parametrize("written", [(19, 20), (20, 20), (21, 20), None], ids=str)
     def test_written_cell_is_scored_as_the_mapping_scores_it(self, written):
