@@ -39,7 +39,7 @@ class ArenaSpec:
         multiples = (
             ("side_length", "cell_size"),
             ("side_length", "region_size"),
-            # Otherwise metrics.split_blocks rounds the cells per region down and leaves cells out.
+            # Otherwise a region is no whole number of cells, and block_uniformities cannot tile the grid.
             ("region_size", "cell_size"),
         )
         for whole, part in multiples:

@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.all and args.strategy:
+        print("error: give --strategy or --all, not both", file=sys.stderr)
+        return 1
     if args.all:
         strategies = list(STRATEGIES)
     elif args.strategy:

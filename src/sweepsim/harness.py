@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from statistics import mean
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .metrics import (
     StrategySummary,
     block_uniformities,
     cpr,
-    lcu,
     summarize,
     tcu,
 )
@@ -271,7 +271,7 @@ def export(
                 str(record.seed),
                 str(record.cct),
                 _fmt(tcu(record)),
-                _fmt(lcu(record, arena)),
+                _fmt(float(mean(blocks))),  # lcu(record, arena), from the blocks at hand
             ] + [_fmt(b) for b in blocks]
         else:
             row = [record.strategy, str(record.seed), "incomplete", "", ""] + [""] * n_blocks
@@ -280,10 +280,8 @@ def export(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
 
-    series = cpr(records)
     lines = ["step,mean_coverage_fraction"]
-    for i, value in enumerate(series, start=1):
-        lines.append(f"{i},{_fmt(value)}")
+    lines += [f"{i},{value:.9g}" for i, value in enumerate(cpr(records).tolist(), start=1)]  # _fmt inlined
     path = out / "cpr.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(path)
@@ -292,8 +290,7 @@ def export(
         for index, record in enumerate(records):
             grid = record.final_visits.reshape(arena.rows, arena.cols)
             lines = [f"{arena.cols},{arena.rows},{_fmt(arena.cell_size)}"]
-            for row in grid:
-                lines.append(",".join(str(int(v)) for v in row))
+            lines += [",".join(map(str, row)) for row in grid.tolist()]
             path = out / f"heatmap_{index:03d}.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)

@@ -162,6 +162,9 @@ class CrossingEvent:
     exclusion_dropped: bool = False
 
 
+_NO_EDGES = frozenset()
+
+
 class SonsRwController(SonsController):
     """Random-walk brain: straight runs, boundary overshoot, randomized turns.
 
@@ -190,7 +193,7 @@ class SonsRwController(SonsController):
         self.phase = "cruise"
         self.prev_depth = 0.0
         self.armed = True
-        self.fired_edges = frozenset()
+        self.fired_edges = _NO_EDGES
         self.theta_rand = 0.0
         self.d_rand = 1.0
         self.d_adjust = 1.0
@@ -248,9 +251,15 @@ class SonsRwController(SonsController):
     def decide(self, world: World) -> PoseTarget:
         cfg = world.cfg
         dt = cfg.dt
-        outside = edges_outside(self.brain_pos, world.arena)
-        depth = math.hypot(*(excess for _, excess in outside)) if outside else 0.0
-        exceeded = frozenset(n for n, _ in outside) if outside else frozenset()
+        arena = world.arena
+        (x, y), (cx, cy), (hx, hy) = self.brain_pos, arena.center, arena.half_extents
+        # edges_outside's test, exactly: fl(h - d) < 0 just when d > h, fl(d + h) < 0 just when d < -h.
+        if -hx <= x - cx <= hx and -hy <= y - cy <= hy:
+            outside, depth, exceeded = (), 0.0, _NO_EDGES
+        else:
+            outside = edges_outside(self.brain_pos, arena)
+            depth = math.hypot(*(excess for _, excess in outside))
+            exceeded = frozenset(n for n, _ in outside)
         if not self.armed and (depth < self.prev_depth - 1e-15 or not exceeded <= self.fired_edges):
             self.armed = True
         # A turn holds the brain in place, so the trigger stays disarmed until
@@ -271,7 +280,6 @@ class SonsRwController(SonsController):
                 return self._emit(sampling_active=False)
             self.phase = "cruise"
         step_len = cfg.target_sampling_velocity * dt
-        x, y = self.brain_pos
         self.brain_pos = (
             x + step_len * math.cos(self.brain_heading),
             y + step_len * math.sin(self.brain_heading),

@@ -160,7 +160,8 @@ class World:
     samplers marks the agents at the sampling altitude, which never changes.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
-    rotated, the last PoseTarget's heading, offsets and their (c ox, s oy, s ox, c oy) terms.
+    rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
+    heading wrapped.
     """
 
     def __init__(
@@ -179,7 +180,7 @@ class World:
         self.cells = [-1] * n
         self.boxes = cell_boxes(arena)
         self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
-        self.rotated = (None, None, [])
+        self.rotated = (None, None, [], None)
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.controller = controller
         self.visits = [0] * arena.cell_count
@@ -210,8 +211,8 @@ class World:
         A position in the box of cells[i] is stored unmapped: the boxes are
         derived from this mapping, which stays the one definition. A move
         reuses the agent's last step vector while its heading and speed are the very
-        same objects, and a formation its rotated offsets while its heading and
-        offsets are: identity, unlike ==, never takes -0.0 for 0.0.
+        same objects, and a formation its rotated offsets and wrapped heading while
+        its heading and offsets are: identity, unlike ==, never takes -0.0 for 0.0.
         """
         cfg = self.cfg
         dt = cfg.dt
@@ -223,13 +224,13 @@ class World:
         if formation:
             bx, by = moves.position
             sampling = moves.sampling_active
-            heading, offsets, terms = self.rotated
+            heading, offsets, terms, wrapped = self.rotated
             if moves.heading is not heading or moves.offsets is not offsets:
                 heading, offsets = moves.heading, moves.offsets
                 c, s = math.cos(heading), math.sin(heading)
                 terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
-                self.rotated = (heading, offsets, terms)
-            heading = wrap_angle(heading)
+                wrapped = wrap_angle(heading)
+                self.rotated = (heading, offsets, terms, wrapped)
             moves = terms
         if len(moves) != len(xs):
             raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
@@ -250,7 +251,7 @@ class World:
                 cox, soy, sox, coy = motion  # follow_formation's expression, term for term
                 x = bx + cox - soy
                 y = by + sox + coy
-                hs[i] = heading
+                hs[i] = wrapped
             else:
                 speed, rate = motion
                 h = hs[i]

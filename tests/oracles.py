@@ -6,7 +6,8 @@ written one at a time, plus the cell-to-index map, the boundary and
 neighbour queries the decentralized controller inlines, its neighbour
 lists and LDR density as a scalar loop over all pairs, arc membership, the exact PM move probabilities, the
 bounds-checked pheromone sense, one-cell and full pheromone-field reads,
-and decentralized placement as a dart-throwing loop. Cells are (col, row)
+decentralized placement as a dart-throwing loop, the region blocks as one
+slice each, and the export's CSV text written one value at a time. Cells are (col, row)
 tuples here, None for no cell; flat_index maps one to the row-major index
 the package uses, -1 for None. The reference step moves one RefAgent at a
 time and counts its visits into a RefCoverage of its own, where World keeps
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import mean
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +28,8 @@ import numpy as np
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
-from sweepsim.harness import PlacementSpec
+from sweepsim.harness import ExperimentConfig, PlacementSpec, _fmt
+from sweepsim.metrics import RunRecord, cpr, tcu, uniformity
 from sweepsim.sons import SonsFormation, follow_formation
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
@@ -390,3 +393,51 @@ def place_decentralized_reference(
         )
         for i, (x, y) in enumerate(points)
     ]
+
+
+def split_blocks(visits, arena: ArenaSpec) -> list[np.ndarray]:
+    """Visit counts split into region_size x region_size blocks, one slice each.
+
+    Blocks are ordered row-major over the block grid: the southern row of
+    blocks first, west to east within each row.
+    """
+    across, up = arena.blocks
+    cells = round(arena.region_size / arena.cell_size)
+    grid = np.asarray(visits).reshape(arena.rows, arena.cols)
+    return [
+        grid[by * cells : (by + 1) * cells, bx * cells : (bx + 1) * cells].ravel()
+        for by in range(up)
+        for bx in range(across)
+    ]
+
+
+def export_text_reference(records: list[RunRecord], config: ExperimentConfig) -> dict[str, str]:
+    """harness.export's runs.csv, cpr.csv and heatmaps, each value formatted on its own.
+
+    Block uniformities come from split_blocks and uniformity, and lcu is their
+    statistics.mean, as metrics.lcu defines it.
+    """
+    arena = config.arena
+    n_blocks = math.prod(arena.blocks)
+    runs = ["strategy,seed,cct,tcu,lcu," + ",".join(f"block_{i:02d}" for i in range(n_blocks))]
+    for record in records:
+        if record.complete:
+            blocks = [uniformity(b) for b in split_blocks(record.final_visits, arena)]
+            runs.append(",".join(
+                [record.strategy, str(record.seed), str(record.cct), _fmt(tcu(record)), _fmt(float(mean(blocks)))]
+                + [_fmt(b) for b in blocks]
+            ))
+        else:
+            runs.append(",".join([record.strategy, str(record.seed), "incomplete", "", ""] + [""] * n_blocks))
+    texts = {"runs.csv": "\n".join(runs) + "\n"}
+    lines = ["step,mean_coverage_fraction"]
+    for i, value in enumerate(cpr(records), start=1):
+        lines.append(f"{i},{_fmt(value)}")
+    texts["cpr.csv"] = "\n".join(lines) + "\n"
+    if config.heatmaps:
+        for index, record in enumerate(records):
+            lines = [f"{arena.cols},{arena.rows},{_fmt(arena.cell_size)}"]
+            for row in record.final_visits.reshape(arena.rows, arena.cols):
+                lines.append(",".join(str(int(v)) for v in row))
+            texts[f"heatmap_{index:03d}.csv"] = "\n".join(lines) + "\n"
+    return texts

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import run_digests
 import sweepsim
-from oracles import place_decentralized_reference
+from oracles import export_text_reference, place_decentralized_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.cli import _options, main
 from sweepsim.decentralized import ReactionEvent
+from sweepsim.metrics import RunRecord, summarize
 from sweepsim.harness import (
     STRATEGIES,
     ExperimentConfig,
@@ -462,6 +463,44 @@ class TestExport:
             assert len(mantissa) <= 9
 
 
+class TestExportText:
+    """export's CSV text against a writer that formats one value at a time.
+
+    The golden digests pin the default 40 m arena only; these batches are off it.
+    """
+
+    ARENA_80 = ArenaSpec(side_length=80.0, cell_size=0.5)
+
+    def assert_export_matches_reference(self, records, config, out):
+        paths = export(records, summarize(records, config.arena), out, config)
+        expected = export_text_reference(records, config)
+        assert sorted(expected) == sorted(p.name for p in paths if p.name != "summary.json")
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+    def test_an_80_m_half_metre_batch_with_an_incomplete_run(self, tmp_path):
+        config = ExperimentConfig(
+            strategy="sons_bs", runs=2, arena=self.ARENA_80, heatmaps=True, output_dir=str(tmp_path)
+        )
+        records, _ = run_experiment(config)
+        short = replace(config, sim=SimConfig(max_steps=3000))
+        records.append(build_world(short, config.base_seed + 2).run())
+        assert [r.complete for r in records] == [True, True, False]
+        self.assert_export_matches_reference(records, config, tmp_path)
+
+    def test_random_visit_counts(self, tmp_path):
+        # sons_bs visits every cell once; uneven counts give blocks of every sign and digit count
+        config = ExperimentConfig(strategy="rb", runs=3, arena=self.ARENA_80, heatmaps=True)
+        rng = np.random.default_rng(29)
+        records = []
+        for seed, (steps, cct) in enumerate([(900, 900), (1300, None), (400, 400)]):
+            visits = rng.integers(0, 2**40, size=config.arena.cell_count) >> rng.integers(0, 41, size=1)
+            visits[: config.arena.cols * 20] = 7  # whole blocks alike: they read -0.0
+            coverage = np.sort(rng.random(steps))
+            records.append(RunRecord("rb", seed, cct, coverage, visits.astype(np.int64)))
+        self.assert_export_matches_reference(records, config, tmp_path)
+
+
 class TestCli:
     def test_requires_strategy(self, capsys):
         assert main([]) == 1
@@ -504,6 +543,27 @@ class TestCli:
         # 2 is the exit code for runs that hit the step budget
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            (None, ["--strategy", "rb", "--all"]),
+            ({"strategy": "rb"}, ["--all"]),
+            ({"all": True}, ["--strategy", "rb"]),
+            ({"strategy": "rb", "all": True}, []),
+        ],
+    )
+    def test_strategy_and_all_together_rejected(self, tmp_path, capsys, doc, argv):
+        # --all used to win silently and write all six strategies' subdirectories
+        out = tmp_path / "out"
+        argv = argv + ["--runs", "1", "--max-steps", "20", "--out", str(out)]
+        if doc is not None:
+            config_file = tmp_path / "exp.json"
+            config_file.write_text(json.dumps(doc), encoding="utf-8")
+            argv += ["--config", str(config_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: give --strategy or --all, not both\n"
+        assert not out.exists()
 
     def test_help_returns_0(self, capsys):
         assert main(["--help"]) == 0

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import split_blocks
 from sweepsim.arena import ArenaSpec
 from sweepsim.metrics import (
     RunRecord,
     block_uniformities,
     cpr,
     lcu,
-    split_blocks,
     summarize,
     tcu,
     uniformity,
@@ -140,7 +140,39 @@ class TestTcuLcu:
         values = block_uniformities(rec, ARENA)
         assert len(values) == 16
         for value, block in zip(values, split_blocks(visits, ARENA)):
-            assert value == pytest.approx(uniformity(block))
+            assert value == uniformity(block)
+
+    @pytest.mark.parametrize(
+        "arena",
+        [
+            ARENA,
+            ArenaSpec(side_length=80.0),
+            ArenaSpec(region_size=20.0),
+            ArenaSpec(cell_size=0.5),
+            ArenaSpec(side_length=30.0, center=(0.1, -0.7)),
+        ],
+        ids=["40m", "80m", "region20", "cell0.5", "off-centre"],
+    )
+    def test_block_values_match_the_per_block_oracle_bit_for_bit(self, arena):
+        assert_blocks_match_oracle(arena, np.random.default_rng(29))
+
+
+def assert_blocks_match_oracle(arena, rng):
+    """block_uniformities against uniformity of each split_blocks slice, by float.hex.
+
+    Visit counts run from all zeros to wide spreads; a south half of equal
+    counts makes whole blocks alike, which read -0.0 like uniformity's.
+    """
+    for high in (1, 2, 3, 7, 100, 2**31):
+        for even_south in (False, True):
+            visits = rng.integers(0, high, size=arena.cell_count)
+            if even_south:
+                visits[: arena.cell_count // 2] = 4
+            values = block_uniformities(record_for(visits), arena)
+            expected = [uniformity(block) for block in split_blocks(visits, arena)]
+            assert [v.hex() for v in values] == [e.hex() for e in expected]
+            if high == 1 or even_south:
+                assert values[0].hex() == "-0x0.0p+0"
 
 
 class TestCpr:

@@ -15,7 +15,7 @@ from oracles import cw_distance, heading_vector
 from sweepsim import sons as sons_module
 from sweepsim import world as world_module
 from sweepsim.angles import ccw_distance, wrap_angle
-from sweepsim.arena import ArenaSpec
+from sweepsim.arena import ArenaSpec, edges_outside
 from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.metrics import lcu, tcu
 from sweepsim.sons import (
@@ -516,6 +516,51 @@ class TestRandomWalk:
         world.run()
         assert numbered
         assert all(step == deciding for step, deciding in numbered)
+
+
+def edge_ulp_grid(arena, ulps=6):
+    """Points whose coordinates sit within ulps of an edge line, at the centre, or a metre out."""
+    axes = []
+    for lo, hi, centre in zip(arena.min_corner, arena.max_corner, arena.center):
+        values = [centre, lo - 1.0, hi + 1.0]
+        for edge in (lo, hi):
+            below = above = edge
+            values.append(edge)
+            for _ in range(ulps):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                values += [below, above]
+        axes.append(values)
+    return list(itertools.product(*axes))
+
+
+class TestInsideTest:
+    """decide scans the edges only outside the arena, by a test of its own."""
+
+    @pytest.mark.parametrize(
+        "arena",
+        [ARENA, OFF_CENTRE, ArenaSpec(side_length=30.0, center=(0.1, -0.7))],
+        ids=["default", "off-centre", "inexact-centre"],
+    )
+    def test_edges_are_scanned_exactly_when_one_is_exceeded(self, arena, monkeypatch):
+        world = build_world(ExperimentConfig(strategy="sons_rw", runs=1, arena=arena), seed=3)
+        controller = world.controller
+        scans = []
+
+        def scanned(position, arena):
+            scans.append(position)
+            return edges_outside(position, arena)
+
+        monkeypatch.setattr(sons_module, "edges_outside", scanned)
+        rng = np.random.default_rng(29)
+        (lo_x, lo_y), (hi_x, hi_y) = arena.min_corner, arena.max_corner
+        scattered = zip(rng.uniform(lo_x - 2.0, hi_x + 2.0, 500), rng.uniform(lo_y - 2.0, hi_y + 2.0, 500))
+        for point in edge_ulp_grid(arena) + [(float(x), float(y)) for x, y in scattered]:
+            controller.brain_pos, controller.phase, controller.prev_depth = point, "cruise", 0.0
+            scans.clear()
+            controller.decide(world)
+            outside = edges_outside(point, arena)
+            assert scans == ([point] if outside else []), point
+            assert controller.prev_depth == math.hypot(*(excess for _, excess in outside)), point
 
 
 class TestOffCentreArena:

@@ -24,14 +24,15 @@ from oracles import (
     place_decentralized_reference,
     pose_step_reference,
     record_visit,
+    split_blocks,
     step_kinematics,
 )
 from sweepsim import world as world_module
-from sweepsim.angles import TWO_PI
+from sweepsim.angles import TWO_PI, wrap_angle
 from sweepsim.arena import ArenaSpec, cell_boxes, edge_distances, edges_outside
 from sweepsim.decentralized import PheromoneField, pm_sense
 from sweepsim.harness import ExperimentConfig, PlacementSpec, build_world, place_decentralized
-from sweepsim.metrics import split_blocks
+from sweepsim.metrics import RunRecord, block_uniformities, uniformity
 from sweepsim.sons import SonsFormation, follow_formation, make_sons_controller
 from sweepsim.world import (
     HOLD,
@@ -745,6 +746,14 @@ class TestRectangle:
         # row-major over the 4 x 2 block grid: the northern block row starts at block 4
         assert (blocks[1][0], blocks[4][0]) == (10, 10 * RECT.cols)
 
+    def test_block_uniformities_match_split_blocks_bit_for_bit(self):
+        visits = np.random.default_rng(29).integers(0, 6, size=RECT.cell_count)
+        visits[: 10 * RECT.cols] = 2  # the southern block row alike
+        record = RunRecord("rb", 0, 1, np.ones(1), visits)
+        values = [v.hex() for v in block_uniformities(record, RECT)]
+        assert values == [uniformity(block).hex() for block in split_blocks(visits, RECT)]
+        assert values[:4] == ["-0x0.0p+0"] * 4
+
     def test_pheromone_reads_zero_one_cell_past_the_north_edge(self):
         field = PheromoneField(RECT)
         top = range(RECT.cell_count - RECT.cols, RECT.cell_count)
@@ -1027,6 +1036,22 @@ class TestFormationStepEquivalence:
             PoseTarget((0.5, 0.5), -0.0, first, True),
         ]
         starts = follow_formation((1.0, 1.0), 2.0, SonsFormation(offsets=first, sampler_ids=(), span=0.0))
+        assert_formation_matches_reference(FORMATION_ARENAS[0], starts, [CFG.sampling_altitude] * 3, commands)
+
+
+    def test_reused_unwrapped_headings_are_wrapped_on_every_step(self):
+        # World.step wraps a PoseTarget's heading only when it rotates the offsets
+        # afresh, and hands out the stored value while the heading object returns
+        offsets = ((0.0, 0.0), (0.0, 1.0), (-0.5, -1.5))
+        seven, lap, negative_zero = float("7.0"), TWO_PI, -0.0
+        headings = [seven, seven, lap, lap, seven, negative_zero, negative_zero, 0.0, lap, float("7.0")]
+        commands = [PoseTarget((0.05 * k, 1.0), h, offsets, True) for k, h in enumerate(headings)]
+        starts = follow_formation((0.0, 1.0), 7.0, SonsFormation(offsets=offsets, sampler_ids=(), span=0.0))
+        spawns = [AgentState(id=i, position=p, heading=0.0, altitude=CFG.sampling_altitude) for i, p in enumerate(starts)]
+        world = World(FORMATION_ARENAS[0], CFG, spawns, ScriptedController(commands))
+        for command in commands:
+            world.step()
+            assert [h.hex() for h in world.hs] == [wrap_angle(command.heading).hex()] * len(offsets)
         assert_formation_matches_reference(FORMATION_ARENAS[0], starts, [CFG.sampling_altitude] * 3, commands)
 
 
