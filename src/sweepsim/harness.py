@@ -221,19 +221,6 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _round9(value):
-    if isinstance(value, float):
-        return float(_fmt(value))
-    return value
-
-
-def _summary_payload(summary) -> dict:
-    payload = {}
-    for key, value in asdict(summary).items():
-        payload[key] = _round9(value)
-    return payload
-
-
 def export(
     records: list[RunRecord],
     summary,
@@ -253,7 +240,12 @@ def export(
 
     summary_doc = {
         "config": {**asdict(config), "output_dir": str(config.output_dir)},
-        "strategies": {summary.strategy: _summary_payload(summary)},
+        "strategies": {
+            summary.strategy: {
+                key: float(_fmt(value)) if isinstance(value, float) else value
+                for key, value in asdict(summary).items()
+            }
+        },
     }
     path = out / "summary.json"
     path.write_text(json.dumps(summary_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

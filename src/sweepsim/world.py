@@ -161,7 +161,7 @@ class World:
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
     rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
-    heading wrapped.
+    heading wrapped (0.0 for -0.0).
     """
 
     def __init__(
@@ -229,7 +229,7 @@ class World:
                 heading, offsets = moves.heading, moves.offsets
                 c, s = math.cos(heading), math.sin(heading)
                 terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
-                wrapped = wrap_angle(heading)
+                wrapped = wrap_angle(heading) + 0.0  # -0.0 stored as 0.0, as the unicycle branch does
                 self.rotated = (heading, offsets, terms, wrapped)
             moves = terms
         if len(moves) != len(xs):

@@ -2,23 +2,24 @@
 
 World.step maps positions to cells, integrates unicycle commands, places
 formations and scores visits in one fused loop; these are the same rules
-written one at a time, plus the cell-to-index map, the boundary and
-neighbour queries the decentralized controller inlines, its neighbour
-lists and LDR density as a scalar loop over all pairs, arc membership, the exact PM move probabilities, the
+written one at a time, plus the cell-to-index map, the clamp onto the arena,
+the decentralized controller's neighbour lists and LDR density as a scalar
+loop over all pairs, arc membership, the exact PM move probabilities, the
 bounds-checked pheromone sense, one-cell and full pheromone-field reads,
-decentralized placement as a dart-throwing loop, the region blocks as one
-slice each, and the export's CSV text written one value at a time. Cells are (col, row)
-tuples here, None for no cell; flat_index maps one to the row-major index
-the package uses, -1 for None. The reference step moves one RefAgent at a
-time and counts its visits into a RefCoverage of its own, where World keeps
-the swarm's pose and coverage record in per-swarm lists. Nothing in the
-package uses them.
+decentralized placement as a dart-throwing loop, the uniformity metric as a
+sort, the region blocks as one slice each, and the export's text written one
+value at a time. Cells are (col, row) tuples here, None for no cell;
+flat_index maps one to the row-major index the package uses, -1 for None.
+The reference step moves one RefAgent at a time and counts its visits into
+a RefCoverage of its own, where World keeps the swarm's pose and coverage
+record in per-swarm lists. Nothing in the package uses them.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from statistics import mean
 from typing import Callable, Sequence
@@ -26,10 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
-from sweepsim.arena import EDGE_NORMALS, ArenaSpec, edge_distances
+from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
 from sweepsim.harness import ExperimentConfig, PlacementSpec, _fmt
-from sweepsim.metrics import RunRecord, cpr, tcu, uniformity
+from sweepsim.metrics import RunRecord, StrategySummary, cpr, tcu, uniformity
 from sweepsim.sons import SonsFormation, follow_formation
 from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
@@ -77,36 +78,6 @@ def cell_of(position: tuple[float, float], arena: ArenaSpec) -> Cell | None:
     col = int((x - minx) / arena.cell_size)
     row = int((y - miny) / arena.cell_size)
     return (min(col, arena.cols - 1), min(row, arena.rows - 1))
-
-
-@dataclass(frozen=True)
-class BoundaryProbe:
-    """What an agent senses about the nearest arena edge."""
-
-    distance: float  # perpendicular distance to the nearest edge line
-    inward_normal: tuple[float, float]
-    outside_depth: float  # Euclidean distance to the arena; 0 when inside
-
-
-def boundary_probe(position: tuple[float, float], arena: ArenaSpec) -> BoundaryProbe:
-    x, y = position
-    dists = edge_distances(x, y, arena)
-    nearest = min(range(4), key=lambda i: abs(dists[i]))
-    ex = max(0.0, -dists[0], -dists[1])
-    ey = max(0.0, -dists[2], -dists[3])
-    return BoundaryProbe(
-        distance=abs(dists[nearest]),
-        inward_normal=EDGE_NORMALS[nearest],
-        outside_depth=math.hypot(ex, ey),
-    )
-
-
-def edges_within(
-    position: tuple[float, float], arena: ArenaSpec, trigger: float
-) -> list[tuple[float, float]]:
-    """Inward normals of every edge whose line lies within trigger distance."""
-    dists = edge_distances(position[0], position[1], arena)
-    return [EDGE_NORMALS[i] for i in range(4) if dists[i] <= trigger]
 
 
 def clamp_into(position: tuple[float, float], arena: ArenaSpec) -> tuple[float, float]:
@@ -194,8 +165,9 @@ def pose_step_reference(
 
     The command's rigid transform is expanded into one position per member
     by follow_formation. Every member first takes the sampling state, then
-    in id order its position, the wrapped heading and the speed flown, and
-    is scored by record_visit. Returns the visit events in order.
+    in id order its position, the wrapped heading (0.0 for -0.0) and the
+    speed flown, and is scored by record_visit. Returns the visit events in
+    order.
     """
     for agent in agents:
         agent.sampling_active = command.sampling_active
@@ -205,35 +177,12 @@ def pose_step_reference(
     for agent, (x, y) in zip(agents, positions, strict=True):
         px, py = agent.position
         agent.position = (x, y)
-        agent.heading = wrap_angle(command.heading)
+        agent.heading = wrap_angle(command.heading) + 0.0  # World.step stores -0.0 as 0.0
         agent.speed = math.hypot(x - px, y - py) / cfg.dt
         cell = record_visit(agent, coverage, cfg)
         if cell is not None:
             events.append((agent.id, cell))
     return events
-
-
-def neighbors_within(
-    agents: Sequence[RefAgent], self_id: int, comm_range: float, cfg: SimConfig
-) -> list[tuple[int, tuple[float, float]]]:
-    """Other agents on the same altitude plane within horizontal range.
-
-    Positions come back in the querying agent's frame. Delivery is
-    synchronous, reliable, and symmetric inside one step.
-    """
-    if comm_range > cfg.comm_range_max:
-        raise ValueError("requested range exceeds comm_range_max")
-    me = next(a for a in agents if a.id == self_id)
-    x, y = me.position
-    out = []
-    for other in agents:
-        if other.id == self_id or other.altitude != me.altitude:
-            continue
-        dx = other.position[0] - x
-        dy = other.position[1] - y
-        if math.hypot(dx, dy) <= comm_range:
-            out.append((other.id, (dx, dy)))
-    return out
 
 
 def pairwise_scan_reference(
@@ -395,6 +344,17 @@ def place_decentralized_reference(
     ]
 
 
+def mad_about_median_oracle(values):
+    """Independent sort-based mean absolute deviation from the median, negated: metrics.uniformity."""
+    ordered = sorted(values)
+    n = len(ordered)
+    if n % 2 == 1:
+        median = ordered[n // 2]
+    else:
+        median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+    return -sum(abs(v - median) for v in values) / n
+
+
 def split_blocks(visits, arena: ArenaSpec) -> list[np.ndarray]:
     """Visit counts split into region_size x region_size blocks, one slice each.
 
@@ -411,13 +371,26 @@ def split_blocks(visits, arena: ArenaSpec) -> list[np.ndarray]:
     ]
 
 
-def export_text_reference(records: list[RunRecord], config: ExperimentConfig) -> dict[str, str]:
-    """harness.export's runs.csv, cpr.csv and heatmaps, each value formatted on its own.
+def export_text_reference(
+    records: list[RunRecord], summary: StrategySummary, config: ExperimentConfig
+) -> dict[str, str]:
+    """harness.export's summary.json, runs.csv, cpr.csv and heatmaps, each value formatted on its own.
 
-    Block uniformities come from split_blocks and uniformity, and lcu is their
-    statistics.mean, as metrics.lcu defines it.
+    Each float of the summary is rounded to _fmt's 9 significant digits;
+    its ints, strings and None stay as they are. Block uniformities come from
+    split_blocks and uniformity, and lcu is their statistics.mean, as
+    metrics.lcu defines it.
     """
     arena = config.arena
+    strategy = {}
+    for f in fields(summary):
+        value = getattr(summary, f.name)
+        strategy[f.name] = float(_fmt(value)) if type(value) is float else value
+    doc = {
+        "config": {**asdict(config), "output_dir": str(config.output_dir)},
+        "strategies": {summary.strategy: strategy},
+    }
+    texts = {"summary.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
     n_blocks = math.prod(arena.blocks)
     runs = ["strategy,seed,cct,tcu,lcu," + ",".join(f"block_{i:02d}" for i in range(n_blocks))]
     for record in records:
@@ -429,7 +402,7 @@ def export_text_reference(records: list[RunRecord], config: ExperimentConfig) ->
             ))
         else:
             runs.append(",".join([record.strategy, str(record.seed), "incomplete", "", ""] + [""] * n_blocks))
-    texts = {"runs.csv": "\n".join(runs) + "\n"}
+    texts["runs.csv"] = "\n".join(runs) + "\n"
     lines = ["step,mean_coverage_fraction"]
     for i, value in enumerate(cpr(records), start=1):
         lines.append(f"{i},{_fmt(value)}")

@@ -15,8 +15,6 @@ rather than loosened.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 from fractions import Fraction
 
@@ -24,8 +22,8 @@ import numpy as np
 import pytest
 
 import run_digests
-from oracles import pheromone_snapshot, pm_probabilities
-from sweepsim.arena import ArenaSpec
+from audits import audit_rw, crossing_target_ok, faces_inward, inside_arena, reactions_with_windows
+from oracles import mad_about_median_oracle, pheromone_snapshot, pm_probabilities
 from sweepsim.harness import (
     DECENTRALIZED,
     STRATEGIES,
@@ -37,7 +35,6 @@ from sweepsim.harness import (
 from sweepsim.metrics import tcu, uniformity
 from sweepsim.world import SPEED_EPS, SimConfig
 
-ARENA = ArenaSpec()
 RUNS = 30
 BASE_SEED = 1
 
@@ -186,22 +183,12 @@ def test_c4_ratio_ordering(sweep):
 
 
 def test_c5_uniformity_matches_bruteforce_oracle():
-    def oracle(values):
-        ordered = sorted(values)
-        n = len(ordered)
-        median = (
-            ordered[n // 2]
-            if n % 2 == 1
-            else (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-        )
-        return -sum(abs(v - median) for v in values) / n
-
     rng = np.random.default_rng(990)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 401))
         counts = rng.integers(0, 11, size=n)
-        worst = max(worst, abs(uniformity(counts) - oracle(counts.tolist())))
+        worst = max(worst, abs(uniformity(counts) - mad_about_median_oracle(counts.tolist())))
     assert _report(
         "C5 metric oracle: rho matches brute-force MAD-about-median on 1000 grids",
         worst <= 1e-12,
@@ -252,79 +239,26 @@ def test_c6_field_nonnegative_over_full_run(sweep):
 
 
 def test_c7_random_walk_formation_invariants():
-    config = ExperimentConfig(strategy="sons_rw", runs=1, base_seed=BASE_SEED)
-    world = build_world(config, seed=BASE_SEED, collect_events=True)
-    controller = world.controller
-    formation = controller.formation
-    ids = range(len(world.agents))
-    base: dict | None = None
-    max_rigidity = 0.0
-    max_align_speed = 0.0
-    prepare_visits = 0
-    before = list(zip(world.xs, world.ys))
-
-    def audit(w):
-        nonlocal base, max_rigidity, max_align_speed, prepare_visits, before
-        positions = list(zip(w.xs, w.ys))
-        dists = {
-            (i, j): math.dist(positions[i], positions[j])
-            for i, j in itertools.combinations(ids, 2)
-        }
-        if base is None:
-            base = dists
-        else:
-            for key, d in dists.items():
-                err = abs(d - base[key])
-                if err > max_rigidity:
-                    max_rigidity = err
-        phase = controller.phase
-        if phase == "align":
-            # each sampler's speed as World.step gates it: the distance jumped over dt
-            for i in formation.sampler_ids:
-                (x, y), (px, py) = positions[i], before[i]
-                speed = math.hypot(x - px, y - py) / w.cfg.dt
-                if speed > max_align_speed:
-                    max_align_speed = speed
-        elif phase == "prepare":
-            prepare_visits += len(w.visit_events)
-        before = positions
-
-    record = world.run(on_step=audit)
+    world, record, audit = audit_rw(BASE_SEED)
     assert _report(
         "C7 formation: rigidity within 1e-9 m across all phases",
-        record.complete and max_rigidity <= 1e-9,
-        f"max drift={max_rigidity:.2e}",
+        record.complete and audit.max_rigidity_error <= 1e-9,
+        f"max drift={audit.max_rigidity_error:.2e}",
     )
     assert _report(
         "C7 formation: zero visit increments during preparation spins",
-        prepare_visits == 0,
+        audit.prepare_visits == 0,
     )
-    events = controller.events
-    interior_ok = all(
-        all(
-            math.cos(e.theta_rand) * nx + math.sin(e.theta_rand) * ny > 0.0
-            for nx, ny in e.normals
-        )
-        for e in events
-        if not e.exclusion_dropped
-    )
-    cone_ok = True
-    for e in events:
-        if e.exclusion_dropped:
-            continue
-        reciprocal = e.entry_heading + math.pi
-        gap = abs(math.remainder(e.theta_rand - reciprocal, 2 * math.pi))
-        if gap < math.radians(30.0) - 1e-9:
-            cone_ok = False
+    events = world.controller.events
     assert _report(
         "C7 formation: every turn target interior-facing and >= 30 deg from reversed heading",
-        bool(events) and interior_ok and cone_ok,
+        bool(events) and all(crossing_target_ok(e) for e in events),
         f"crossings={len(events)}",
     )
     assert _report(
         "C7 formation: align-phase sampler speeds <= 1 + 1e-9 m/s",
-        max_align_speed <= 1.0 + SPEED_EPS,
-        f"max={max_align_speed:.12f}",
+        audit.max_align_speed <= 1.0 + SPEED_EPS,
+        f"max={audit.max_align_speed:.12f}",
     )
 
 
@@ -362,17 +296,13 @@ def test_c8_determinism_byte_identical(tmp_path):
 
 
 def test_c9_trace_audits():
-    hx, hy = ARENA.half_extents
-
     config = ExperimentConfig(strategy="rb", runs=1, base_seed=BASE_SEED)
     world = build_world(config, seed=BASE_SEED, collect_events=True)
     inside = True
 
     def check_inside(w):
         nonlocal inside
-        for x, y in zip(w.xs, w.ys):
-            if abs(x) > hx or abs(y) > hy:
-                inside = False
+        inside = inside and inside_arena(w)
 
     record = world.run(on_step=check_inside)
     assert _report(
@@ -385,34 +315,15 @@ def test_c9_trace_audits():
         world.clamp_count == 0,
     )
     boundary = [e for e in world.controller.events if e.kind == "boundary"]
-    inward = all(
-        math.cos(e.target) * nx + math.sin(e.target) * ny > 0.0
-        for e in boundary
-        for nx, ny in e.normals
-    )
     assert _report(
         "C9 audit: boundary reflections always interior-pointing over a full RB run",
-        bool(boundary) and inward,
+        bool(boundary) and all(faces_inward(e.target, e.normals) for e in boundary),
         f"reactions={len(boundary)}",
     )
 
     config = ExperimentConfig(strategy="ldr_random", runs=1, base_seed=BASE_SEED)
-    world = build_world(config, seed=BASE_SEED, collect_events=True)
-    controller = world.controller
-    quiet = list(controller.quiet_until)  # each agent's last quiet step, as of the step's start
-    seen = 0
-    inside_window = 0
-
-    def check_windows(w):
-        nonlocal quiet, seen, inside_window
-        for e in controller.events[seen:]:
-            if e.kind == "density" and e.step <= quiet[e.agent_id]:
-                inside_window += 1
-        seen = len(controller.events)
-        quiet = list(controller.quiet_until)
-
-    world.run(on_step=check_windows)
-    density = [e for e in controller.events if e.kind == "density"]
+    density = reactions_with_windows(build_world(config, seed=BASE_SEED, collect_events=True), "density")
+    inside_window = sum(e.step <= quiet_until for e, quiet_until in density)
     assert _report(
         "C9 audit: no density reaction fires inside a suppression window",
         bool(density) and inside_window == 0,

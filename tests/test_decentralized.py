@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from audits import faces_inward, inside_arena, reactions_with_windows
 from oracles import (
     cw_distance,
     flat_index,
@@ -329,15 +330,6 @@ class TestPmChoose:
         assert p_a == 0
         assert p_r == p_l == Fraction(1, 2)
 
-    def test_identity_exact_for_float_readings(self):
-        rng = rng_for(8)
-        for _ in range(2000):
-            a, l, r = rng.uniform(0.0, 100.0, size=3)
-            p_a, p_r, p_l = pm_probabilities(a, l, r)
-            assert p_a + p_r + p_l == 1
-            for p in (p_a, p_r, p_l):
-                assert 0 <= p <= Fraction(1, 2)
-
     def test_total_zero_required(self):
         with pytest.raises(ValueError):
             pm_probabilities(0, 0, 0)
@@ -371,29 +363,14 @@ def short_world(strategy, seed=2, max_steps=4000, collect=True, arena=ARENA):
 OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
 
 
-def reactions_with_windows(world, kind, steps):
-    """Step world; pair each new reaction of kind with its agent's quiet_until
-    as it stood before that step."""
-    controller = world.controller
-    paired = []
-    for _ in range(steps):
-        quiet = list(controller.quiet_until)
-        n_before = len(controller.events)
-        world.step()
-        paired += [(e, quiet[e.agent_id]) for e in controller.events[n_before:] if e.kind == kind]
-    return paired
-
-
 class TestControllerTraces:
     def test_no_agent_ends_step_outside_and_clamp_never_fires(self):
         cases = [(ARENA, "rb")] + [(OFF_CENTRE, s) for s in ("rb", "ldr_repulsive", "pm")]
         for arena, strategy in cases:
             world, _ = short_world(strategy, arena=arena, collect=False)
-            (minx, miny), (maxx, maxy) = arena.min_corner, arena.max_corner
-            while world.visited_count < arena.cell_count and world.step_count < 4000:
-                world.step()
-                for x, y in zip(world.xs, world.ys):
-                    assert minx <= x <= maxx and miny <= y <= maxy, (arena.center, strategy)
+            outside = []
+            world.run(on_step=lambda w: inside_arena(w) or outside.append(w.step_count))
+            assert outside == [], (arena.center, strategy)
             assert world.clamp_count == 0
 
     def test_boundary_reactions_point_inward(self):
@@ -402,10 +379,7 @@ class TestControllerTraces:
             world.step()
         events = [e for e in world.controller.events if e.kind == "boundary"]
         assert len(events) > 20
-        for event in events:
-            dx, dy = heading_vector(event.target)
-            for nx, ny in event.normals:
-                assert dx * nx + dy * ny > 0.0
+        assert [e for e in events if not faces_inward(e.target, e.normals)] == []
 
     def test_event_heading_is_the_heading_reacted_at(self):
         # heading is the agent's heading as the step began, for every kind; target is where

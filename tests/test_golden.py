@@ -5,10 +5,10 @@ bench/workloads.py exactly as `bench/run.py --write-golden` ran it; the
 artifact digest and the count block must equal bench/golden.json. The batch
 writes into a temporary directory; bench/ is only read.
 
-The benchmark also reaches into the package by name: bench/tracing.py patches
-the attributes in its TARGETS, and bench/test_bench.py edits one line of
-sons.py. The last two tests fail here, not only under `pytest bench`, when a
-change renames what either relies on.
+The benchmark also reaches into the package by text: bench/test_bench.py
+edits one line of sons.py. The last test fails here, not only under
+`pytest bench`, when a change rewrites that line. The attributes that
+bench/tracing.py patches by name are checked in tests/test_tooling.py.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
-import tracing  # noqa: E402
 import workloads  # noqa: E402
 from sweepsim import sons  # noqa: E402
 
@@ -41,13 +40,6 @@ def test_default_batch_matches_golden(name, tmp_path):
     assert batch.problems == []
     assert batch.digest == GOLDEN[name]["digest"]
     assert run.count_block(batch) == GOLDEN[name]["counts"]
-
-
-@pytest.mark.parametrize("target", tracing.TARGETS, ids=lambda t: f"{t[0].__name__}.{t[1]}")
-def test_traced_attribute_is_defined_on_its_owner(target):
-    # Tracer.patched looks each attribute up in the owner's own namespace.
-    owner, attr, _, _ = target
-    assert attr in owner.__dict__
 
 
 def test_exit_margin_literal_the_benchmark_rewrites_appears_once():

@@ -464,7 +464,7 @@ class TestExport:
 
 
 class TestExportText:
-    """export's CSV text against a writer that formats one value at a time.
+    """export's summary and CSV text against a writer that formats one value at a time.
 
     The golden digests pin the default 40 m arena only; these batches are off it.
     """
@@ -472,9 +472,10 @@ class TestExportText:
     ARENA_80 = ArenaSpec(side_length=80.0, cell_size=0.5)
 
     def assert_export_matches_reference(self, records, config, out):
-        paths = export(records, summarize(records, config.arena), out, config)
-        expected = export_text_reference(records, config)
-        assert sorted(expected) == sorted(p.name for p in paths if p.name != "summary.json")
+        summary = summarize(records, config.arena)
+        paths = export(records, summary, out, config)
+        expected = export_text_reference(records, summary, config)
+        assert sorted(expected) == sorted(p.name for p in paths)
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8"), name
 

@@ -22,17 +22,6 @@ from sweepsim.metrics import (
 ARENA = ArenaSpec()
 
 
-def mad_about_median_oracle(values):
-    """Independent sort-based mean absolute deviation from the median."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n % 2 == 1:
-        median = ordered[n // 2]
-    else:
-        median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
-    return -sum(abs(v - median) for v in values) / n
-
-
 def record_for(visits, cct=10, strategy="rb", seed=0, steps=None):
     visits = np.asarray(visits, dtype=np.int64)
     length = steps if steps is not None else (cct or 10)
@@ -63,15 +52,6 @@ class TestUniformity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             uniformity([])
-
-    def test_oracle_equivalence_1000_grids(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(1000):
-            n = int(rng.integers(1, 401))
-            visits = rng.integers(0, 11, size=n)
-            assert uniformity(visits) == pytest.approx(
-                mad_about_median_oracle(visits.tolist()), abs=1e-12
-            )
 
     @given(st.lists(st.integers(0, 10), min_size=1, max_size=50), st.integers(-5, 5))
     def test_translation_invariance(self, visits, shift):

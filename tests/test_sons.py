@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cw_distance, heading_vector
+from audits import audit_rw, crossing_target_ok
 from sweepsim import sons as sons_module
 from sweepsim import world as world_module
 from sweepsim.angles import ccw_distance, wrap_angle
@@ -349,71 +349,6 @@ class TestRigidTransform:
         assert len(headings) == 1 if strategy == "sons_bs" else len(headings) > 1
 
 
-class AuditRW:
-    """Per-step invariant monitor for a random-walk run."""
-
-    def __init__(self, world):
-        self.world = world
-        self.controller = world.controller
-        self.formation = world.controller.formation
-        self.base = None
-        self.max_rigidity_error = 0.0
-        self.max_align_speed = 0.0
-        self.prepare_visits = 0
-        self.phases_seen = set()
-        self.max_member_excess = 0.0
-        self.max_brain_depth = 0.0
-        self.before = list(zip(world.xs, world.ys))
-        # The sampling state of the last formation command.
-        self.sampling = None
-        decide = self.controller.decide
-
-        def recorded(w):
-            command = decide(w)
-            self.sampling = command.sampling_active
-            return command
-
-        self.controller.decide = recorded
-
-    def __call__(self, world):
-        phase = self.controller.phase
-        self.phases_seen.add(phase)
-        positions = list(zip(world.xs, world.ys))
-        before, self.before = self.before, positions
-        pairs = list(itertools.combinations(range(len(positions)), 2))
-        dists = {(i, j): math.dist(positions[i], positions[j]) for i, j in pairs}
-        if self.base is None:
-            self.base = dists
-        else:
-            for key, d in dists.items():
-                self.max_rigidity_error = max(self.max_rigidity_error, abs(d - self.base[key]))
-        if phase == "align":
-            # each sampler's speed as World.step gates it: the distance jumped over dt
-            for i in self.formation.sampler_ids:
-                (x, y), (px, py) = positions[i], before[i]
-                speed = math.hypot(x - px, y - py) / world.cfg.dt
-                self.max_align_speed = max(self.max_align_speed, speed)
-        if phase == "prepare":
-            self.prepare_visits += len(world.visit_events)
-        cx, cy = world.arena.center
-        hx, hy = world.arena.half_extents
-
-        def depth(x, y):
-            return math.hypot(max(0.0, abs(x - cx) - hx), max(0.0, abs(y - cy) - hy))
-
-        self.max_brain_depth = max(self.max_brain_depth, depth(*positions[0]))
-        for x, y in positions:
-            self.max_member_excess = max(self.max_member_excess, depth(x, y))
-
-
-def audit_rw(seed, arena=ARENA):
-    config = ExperimentConfig(strategy="sons_rw", runs=1, arena=arena, sim=SimConfig())
-    world = build_world(config, seed=seed, collect_events=True)
-    audit = AuditRW(world)
-    record = world.run(on_step=audit)
-    return world, record, audit
-
-
 @pytest.fixture(scope="module")
 def audited_run():
     return audit_rw(seed=3)
@@ -452,17 +387,7 @@ class TestRandomWalk:
         world, _, _ = audited_run
         events = world.controller.events
         assert events
-        for event in events:
-            dx, dy = heading_vector(event.theta_rand)
-            if not event.exclusion_dropped:
-                for nx, ny in event.normals:
-                    assert dx * nx + dy * ny > 0.0
-                reciprocal = event.entry_heading + math.pi
-                gap = min(
-                    ccw_distance(reciprocal, event.theta_rand),
-                    cw_distance(reciprocal, event.theta_rand),
-                )
-                assert gap >= math.radians(30.0) - 1e-9
+        assert [e for e in events if not crossing_target_ok(e)] == []
 
     def test_d_rand_is_shortest_rotation(self, audited_run):
         world, _, _ = audited_run

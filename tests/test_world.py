@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 from oracles import (
     RefAgent,
     RefCoverage,
-    boundary_probe,
     cell_of,
     clamp_into,
-    edges_within,
     flat_index,
-    neighbors_within,
     place_decentralized_reference,
     pose_step_reference,
     record_visit,
@@ -124,6 +121,10 @@ class TestArenaSpec:
         with pytest.raises(ValueError, match=r"center must be a finite \(x, y\) pair"):
             ArenaSpec(center=tuple(center))
 
+    def test_edges_outside(self):
+        out = dict(edges_outside((20.3, 0.0), ARENA))
+        assert out == {(-1.0, 0.0): pytest.approx(0.3)}
+
 
 class TestCellOf:
     def test_minimum_corner(self):
@@ -194,40 +195,6 @@ class TestKinematics:
         assert displacement <= speed * 0.1 + 1e-12
 
 
-class TestBoundaryProbe:
-    def test_near_east_edge(self):
-        probe = boundary_probe((19.96, 0.0), ARENA)
-        assert probe.distance == pytest.approx(0.04)
-        assert probe.inward_normal == (-1.0, 0.0)
-        assert probe.outside_depth == 0.0
-
-    def test_center(self):
-        probe = boundary_probe((0.0, 0.0), ARENA)
-        assert probe.distance == pytest.approx(20.0)
-        assert probe.outside_depth == 0.0
-
-    def test_outside_east(self):
-        probe = boundary_probe((20.5, 0.0), ARENA)
-        assert probe.outside_depth == pytest.approx(0.5)
-        assert probe.inward_normal == (-1.0, 0.0)
-
-    def test_outside_corner_depth_is_euclidean(self):
-        probe = boundary_probe((21.0, -21.0), ARENA)
-        assert probe.outside_depth == pytest.approx(math.sqrt(2.0))
-
-    def test_edges_within(self):
-        normals = edges_within((19.97, -19.98), ARENA, trigger=0.05)
-        assert set(normals) == {(-1.0, 0.0), (0.0, 1.0)}
-
-    def test_edges_outside(self):
-        out = dict(edges_outside((20.3, 0.0), ARENA))
-        assert out == {(-1.0, 0.0): pytest.approx(0.3)}
-
-    def test_clamp_into(self):
-        assert clamp_into((25.0, -3.0), ARENA) == (20.0, -3.0)
-        assert clamp_into((1.0, 2.0), ARENA) == (1.0, 2.0)
-
-
 class TestRecordVisit:
     def test_sampling_agent_credits_cell(self):
         coverage = RefCoverage(ARENA)
@@ -278,39 +245,6 @@ class TestRecordVisit:
         agent.position = (0.5, 0.5)
         record_visit(agent, coverage, CFG)
         assert coverage.visits[flat_index((20, 20), ARENA)] == 2
-
-
-class TestNeighbors:
-    def test_within_range(self):
-        agents = [make_agent((0.0, 0.0), agent_id=0), make_agent((9.9, 0.0), agent_id=1)]
-        assert neighbors_within(agents, 0, 10.0, CFG) == [(1, (9.9, 0.0))]
-
-    def test_outside_range(self):
-        agents = [make_agent((0.0, 0.0), agent_id=0), make_agent((10.1, 0.0), agent_id=1)]
-        assert neighbors_within(agents, 0, 10.0, CFG) == []
-
-    def test_cross_altitude_invisible(self):
-        agents = [
-            make_agent((0.0, 0.0), agent_id=0),
-            make_agent((1.0, 0.0), altitude=4.0, agent_id=1),
-        ]
-        assert neighbors_within(agents, 0, 10.0, CFG) == []
-
-    def test_range_capped(self):
-        agents = [make_agent((0.0, 0.0), agent_id=0)]
-        with pytest.raises(ValueError):
-            neighbors_within(agents, 0, 11.0, CFG)
-
-    @given(st.lists(st.tuples(st.floats(-20, 20), st.floats(-20, 20)), min_size=2, max_size=6))
-    def test_symmetry(self, positions):
-        agents = [make_agent(p, agent_id=i) for i, p in enumerate(positions)]
-        for a in agents:
-            for b in agents:
-                if a.id == b.id:
-                    continue
-                sees = any(nid == b.id for nid, _ in neighbors_within(agents, a.id, 10.0, CFG))
-                seen = any(nid == a.id for nid, _ in neighbors_within(agents, b.id, 10.0, CFG))
-                assert sees == seen
 
 
 class TestStepLoop:
@@ -550,6 +484,11 @@ class TestContainment:
             assert pose(world, 0)[0] == (25.0, 0.5)
             assert world.visit_events == []
         assert world.clamp_count == 0
+
+    def test_clamp_into(self):
+        # the oracle path of assert_swarm_matches_oracles clamps with it
+        assert clamp_into((25.0, -3.0), ARENA) == (20.0, -3.0)
+        assert clamp_into((1.0, 2.0), ARENA) == (1.0, 2.0)
 
 
 # Cell sizes 0.1 and 0.2 are where dividing by cell_size and multiplying by
@@ -1041,7 +980,8 @@ class TestFormationStepEquivalence:
 
     def test_reused_unwrapped_headings_are_wrapped_on_every_step(self):
         # World.step wraps a PoseTarget's heading only when it rotates the offsets
-        # afresh, and hands out the stored value while the heading object returns
+        # afresh, and hands out the stored value while the heading object returns;
+        # -0.0 is stored as 0.0, as the unicycle branch stores it
         offsets = ((0.0, 0.0), (0.0, 1.0), (-0.5, -1.5))
         seven, lap, negative_zero = float("7.0"), TWO_PI, -0.0
         headings = [seven, seven, lap, lap, seven, negative_zero, negative_zero, 0.0, lap, float("7.0")]
@@ -1051,7 +991,7 @@ class TestFormationStepEquivalence:
         world = World(FORMATION_ARENAS[0], CFG, spawns, ScriptedController(commands))
         for command in commands:
             world.step()
-            assert [h.hex() for h in world.hs] == [wrap_angle(command.heading).hex()] * len(offsets)
+            assert [h.hex() for h in world.hs] == [(wrap_angle(command.heading) + 0.0).hex()] * len(offsets)
         assert_formation_matches_reference(FORMATION_ARENAS[0], starts, [CFG.sampling_altitude] * 3, commands)
 
 
