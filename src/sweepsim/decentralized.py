@@ -28,7 +28,7 @@ from .angles import (
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from .checks import boolean, field_of_view, integer_at_least, positive_finite, turn_range
-from .world import HOLD, Unicycle, World
+from .world import HOLD, Senses, Unicycle
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def compass_index(heading: float) -> int:
 def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
     """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
 
-    cell is a flat index, as in World.cells. Directions are taken in
+    cell is a flat index, as in Senses.cells. Directions are taken in
     the nearest compass frame; cells beyond the grid, and every neighbour of
     cell -1 (outside the arena, or no step taken yet), read as zero.
     """
@@ -340,6 +340,7 @@ class DecentralizedController:
         self.avoid_quiet = windows.post_avoidance_suppression
         self.react_quiet = windows.post_reaction_suppression
         n = len(agents)
+        self.rngs = {a.id: a.rng for a in agents}  # each agent's stream, by id
         self.turn_target = [0.0] * n
         self.turn_dir = [0.0] * n  # +1.0 or -1.0 while turning, 0.0 while cruising
         self.turn_quiet = [0] * n  # the window the current turn opens when it ends
@@ -405,15 +406,11 @@ class DecentralizedController:
         """This step's LDR density, answered one agent at a time."""
         return CommRows(xs, ys, self.ldr)
 
-    def decide(self, world: World) -> list[Unicycle]:
-        cfg = world.cfg
-        arena = world.arena
-        agents = world.agents
-        xs, ys, hs, cells = world.xs, world.ys, world.hs, world.cells
+    def decide(self, senses: Senses, step: int) -> list[Unicycle]:
+        cfg, arena, xs, ys, hs, cells = senses
         n = len(xs)
         if n != len(self.turn_dir):
             raise ValueError(f"controller built for {len(self.turn_dir)} agents, world has {n}")
-        now = world.step_count + 1  # index of the step being computed
         dt = cfg.dt
         v_target = cfg.target_sampling_velocity
         turn_rate = cfg.turn_rate_default
@@ -431,7 +428,7 @@ class DecentralizedController:
         last_turn = turn_rate * dt + 1e-12  # the most a turn's final step covers
         turn_dir, turn_target, quiet_until = self.turn_dir, self.turn_target, self.quiet_until
         step_len = v_target * dt
-        near = self.neighbours(xs, ys, now, step_len)
+        near = self.neighbours(xs, ys, step, step_len)
         # avoidance_turn dodges only an offset inside the wider half-cone (at
         # most pi): its projection on the heading is at least the cone's cosine
         # times dist, less rounding. Under 1e-150 m, where dd may be subnormal, all pass.
@@ -448,7 +445,7 @@ class DecentralizedController:
                 if remaining <= last_turn:
                     moves.append(Unicycle(0.0, direction * remaining / dt))
                     turn_dir[i] = 0.0
-                    quiet_until[i] = now + self.turn_quiet[i]
+                    quiet_until[i] = step + self.turn_quiet[i]
                 else:
                     moves.append(spin_ccw if direction > 0 else spin_cw)
                 continue
@@ -479,8 +476,8 @@ class DecentralizedController:
                         if dist_next < 0.0 or (dist_now <= rb.boundary_trigger and outward):
                             trigger = True
             if trigger:
-                target = boundary_escape_heading(h, constraints, agents[i].rng, rb.reciprocal_exclusion)
-                self._react(i, now, "boundary", h, turn_direction(h, target), target, self.avoid_quiet,
+                target = boundary_escape_heading(h, constraints, self.rngs[i], rb.reciprocal_exclusion)
+                self._react(i, step, "boundary", h, turn_direction(h, target), target, self.avoid_quiet,
                             normals=tuple(constraints))
                 moves.append(HOLD)
                 continue
@@ -492,16 +489,16 @@ class DecentralizedController:
                 cos_h, sin_h = math.cos(h), math.sin(h)
                 for dx, dy, dist in row:
                     if dx * cos_h + dy * sin_h >= ahead * dist or dist < 1e-150:
-                        dodge = avoidance_turn(h, row, rb, agents[i].rng)
+                        dodge = avoidance_turn(h, row, rb, self.rngs[i])
                         break
             if dodge is not None:
                 target, direction, tier = dodge
-                self._react(i, now, "avoid_" + tier, h, direction, target, self.avoid_quiet)
+                self._react(i, step, "avoid_" + tier, h, direction, target, self.avoid_quiet)
                 moves.append(HOLD)
                 continue
 
             # Strategy add-on, only outside its quiet window.
-            if ldr is not None and now > quiet_until[i]:
+            if ldr is not None and step > quiet_until[i]:
                 if rows is None:
                     rows = self.density(xs, ys)
                 if not rows.notified(i):
@@ -512,24 +509,24 @@ class DecentralizedController:
                     direction = 0.0 if target is None else turn_direction(h, target)
                 else:
                     lo, hi = ldr.random_turn
-                    target = wrap_angle(h - agents[i].rng.uniform(lo, hi))
+                    target = wrap_angle(h - self.rngs[i].uniform(lo, hi))
                     direction = -1.0
-                self._react(i, now, "density", h, direction, target, self.react_quiet)
+                self._react(i, step, "density", h, direction, target, self.react_quiet)
                 if direction:
                     moves.append(HOLD)
                 else:
                     # Perfectly centered neighbors: hold heading, still back off.
-                    quiet_until[i] = now + self.react_quiet
+                    quiet_until[i] = step + self.react_quiet
                     moves.append(cruise)
                 continue
 
-            if pheromone is not None and now > quiet_until[i]:
-                readings = pm_sense(pheromone, now - 1, cells[i], h)
-                outcome = pm_choose(readings, agents[i].rng)
+            if pheromone is not None and step > quiet_until[i]:
+                readings = pm_sense(pheromone, step - 1, cells[i], h)
+                outcome = pm_choose(readings, self.rngs[i])
                 if outcome != "no_reaction":
                     direction = _PM_TURN[outcome]
                     target = wrap_angle(h + direction * self.addon.turn_angle)
-                    self._react(i, now, "pheromone", h, direction, target, self.react_quiet, outcome=outcome)
+                    self._react(i, step, "pheromone", h, direction, target, self.react_quiet, outcome=outcome)
                     if direction:
                         moves.append(HOLD)
                         continue

@@ -23,7 +23,7 @@ from .angles import (
     wrap_angle,
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edges_outside
-from .world import AgentState, PoseTarget, SimConfig, World, agent_stream
+from .world import AgentState, PoseTarget, Senses, SimConfig, agent_stream
 
 
 class SweepGeometryError(RuntimeError):
@@ -120,9 +120,9 @@ class SonsBsController(SonsController):
         self.shift_remaining = 0.0
         self.exit_margin = 0.5
 
-    def decide(self, world: World) -> PoseTarget:
-        arena = world.arena
-        cfg = world.cfg
+    def decide(self, senses: Senses, step: int) -> PoseTarget:
+        arena = senses.arena
+        cfg = senses.cfg
         (minx, miny), maxy = arena.min_corner, arena.max_corner[1]
         x, y = self.brain_pos
         step_len = cfg.target_sampling_velocity * cfg.dt
@@ -199,7 +199,7 @@ class SonsRwController(SonsController):
         self.d_adjust = 1.0
         self.align_target = 0.0
 
-    def _select_crossing(self, world: World, outside) -> None:
+    def _select_crossing(self, step: int, outside) -> None:
         h = self.brain_heading
         normals = [n for n, _ in outside]
         interior = interior_arcs(normals)
@@ -227,7 +227,7 @@ class SonsRwController(SonsController):
         self.phase = "align" if aligned else "prepare"
         if self.events is not None:
             self.events.append(CrossingEvent(
-                step=world.step_count + 1,  # the step being decided
+                step=step,
                 entry_heading=h,
                 theta_rand=self.theta_rand,
                 d_rand=self.d_rand,
@@ -248,10 +248,10 @@ class SonsRwController(SonsController):
         self.brain_heading = wrap_angle(self.brain_heading + direction * min(rate, remaining / dt) * dt)
         return False
 
-    def decide(self, world: World) -> PoseTarget:
-        cfg = world.cfg
+    def decide(self, senses: Senses, step: int) -> PoseTarget:
+        cfg = senses.cfg
         dt = cfg.dt
-        arena = world.arena
+        arena = senses.arena
         (x, y), (cx, cy), (hx, hy) = self.brain_pos, arena.center, arena.half_extents
         # edges_outside's test, exactly: fl(h - d) < 0 just when d > h, fl(d + h) < 0 just when d < -h.
         if -hx <= x - cx <= hx and -hy <= y - cy <= hy:
@@ -268,7 +268,7 @@ class SonsRwController(SonsController):
                 and depth > self.crossing_depth and depth >= self.prev_depth):
             self.armed = False
             self.fired_edges = exceeded
-            self._select_crossing(world, outside)
+            self._select_crossing(step, outside)
         self.prev_depth = depth
         if self.phase == "align":
             if not self._turn(self.align_target, self.d_adjust, self.omega_max, dt):

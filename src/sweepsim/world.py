@@ -136,8 +136,23 @@ class PoseTarget(NamedTuple):
 HOLD = Unicycle(0.0, 0.0)
 
 
+class Senses(NamedTuple):
+    """What a controller may read to decide: references to one World's own objects.
+
+    World builds it once and mutates the lists in place, so it holds the pose
+    from before the step being decided. Each field names what it stands for.
+    """
+
+    cfg: SimConfig  # prior knowledge: step size, cruise speed and turn rate
+    arena: ArenaSpec  # prior knowledge: a map of the arena's extents and cells
+    xs: list[float]  # absolute x of each agent: a global positioning fix
+    ys: list[float]  # absolute y, from the same fix
+    hs: list[float]  # absolute heading of each agent: a compass
+    cells: list[int]  # each agent's flat cell index (-1 outside): its fix placed on the map
+
+
 class Controller(Protocol):
-    """Strategy plug-in: senses the pre-step world and commands every agent,
+    """Strategy plug-in: reads the pre-step Senses and commands every agent,
     with one Unicycle each or one PoseTarget for the whole formation.
 
     name labels the run's record; pheromone is the field the world deposits
@@ -148,7 +163,7 @@ class Controller(Protocol):
     name: str
     pheromone: "PheromoneField | None"
 
-    def decide(self, world: "World") -> list[Unicycle] | PoseTarget: ...
+    def decide(self, senses: Senses, step: int) -> list[Unicycle] | PoseTarget: ...
 
 
 class World:
@@ -158,6 +173,7 @@ class World:
     agent id. The live pose is xs, ys, hs (in [0, 2 pi)) and cells, each
     agent's last flat cell index (-1 before step 1 and outside the arena).
     samplers marks the agents at the sampling altitude, which never changes.
+    senses holds cfg, arena and the live pose for the controller.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
     rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
@@ -176,8 +192,9 @@ class World:
             raise ValueError(f"agent ids must be 0..{n - 1}, each once")
         self.xs = [a.position[0] for a in self.agents]
         self.ys = [a.position[1] for a in self.agents]
-        self.hs = [wrap_angle(a.heading) for a in self.agents]
+        self.hs = [wrap_angle(a.heading) + 0.0 for a in self.agents]  # -0.0 stored as 0.0, as in a formation step
         self.cells = [-1] * n
+        self.senses = Senses(cfg, arena, self.xs, self.ys, self.hs, self.cells)
         self.boxes = cell_boxes(arena)
         self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
         self.rotated = (None, None, [], None)
@@ -193,9 +210,9 @@ class World:
     def step(self) -> None:
         """Advance the whole swarm by one synchronous round.
 
-        The controller must command every agent exactly once; any other
-        number of moves or offsets raises ValueError before anything
-        moves. Each agent turns, then translates (or takes the PoseTarget's
+        The controller decides from senses and this step's index; any number
+        of moves or offsets but one per agent raises ValueError before
+        anything moves. Each agent turns, then translates (or takes the PoseTarget's
         heading and its offset moved by the PoseTarget's pose), and the cell
         it ends the step in is scored with entry semantics: a visit needs a
         new cell inside the arena, sampling on (unicycle moves always
@@ -218,7 +235,8 @@ class World:
         dt = cfg.dt
         xs, ys, hs, cells, samplers = self.xs, self.ys, self.hs, self.cells, self.samplers
         boxes, cruise = self.boxes, self.cruise
-        moves = self.controller.decide(self)
+        step_idx = self.step_count + 1
+        moves = self.controller.decide(self.senses, step_idx)
         formation = moves.__class__ is PoseTarget
         sampling = True
         if formation:
@@ -242,8 +260,7 @@ class World:
         maxx, maxy = arena.max_corner
         last_col, last_row = cols - 1, arena.rows - 1
         speed_cap = cfg.target_sampling_velocity + SPEED_EPS
-        self.step_count += 1
-        step_idx = self.step_count
+        self.step_count = step_idx
         pheromone = self.pheromone
         events = []
         for i, motion in enumerate(moves):

@@ -63,8 +63,8 @@ class AuditRW:
         self.sampling = None
         decide = self.controller.decide
 
-        def recorded(w):
-            command = decide(w)
+        def recorded(senses, step):
+            command = decide(senses, step)
             self.sampling = command.sampling_active
             return command
 

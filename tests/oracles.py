@@ -107,7 +107,7 @@ class RefAgent:
     prev_cell: int = -1
 
     def __post_init__(self) -> None:
-        self.heading = wrap_angle(self.heading)
+        self.heading = wrap_angle(self.heading) + 0.0  # a spawn's -0.0 stored as 0.0, as World does
 
 
 def step_kinematics(agent: RefAgent, command: Unicycle, dt: float) -> None:

@@ -424,7 +424,7 @@ class TestControllerTraces:
         world, _ = short_world("rb", seed=5)
         decide = world.controller.decide
         commanded = []
-        world.controller.decide = lambda w: commanded.append(decide(w)) or commanded[-1]
+        world.controller.decide = lambda senses, step: commanded.append(decide(senses, step)) or commanded[-1]
         for _ in range(1500):
             before = list(zip(world.xs, world.ys))
             world.step()
@@ -520,12 +520,12 @@ class TestPmQuietWindow:
         now = world.step_count + 1
         controller.quiet_until[0] = now  # the last step of the window
         state = agent.rng.bit_generator.state
-        assert controller.decide(world) == [Unicycle(world.cfg.target_sampling_velocity, 0.0)]
+        assert controller.decide(world.senses, now) == [Unicycle(world.cfg.target_sampling_velocity, 0.0)]
         assert agent.rng.bit_generator.state == state
         # once the window is over, the agent senses again
         controller.quiet_until[0] = now - 1
         with pytest.raises(AssertionError, match="quiet window"):
-            controller.decide(world)
+            controller.decide(world.senses, now)
 
 
 # Six agents a metre apart, facing north: each hears the other five, so every
@@ -540,12 +540,12 @@ class TestLdrQuietWindow:
         now = world.step_count + 1
         controller.quiet_until[0] = now  # the last step of the window
         state = agent.rng.bit_generator.state
-        assert controller.decide(world)[0] == Unicycle(world.cfg.target_sampling_velocity, 0.0)
+        assert controller.decide(world.senses, now)[0] == Unicycle(world.cfg.target_sampling_velocity, 0.0)
         assert agent.rng.bit_generator.state == state
         assert not [e for e in controller.events if e.agent_id == 0]
         # once the window is over, the agent reacts
         controller.quiet_until[0] = now - 1
-        assert controller.decide(world)[0] == HOLD
+        assert controller.decide(world.senses, now)[0] == HOLD
         assert [e.kind for e in controller.events if e.agent_id == 0] == ["density"]
         assert agent.rng.bit_generator.state != state
 
@@ -700,6 +700,11 @@ swarm_headings = st.lists(st.floats(0.0, 2.0 * math.pi), min_size=100, max_size=
 STEP_LEN = SimConfig().target_sampling_velocity * SimConfig().dt
 
 
+def spawns(points):
+    """Spawn records at points, for a controller whose scans are called directly."""
+    return [AgentState(id=i, position=p, heading=0.0, altitude=1.5) for i, p in enumerate(points)]
+
+
 class TestPairwiseScan:
     @settings(max_examples=100, deadline=None)
     @given(points=swarm_positions, headings=swarm_headings)
@@ -711,7 +716,7 @@ class TestPairwiseScan:
         # A freshly built candidate list, then the same list at every step of
         # its window while each agent makes the longest move there is.
         for name, ldr in (("rb", None), ("ldr_random", LDR_RANDOM), ("ldr_repulsive", LDR_REPULSIVE)):
-            controller = DecentralizedController(name, points, ARENA, ldr)
+            controller = DecentralizedController(name, spawns(points), ARENA, ldr)
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             now = 1
@@ -755,7 +760,7 @@ class TestPairwiseScan:
         order = data.draw(st.permutations(range(n))) if data is not None else range(n)[::-1]
         for ldr in (LDR_RANDOM, LDR_REPULSIVE):
             _, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
-            rows = DecentralizedController("ldr", points, ARENA, ldr).density(xs, ys)
+            rows = DecentralizedController("ldr", spawns(points), ARENA, ldr).density(xs, ys)
             for i in order:
                 assert rows.notified(i) == ref_notified[i], (ldr.comm_range, i)
                 assert rows[i] == ref_adj[i], (ldr.comm_range, i)
@@ -889,7 +894,7 @@ class TestNeighbourScanInRuns:
 def test_an_agent_with_no_neighbour_gets_the_shared_empty_row():
     # Agents 0 and 1 are 2 m apart, agent 2 is alone: only 0 and 1 get a row.
     points = [(0.0, 0.0), (2.0, 0.0), (10.0, 0.0)]
-    near = DecentralizedController("rb", points, ARENA).neighbours(
+    near = DecentralizedController("rb", spawns(points), ARENA).neighbours(
         [p[0] for p in points], [p[1] for p in points], 1, STEP_LEN
     )
     assert near == [((2.0, 0.0, 2.0),), ((-2.0, -0.0, 2.0),), ()]
@@ -970,7 +975,7 @@ class TestForwardBound:
 
         decentralized.avoidance_turn = recording
         try:
-            world.controller.decide(world)
+            world.controller.decide(world.senses, 1)
         finally:
             decentralized.avoidance_turn = real
         for i, agent in enumerate(agents):

@@ -417,7 +417,7 @@ class TestRandomWalk:
         controller.phase = "align"
         controller.align_target = controller.theta_rand = heading
         controller.d_adjust = controller.d_rand = 1.0
-        command = controller.decide(world)
+        command = controller.decide(world.senses, 1)
         step_len = world.cfg.target_sampling_velocity * world.cfg.dt
         assert controller.phase == "cruise"
         assert command.sampling_active
@@ -431,10 +431,10 @@ class TestRandomWalk:
         decide = controller.decide
         numbered = []
 
-        def checked(w):
+        def checked(senses, step):
             seen = len(controller.events)
-            command = decide(w)
-            numbered.extend((e.step, w.step_count + 1) for e in controller.events[seen:])
+            command = decide(senses, step)
+            numbered.extend((e.step, world.step_count + 1) for e in controller.events[seen:])
             return command
 
         controller.decide = checked
@@ -482,7 +482,7 @@ class TestInsideTest:
         for point in edge_ulp_grid(arena) + [(float(x), float(y)) for x, y in scattered]:
             controller.brain_pos, controller.phase, controller.prev_depth = point, "cruise", 0.0
             scans.clear()
-            controller.decide(world)
+            controller.decide(world.senses, 1)
             outside = edges_outside(point, arena)
             assert scans == ([point] if outside else []), point
             assert controller.prev_depth == math.hypot(*(excess for _, excess in outside)), point

@@ -1,7 +1,7 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
 the package's public names resolve, the benchmark's traced functions exist, only
 the arena module decides the arena's shape, only build_world hands out the event log,
-and ExperimentConfig holds settings only."""
+the controllers decide from Senses alone, and ExperimentConfig holds settings only."""
 
 from __future__ import annotations
 
@@ -86,6 +86,21 @@ def test_only_build_world_hands_out_the_event_log():
         if "collect_events" in line
     ]
     assert readers == []
+
+
+def test_controllers_decide_from_senses_not_the_world():
+    # decide reads only the Senses record, whose fields each name the sensor they
+    # stand for; importing World or reading a world's attributes would reach
+    # readings that no field accounts for.
+    found = []
+    for name in ("decentralized.py", "sons.py"):
+        tree = ast.parse((ROOT / "src" / "sweepsim" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "World" for alias in node.names):
+                found.append(f"{name}:{node.lineno}: imports World")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "world":
+                found.append(f"{name}:{node.lineno}: world.{node.attr}")
+    assert found == []
 
 
 def test_experiment_config_holds_settings_only():

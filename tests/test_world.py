@@ -36,6 +36,7 @@ from sweepsim.world import (
     SPEED_EPS,
     AgentState,
     PoseTarget,
+    Senses,
     SimConfig,
     Unicycle,
     World,
@@ -330,7 +331,7 @@ class TestStepLoop:
     def test_negative_speed_raises_before_the_world_changes(self):
         # Agent 0 used to move and score before agent 1's negative speed raised.
         class Reverses(ScriptedController):
-            def decide(self, world):
+            def decide(self, senses, step):
                 return [Unicycle(1.0, 0.0), Unicycle(-1.0, 0.0)]
 
         agents = [spawn((0.5, 0.5), agent_id=i) for i in range(2)]
@@ -354,6 +355,26 @@ class TestStepLoop:
         assert pose(world, 0) == ((0.5, 0.5), 1.5 * math.pi)  # wrapped once, on spawn
         world.step()
         assert pose(world, 0) == ((0.5, 0.4), 1.5 * math.pi)
+
+    def test_a_negative_zero_spawn_heading_is_stored_as_zero(self):
+        # A formation step stores 0.0 for -0.0; the spawn used to keep -0.0.
+        world = World(ARENA, CFG, [spawn((0.5, 0.5), heading=-0.0)], ScriptedController([]))
+        assert world.hs[0].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("command", [
+        [Unicycle(1.0, 0.5)],
+        PoseTarget((0.5, 0.5), 0.3, ((0.0, 0.0),), True),
+    ], ids=["unicycle", "formation"])
+    def test_senses_is_built_once_over_the_worlds_own_objects(self, command):
+        # World.step mutates the pose lists in place; one it rebound would leave
+        # the record, built once in __init__, reading a stale pose.
+        world = World(ARENA, CFG, [spawn((0.5, 0.5))], ScriptedController([command]))
+        senses = world.senses
+        assert [f for f in Senses._fields if getattr(senses, f) is not getattr(world, f)] == []
+        world.step()
+        assert [f for f in Senses._fields if getattr(senses, f) is not getattr(world, f)] == []
+        ((seen, step),) = world.controller.seen
+        assert seen is senses and world.senses is senses and step == 1
 
     def test_two_agents_same_new_cell(self):
         a = make_agent((0.4, 0.5), agent_id=0)
@@ -391,7 +412,7 @@ class TestStepLoop:
 
 
 class ScriptedController:
-    """Replays a fixed list of per-step move lists."""
+    """Replays a fixed list of per-step move lists, keeping what each decide was given."""
 
     name = "scripted"
     pheromone = None
@@ -399,8 +420,10 @@ class ScriptedController:
     def __init__(self, steps):
         self.steps = list(steps)
         self.cursor = 0
+        self.seen = []  # the (senses, step) of each decide
 
-    def decide(self, world):
+    def decide(self, senses, step):
+        self.seen.append((senses, step))
         moves = self.steps[self.cursor]
         self.cursor += 1
         return moves
