@@ -14,14 +14,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(theta: float) -> float:
-    """Normalize an angle into [0, 2*pi)."""
+    """Normalize an angle into [0, 2*pi), -0.0 to 0.0."""
     theta = math.fmod(theta, TWO_PI)
     if theta < 0.0:
         theta += TWO_PI
     # fmod of values just below 2*pi can round back up to 2*pi
     if theta >= TWO_PI:
         theta -= TWO_PI
-    return theta
+    return theta + 0.0
 
 
 def wrap_pi(theta: float) -> float:
@@ -57,7 +57,7 @@ def turn_remaining(from_angle: float, to_angle: float, direction: float) -> floa
         theta += TWO_PI
     if theta >= TWO_PI:
         theta -= TWO_PI
-    return theta
+    return theta + 0.0
 
 
 # An arc is (start, width) with start in [0, 2*pi) and 0 < width <= 2*pi,

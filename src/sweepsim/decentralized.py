@@ -28,7 +28,7 @@ from .angles import (
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from .checks import boolean, field_of_view, integer_at_least, positive_finite, turn_range
-from .world import HOLD, Senses, Unicycle
+from .world import HOLD, PheromoneField, Senses, SimConfig, Unicycle
 
 
 @dataclass(frozen=True)
@@ -105,62 +105,12 @@ class PmParams:
 PM = PmParams()
 
 
-# Compass offsets for pheromone reads, counterclockwise from east.
-_COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
 # The turn direction of each pm_choose reaction; "ahead" goes straight on.
 _PM_TURN = {"ahead": 0.0, "turn_left_45": 1.0, "turn_right_45": -1.0}
 
 
 # Padding of the avoidance candidate list beyond medium range, in metres.
 SKIN = 2.0
-
-
-class PheromoneField:
-    """Per-cell pheromone with fixed deposits and unit-per-step evaporation.
-
-    Evaporation is applied lazily: each cell stores its level at the step it
-    was last written and reads subtract the steps elapsed since, floored at
-    zero. Observationally identical to decrementing every cell once per step.
-
-    The levels live in plain lists over the arena's grid widened by one cell
-    on every side. Nothing deposits in that border, so a read one cell past
-    the arena's edge lands there and reads zero without a bounds check.
-    Every stored value is an integer-valued double, so the arithmetic is exact.
-    """
-
-    def __init__(self, arena: ArenaSpec):
-        # Instance attributes, not class attributes: the reads below look them
-        # up on every pheromone sense, and the instance lookup is the faster one.
-        self.deposit_amount = 5000.0
-        self.evaporation_rate = 1.0
-        self._cols = arena.cols
-        stride = arena.cols + 2
-        size = stride * (arena.rows + 2)
-        self._level = [0.0] * size
-        self._stamp = [0] * size
-        # Slot offsets of the ahead, left and right cells for each compass index.
-        offsets = [dx + dy * stride for dx, dy in _COMPASS]
-        self._sense_offsets = tuple(
-            (offsets[k], offsets[(k + 1) % 8], offsets[(k - 1) % 8]) for k in range(8)
-        )
-
-    def _slot(self, idx: int) -> int:
-        """Padded-list slot of the grid cell at row-major flat index idx."""
-        cols = self._cols
-        return idx + 2 * (idx // cols) + cols + 3
-
-    def _read(self, slot: int, step: int) -> float:
-        raw = self._level[slot] - self.evaporation_rate * (step - self._stamp[slot])
-        return raw if raw > 0.0 else 0.0
-
-    def deposit(self, idx: int, step: int) -> None:
-        # The deposit lands before this step's evaporation tick.
-        slot = self._slot(idx)
-        value = self._read(slot, step - 1) + self.deposit_amount - self.evaporation_rate
-        self._level[slot] = value if value > 0.0 else 0.0
-        self._stamp[slot] = step
 
 
 def boundary_escape_heading(heading: float, inward_normals, rng, exclusion_half_angle: float) -> float:
@@ -315,11 +265,12 @@ class DecentralizedController:
     All sensing reads the swarm state from before the step began; per-agent
     decisions never see each other's same-step reactions, so agents can be
     evaluated in any order. The controller carries one add-on or none: an
-    LdrParams adds density dispersal, a PmParams adds sensing and turns on a
-    pheromone field over the arena. The add-on keeps one quiet window per
-    agent. Each turn carries the window it opens when it ends: the add-on's
-    post-avoidance window for a boundary or avoidance turn, its
-    post-reaction window for its own. rb carries PM's windows, which nothing reads.
+    LdrParams adds density dispersal, a PmParams adds sensing and asks the
+    world for a pheromone field. The add-on keeps one quiet window per agent.
+    Each turn carries the window it opens when it ends: the add-on's
+    post-avoidance window for a boundary or avoidance turn, its post-reaction
+    window for its own. rb carries PM's windows, which nothing reads. decide reads
+    run constants that __init__ derives once from the arena and cfg it is given.
     """
 
     events = None  # build_world hands out the reaction log
@@ -329,13 +280,14 @@ class DecentralizedController:
         name: str,
         agents,
         arena: ArenaSpec,
+        cfg: SimConfig,
         addon: LdrParams | PmParams | None = None,
     ):
         self.name = name
-        self.rb = RbParams()
+        self.rb = rb = RbParams()
         self.addon = addon
         self.ldr = addon if isinstance(addon, LdrParams) else None
-        self.pheromone = PheromoneField(arena) if isinstance(addon, PmParams) else None
+        self.pheromone = isinstance(addon, PmParams)
         windows = PM if addon is None else addon
         self.avoid_quiet = windows.post_avoidance_suppression
         self.react_quiet = windows.post_reaction_suppression
@@ -351,7 +303,22 @@ class DecentralizedController:
         # Avoidance candidates (i, j) and the steps they are complete for.
         self._pairs: list[tuple[int, int]] = []
         self._pairs_from, self._pairs_until = 1, 0
-        self._shared = (None,)  # ((speed, rate), cruise, spin_ccw, spin_cw)
+        self.arena, self.center, self.dt = arena, arena.center, cfg.dt
+        self.step_len = step_len = cfg.target_sampling_velocity * cfg.dt
+        # The steps a candidate list stays complete for; the margin covers the rounding of the moves.
+        self._pairs_life = int((SKIN - 1e-9) / (2.0 * step_len))
+        # Shared commands: Unicycle is an immutable tuple, and a turn direction
+        # is exactly +1.0 or -1.0, so direction * turn_rate is one of the two spins.
+        turn_rate = cfg.turn_rate_default
+        self.cruise = Unicycle(cfg.target_sampling_velocity, 0.0)
+        self.spins = (Unicycle(0.0, turn_rate), Unicycle(0.0, -turn_rate))  # counterclockwise, clockwise
+        self.last_turn = turn_rate * cfg.dt + 1e-12  # the most a turn's final step covers
+        # avoidance_turn dodges only an offset inside the wider half-cone (at
+        # most pi): its projection on the heading is at least the cone's cosine
+        # times dist, less rounding. Under 1e-150 m, where dd may be subnormal, all pass.
+        self.ahead = math.cos(min(math.pi, max(rb.short_fov, rb.medium_fov) / 2.0)) - 1e-9
+        reach = rb.boundary_trigger + step_len
+        self.clear = tuple(h - reach for h in arena.half_extents)  # the largest offsets with no wall in reach
 
     def _react(self, i: int, now: int, kind: str, heading: float, direction=0.0, target=0.0, quiet=0, **detail):
         """Agent i, flying at heading, reacts at step now: the reaction is logged when there is a log,
@@ -365,7 +332,7 @@ class DecentralizedController:
 
     # -- the step -------------------------------------------------------------
 
-    def neighbours(self, xs: list[float], ys: list[float], now: int, step_len: float):
+    def neighbours(self, xs: list[float], ys: list[float], now: int):
         """near[i]: the (dx, dy, dist) offsets of the agents within medium range of agent i.
 
         A row is a tuple, grown by concatenation (it holds the few agents in
@@ -373,7 +340,7 @@ class DecentralizedController:
         Offsets come in ascending index order; j gets the negated offset of
         the pair (i, j), so coincident agents see -0.0. Only the candidate
         pairs are walked: those within medium_range + SKIN when the list was
-        built. decide commands no move longer than step_len, and the clamp
+        built. decide commands no move longer than a step length, and the clamp
         only shortens one, so a pair closes by at most 2 step_len a step and
         the list stays complete for the steps the skin covers; outside that
         window of now it is rebuilt.
@@ -388,8 +355,7 @@ class DecentralizedController:
             hits = np.flatnonzero(pdx * pdx + pdy * pdy <= reach * reach)
             self._pairs = list(zip(self._iu[hits].tolist(), self._ju[hits].tolist()))
             self._pairs_from = now
-            # The margin covers the rounding of the moves.
-            self._pairs_until = now + int((SKIN - 1e-9) / (2.0 * step_len))
+            self._pairs_until = now + self._pairs_life
         med2 = med * med
         near: list[tuple] = [()] * len(xs)
         for i, j in self._pairs:
@@ -407,36 +373,16 @@ class DecentralizedController:
         return CommRows(xs, ys, self.ldr)
 
     def decide(self, senses: Senses, step: int) -> list[Unicycle]:
-        cfg, arena, xs, ys, hs, cells = senses
+        xs, ys, hs, cells, pheromone = senses
         n = len(xs)
         if n != len(self.turn_dir):
             raise ValueError(f"controller built for {len(self.turn_dir)} agents, world has {n}")
-        dt = cfg.dt
-        v_target = cfg.target_sampling_velocity
-        turn_rate = cfg.turn_rate_default
-        rb = self.rb
-        hx, hy = arena.half_extents
-        cx, cy = arena.center
-
-        # Shared commands: Unicycle is an immutable tuple, and a turn
-        # direction is exactly +1.0 or -1.0, so direction * turn_rate is one
-        # of the two spins. They are built once per (speed, rate) pair.
-        if self._shared[0] != (v_target, turn_rate):
-            self._shared = ((v_target, turn_rate), Unicycle(v_target, 0.0),
-                            Unicycle(0.0, turn_rate), Unicycle(0.0, -turn_rate))
-        _, cruise, spin_ccw, spin_cw = self._shared
-        last_turn = turn_rate * dt + 1e-12  # the most a turn's final step covers
+        rb, arena, dt, step_len = self.rb, self.arena, self.dt, self.step_len
+        ahead, last_turn, (cx, cy), (clear_x, clear_y) = self.ahead, self.last_turn, self.center, self.clear
+        cruise, (spin_ccw, spin_cw), ldr = self.cruise, self.spins, self.ldr
         turn_dir, turn_target, quiet_until = self.turn_dir, self.turn_target, self.quiet_until
-        step_len = v_target * dt
-        near = self.neighbours(xs, ys, step, step_len)
-        # avoidance_turn dodges only an offset inside the wider half-cone (at
-        # most pi): its projection on the heading is at least the cone's cosine
-        # times dist, less rounding. Under 1e-150 m, where dd may be subnormal, all pass.
-        ahead = math.cos(min(math.pi, max(rb.short_fov, rb.medium_fov) / 2.0)) - 1e-9
-        ldr, pheromone = self.ldr, self.pheromone
+        near = self.neighbours(xs, ys, step)
         rows = None  # LDR density, built when the first agent asks
-        reach = rb.boundary_trigger + step_len
-        clear_x, clear_y = hx - reach, hy - reach  # the largest offsets with no wall in reach
         moves: list[Unicycle] = []
         for i in range(n):
             direction = turn_dir[i]
@@ -457,11 +403,9 @@ class DecentralizedController:
             # Boundary reflection: react when sitting in the trigger band with
             # an outward heading, or when this step's straight move would exit
             # (one tick covers twice the trigger band, so the lookahead is what
-            # keeps agents inside without ever clamping).
+            # keeps agents inside without ever clamping). Only an agent with a wall in reach looks.
             trigger = False
-            if x - cx < clear_x and cx - x < clear_x and y - cy < clear_y and cy - y < clear_y:
-                pass  # nowhere near a wall
-            else:
+            if not (x - cx < clear_x and cx - x < clear_x and y - cy < clear_y and cy - y < clear_y):
                 cos_h = math.cos(h)
                 sin_h = math.sin(h)
                 nx = x + step_len * cos_h

@@ -185,7 +185,7 @@ def build_world(config: ExperimentConfig, seed: int, collect_events: bool = Fals
         agents = place_decentralized(
             config.placement, config.n_uavs, config.arena, sim, harness_stream(seed)
         )
-        controller = DecentralizedController(config.strategy, agents, config.arena, ADD_ON[config.strategy])
+        controller = DecentralizedController(config.strategy, agents, config.arena, sim, ADD_ON[config.strategy])
     else:
         agents, controller = make_sons_controller(config.strategy, config.arena, sim, config.n_uavs)
     if collect_events:

@@ -37,12 +37,17 @@ class RunRecord:
         return self.cct is not None
 
 
+def _row_uniformities(rows: np.ndarray) -> list[float]:
+    """The uniformity of each row of a (rows, cells) array: the one reduction both metrics use."""
+    return (-np.mean(np.abs(rows - np.median(rows, axis=1, keepdims=True)), axis=1)).tolist()
+
+
 def uniformity(visits) -> float:
     """Negative mean absolute deviation from the median visit count."""
     v = np.asarray(visits, dtype=np.float64)
     if v.size == 0:
         raise ValueError("uniformity requires at least one cell")
-    return float(-np.mean(np.abs(v - np.median(v))))
+    return _row_uniformities(v.reshape(1, -1))[0]
 
 
 def tcu(record: RunRecord) -> float:
@@ -57,16 +62,14 @@ def block_uniformities(record: RunRecord, arena: ArenaSpec) -> list[float]:
 
     Blocks are ordered row-major over the block grid: the southern row of
     blocks first, west to east within each row. Each row of the (blocks,
-    cells) array is reduced as uniformity reduces one block, bit for bit.
+    cells) array is reduced as uniformity reduces its one-row grid.
     """
     if not record.complete:
         raise ValueError("block uniformities are undefined for an incomplete run")
     across, up = arena.blocks
     cells = round(arena.region_size / arena.cell_size)
     grid = np.asarray(record.final_visits, dtype=np.float64).reshape(up, cells, across, cells)
-    blocks = grid.swapaxes(1, 2).reshape(up * across, cells * cells)
-    deviations = np.abs(blocks - np.median(blocks, axis=1, keepdims=True))
-    return (-np.mean(deviations, axis=1)).tolist()
+    return _row_uniformities(grid.swapaxes(1, 2).reshape(up * across, cells * cells))
 
 
 def lcu(record: RunRecord, arena: ArenaSpec) -> float:

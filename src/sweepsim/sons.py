@@ -89,7 +89,7 @@ def max_formation_omega(formation: SonsFormation, v_max: float) -> float:
 class SonsController:
     """Shared plumbing: one brain decides, every member is pose-assigned."""
 
-    pheromone = None
+    pheromone = False
     events = None  # build_world hands out the crossing log (sons_rw's only)
 
     def __init__(self, formation: SonsFormation, brain_pos, brain_heading):
@@ -106,14 +106,16 @@ class SonsBsController(SonsController):
 
     The brain starts centered on the easternmost strip, hugging the southern
     boundary and heading north. Its cycle is sweep on past the edge by
-    exit_margin, sidestep one stride west, reverse.
+    exit_margin, sidestep one stride west, reverse, over the arena it is built for.
     """
 
     name = "sons_bs"
 
-    def __init__(self, formation, arena: ArenaSpec):
+    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig):
         self.stride = formation.span + arena.cell_size
-        start = (arena.max_corner[0] - self.stride / 2.0, arena.min_corner[1] + arena.cell_size / 2.0)
+        (self.minx, self.miny), self.maxy = arena.min_corner, arena.max_corner[1]
+        self.step_len = cfg.target_sampling_velocity * cfg.dt
+        start = (arena.max_corner[0] - self.stride / 2.0, self.miny + arena.cell_size / 2.0)
         super().__init__(formation, start, math.pi / 2.0)
         self.phase = "sweep"
         self.sweep_dir = 1.0  # +1 north, -1 south
@@ -121,11 +123,8 @@ class SonsBsController(SonsController):
         self.exit_margin = 0.5
 
     def decide(self, senses: Senses, step: int) -> PoseTarget:
-        arena = senses.arena
-        cfg = senses.cfg
-        (minx, miny), maxy = arena.min_corner, arena.max_corner[1]
+        minx, miny, maxy, step_len = self.minx, self.miny, self.maxy, self.step_len
         x, y = self.brain_pos
-        step_len = cfg.target_sampling_velocity * cfg.dt
 
         if self.phase == "sweep":
             beyond = (y - maxy) if self.sweep_dir > 0 else (miny - y)
@@ -189,6 +188,7 @@ class SonsRwController(SonsController):
         start = (arena.max_corner[0], arena.min_corner[1])
         super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), brain_rng))
         self.omega_max = max_formation_omega(formation, cfg.target_sampling_velocity)
+        self.cfg, self.arena, self.step_len = cfg, arena, cfg.target_sampling_velocity * cfg.dt
         self.brain_rng = brain_rng
         self.phase = "cruise"
         self.prev_depth = 0.0
@@ -249,9 +249,7 @@ class SonsRwController(SonsController):
         return False
 
     def decide(self, senses: Senses, step: int) -> PoseTarget:
-        cfg = senses.cfg
-        dt = cfg.dt
-        arena = senses.arena
+        cfg, arena, dt = self.cfg, self.arena, self.cfg.dt
         (x, y), (cx, cy), (hx, hy) = self.brain_pos, arena.center, arena.half_extents
         # edges_outside's test, exactly: fl(h - d) < 0 just when d > h, fl(d + h) < 0 just when d < -h.
         if -hx <= x - cx <= hx and -hy <= y - cy <= hy:
@@ -279,10 +277,9 @@ class SonsRwController(SonsController):
             if not self._turn(self.theta_rand, self.d_rand, cfg.turn_rate_default, dt):
                 return self._emit(sampling_active=False)
             self.phase = "cruise"
-        step_len = cfg.target_sampling_velocity * dt
         self.brain_pos = (
-            x + step_len * math.cos(self.brain_heading),
-            y + step_len * math.sin(self.brain_heading),
+            x + self.step_len * math.cos(self.brain_heading),
+            y + self.step_len * math.sin(self.brain_heading),
         )
         return self._emit(sampling_active=True)
 
@@ -303,7 +300,7 @@ def make_sons_controller(
             f"{len(formation.sampler_ids)} samplers and a {width:g} m x {depth:g} m arena"
         )
     if strategy == "sons_bs":
-        controller = SonsBsController(formation, arena)
+        controller = SonsBsController(formation, arena, cfg)
     elif strategy == "sons_rw":
         controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0))
     else:

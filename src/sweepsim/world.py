@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .angles import TWO_PI, wrap_angle
 from .arena import ArenaSpec, cell_boxes
 from .checks import finite, integer_at_least, positive_finite
 from .metrics import RunRecord
-
-if TYPE_CHECKING:
-    from .decentralized import PheromoneField
 
 SPEED_EPS = 1e-9
 
@@ -136,32 +133,81 @@ class PoseTarget(NamedTuple):
 HOLD = Unicycle(0.0, 0.0)
 
 
+# Compass offsets for pheromone reads, counterclockwise from east.
+_COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+class PheromoneField:
+    """Per-cell pheromone with fixed deposits and unit-per-step evaporation.
+
+    Evaporation is applied lazily: each cell stores its level at the step it
+    was last written and reads subtract the steps elapsed since, floored at
+    zero. Observationally identical to decrementing every cell once per step.
+
+    The levels live in plain lists over the arena's grid widened by one cell
+    on every side. Nothing deposits in that border, so a read one cell past
+    the arena's edge lands there and reads zero without a bounds check.
+    Every stored value is an integer-valued double, so the arithmetic is exact.
+    """
+
+    def __init__(self, arena: ArenaSpec):
+        # Instance attributes, not class attributes: the reads below look them
+        # up on every pheromone sense, and the instance lookup is the faster one.
+        self.deposit_amount = 5000.0
+        self.evaporation_rate = 1.0
+        self._cols = arena.cols
+        stride = arena.cols + 2
+        size = stride * (arena.rows + 2)
+        self._level = [0.0] * size
+        self._stamp = [0] * size
+        # Slot offsets of the ahead, left and right cells for each compass index.
+        offsets = [dx + dy * stride for dx, dy in _COMPASS]
+        self._sense_offsets = tuple(
+            (offsets[k], offsets[(k + 1) % 8], offsets[(k - 1) % 8]) for k in range(8)
+        )
+
+    def _slot(self, idx: int) -> int:
+        """Padded-list slot of the grid cell at row-major flat index idx."""
+        cols = self._cols
+        return idx + 2 * (idx // cols) + cols + 3
+
+    def _read(self, slot: int, step: int) -> float:
+        raw = self._level[slot] - self.evaporation_rate * (step - self._stamp[slot])
+        return raw if raw > 0.0 else 0.0
+
+    def deposit(self, idx: int, step: int) -> None:
+        # The deposit lands before this step's evaporation tick.
+        slot = self._slot(idx)
+        value = self._read(slot, step - 1) + self.deposit_amount - self.evaporation_rate
+        self._level[slot] = value if value > 0.0 else 0.0
+        self._stamp[slot] = step
+
+
 class Senses(NamedTuple):
     """What a controller may read to decide: references to one World's own objects.
 
-    World builds it once and mutates the lists in place, so it holds the pose
-    from before the step being decided. Each field names what it stands for.
+    World builds it once and mutates its lists in place, so they hold the pose from before the
+    step being decided. Each field names what it stands for; run constants come with the controller.
     """
 
-    cfg: SimConfig  # prior knowledge: step size, cruise speed and turn rate
-    arena: ArenaSpec  # prior knowledge: a map of the arena's extents and cells
     xs: list[float]  # absolute x of each agent: a global positioning fix
     ys: list[float]  # absolute y, from the same fix
     hs: list[float]  # absolute heading of each agent: a compass
     cells: list[int]  # each agent's flat cell index (-1 outside): its fix placed on the map
+    pheromone: PheromoneField | None  # the virtual field over the world's grid, None without one
 
 
 class Controller(Protocol):
     """Strategy plug-in: reads the pre-step Senses and commands every agent,
     with one Unicycle each or one PoseTarget for the whole formation.
 
-    name labels the run's record; pheromone is the field the world deposits
-    into on every credited visit, or None for strategies without one. The
-    world clamps every Unicycle move into the arena.
+    name labels the run's record; pheromone asks the world for a field that it
+    deposits into on every credited visit. The world clamps every Unicycle
+    move into the arena.
     """
 
     name: str
-    pheromone: "PheromoneField | None"
+    pheromone: bool
 
     def decide(self, senses: Senses, step: int) -> list[Unicycle] | PoseTarget: ...
 
@@ -173,11 +219,11 @@ class World:
     agent id. The live pose is xs, ys, hs (in [0, 2 pi)) and cells, each
     agent's last flat cell index (-1 before step 1 and outside the arena).
     samplers marks the agents at the sampling altitude, which never changes.
-    senses holds cfg, arena and the live pose for the controller.
+    pheromone is the field over the grid a controller asks for, else None; senses holds it and the live pose.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
     rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
-    heading wrapped (0.0 for -0.0).
+    heading wrapped.
     """
 
     def __init__(
@@ -192,9 +238,10 @@ class World:
             raise ValueError(f"agent ids must be 0..{n - 1}, each once")
         self.xs = [a.position[0] for a in self.agents]
         self.ys = [a.position[1] for a in self.agents]
-        self.hs = [wrap_angle(a.heading) + 0.0 for a in self.agents]  # -0.0 stored as 0.0, as in a formation step
+        self.hs = [wrap_angle(a.heading) for a in self.agents]
         self.cells = [-1] * n
-        self.senses = Senses(cfg, arena, self.xs, self.ys, self.hs, self.cells)
+        self.pheromone = PheromoneField(arena) if controller.pheromone else None
+        self.senses = Senses(self.xs, self.ys, self.hs, self.cells, self.pheromone)
         self.boxes = cell_boxes(arena)
         self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
         self.rotated = (None, None, [], None)
@@ -202,7 +249,6 @@ class World:
         self.controller = controller
         self.visits = [0] * arena.cell_count
         self.visited_count = 0
-        self.pheromone = controller.pheromone
         self.step_count = 0
         self.clamp_count = 0
         self.visit_events: list[tuple[int, int]] = []
@@ -247,7 +293,7 @@ class World:
                 heading, offsets = moves.heading, moves.offsets
                 c, s = math.cos(heading), math.sin(heading)
                 terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
-                wrapped = wrap_angle(heading) + 0.0  # -0.0 stored as 0.0, as the unicycle branch does
+                wrapped = wrap_angle(heading)
                 self.rotated = (heading, offsets, terms, wrapped)
             moves = terms
         if len(moves) != len(xs):
@@ -274,7 +320,7 @@ class World:
                 h = hs[i]
                 if rate or not 0.0 < h < TWO_PI:  # else h + rate * dt is h itself
                     h += rate * dt
-                    if not 0.0 <= h < TWO_PI:
+                    if not 0.0 < h < TWO_PI:  # a zero too, so -0.0 is stored as 0.0
                         h = wrap_angle(h)
                     hs[i] = h
                 if speed == 0.0 and step_idx != 1:

@@ -28,11 +28,11 @@ import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
-from sweepsim.decentralized import _COMPASS, LdrParams, PheromoneField, compass_index
+from sweepsim.decentralized import LdrParams, PheromoneField, compass_index
 from sweepsim.harness import ExperimentConfig, PlacementSpec, _fmt
 from sweepsim.metrics import RunRecord, StrategySummary, cpr, tcu, uniformity
 from sweepsim.sons import SonsFormation, follow_formation
-from sweepsim.world import SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
+from sweepsim.world import _COMPASS, SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
 
 Cell = tuple[int, int]
 
@@ -107,7 +107,7 @@ class RefAgent:
     prev_cell: int = -1
 
     def __post_init__(self) -> None:
-        self.heading = wrap_angle(self.heading) + 0.0  # a spawn's -0.0 stored as 0.0, as World does
+        self.heading = wrap_angle(self.heading)
 
 
 def step_kinematics(agent: RefAgent, command: Unicycle, dt: float) -> None:
@@ -177,7 +177,7 @@ def pose_step_reference(
     for agent, (x, y) in zip(agents, positions, strict=True):
         px, py = agent.position
         agent.position = (x, y)
-        agent.heading = wrap_angle(command.heading) + 0.0  # World.step stores -0.0 as 0.0
+        agent.heading = wrap_angle(command.heading)
         agent.speed = math.hypot(x - px, y - py) / cfg.dt
         cell = record_visit(agent, coverage, cfg)
         if cell is not None:

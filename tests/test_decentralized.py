@@ -465,7 +465,7 @@ def scene(strategy, positions, heading=math.pi / 2):
         AgentState(id=i, position=p, heading=heading, altitude=1.5, rng=agent_stream(0, i))
         for i, p in enumerate(positions)
     ]
-    controller = DecentralizedController(strategy, agents, ARENA, ADD_ON[strategy])
+    controller = DecentralizedController(strategy, agents, ARENA, SimConfig(), ADD_ON[strategy])
     controller.events = []
     return World(ARENA, SimConfig(), agents, controller), controller
 
@@ -505,9 +505,9 @@ class TestPmQuietWindow:
         # one pm agent at the centre, facing east, with pheromone in the
         # cells ahead, left and right of it
         agent = AgentState(id=0, position=(0.5, 0.5), heading=0.0, altitude=1.5, rng=agent_stream(0, 0))
-        controller = DecentralizedController("pm", [agent], ARENA, PM)
-        field = controller.pheromone
+        controller = DecentralizedController("pm", [agent], ARENA, SimConfig(), PM)
         world = World(ARENA, SimConfig(), [agent], controller)
+        field = world.pheromone
         world.cells[0] = flat_index((20, 20), ARENA)
         for cell in ((21, 20), (21, 21), (21, 19)):
             field.deposit(flat_index(cell, ARENA), step=0)
@@ -716,12 +716,12 @@ class TestPairwiseScan:
         # A freshly built candidate list, then the same list at every step of
         # its window while each agent makes the longest move there is.
         for name, ldr in (("rb", None), ("ldr_random", LDR_RANDOM), ("ldr_repulsive", LDR_REPULSIVE)):
-            controller = DecentralizedController(name, spawns(points), ARENA, ldr)
+            controller = DecentralizedController(name, spawns(points), ARENA, SimConfig(), ldr)
             xs = [p[0] for p in points]
             ys = [p[1] for p in points]
             now = 1
             while True:
-                near = controller.neighbours(xs, ys, now, STEP_LEN)
+                near = controller.neighbours(xs, ys, now)
                 assert controller._pairs_from == 1, "the list was rebuilt inside its window"
                 ref_near, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
                 assert hexed(near) == hexed(ref_near), (name, now)
@@ -735,7 +735,7 @@ class TestPairwiseScan:
                 xs = [x + STEP_LEN * math.cos(h) for x, h in zip(xs, headings)]
                 ys = [y + STEP_LEN * math.sin(h) for y, h in zip(ys, headings)]
             assert now > 1, "the list covers no step after the one it was built at"
-            controller.neighbours(xs, ys, now + 1, STEP_LEN)
+            controller.neighbours(xs, ys, now + 1)
             assert controller._pairs_from == now + 1, "the list was not rebuilt after its window"
 
     @settings(max_examples=100, deadline=None)
@@ -760,7 +760,7 @@ class TestPairwiseScan:
         order = data.draw(st.permutations(range(n))) if data is not None else range(n)[::-1]
         for ldr in (LDR_RANDOM, LDR_REPULSIVE):
             _, ref_adj, ref_notified = pairwise_scan_reference(xs, ys, RB.medium_range, ldr)
-            rows = DecentralizedController("ldr", spawns(points), ARENA, ldr).density(xs, ys)
+            rows = DecentralizedController("ldr", spawns(points), ARENA, SimConfig(), ldr).density(xs, ys)
             for i in order:
                 assert rows.notified(i) == ref_notified[i], (ldr.comm_range, i)
                 assert rows[i] == ref_adj[i], (ldr.comm_range, i)
@@ -807,8 +807,8 @@ def checked_scan(world):
     tally = {"steps": 0, "offsets": 0, "density": 0, "asks": 0}
     reference = {}
 
-    def checked_neighbours(xs, ys, now, step_len):
-        near = neighbours(xs, ys, now, step_len)
+    def checked_neighbours(xs, ys, now):
+        near = neighbours(xs, ys, now)
         px = list(world.xs)
         py = list(world.ys)
         reference["now"] = now
@@ -886,28 +886,41 @@ class TestNeighbourScanInRuns:
                 for i in range(k)
             ]
 
-        world = World(ARENA, SimConfig(), line(stepped), DecentralizedController("rb", line(built), ARENA))
+        world = World(ARENA, SimConfig(), line(stepped), DecentralizedController("rb", line(built), ARENA, SimConfig()))
         with pytest.raises(ValueError, match=f"built for {built} agents, world has {stepped}"):
             world.step()
+
+
+def test_a_pm_controller_built_for_a_smaller_arena_steers_by_its_map():
+    # A pm controller built for a 20 m arena, flown in the default 40 m one:
+    # the field is the world's, over the grid it is indexed by, so a deposit
+    # past the small map no longer raises IndexError.
+    sim = SimConfig(max_steps=3000)
+    agents = build_world(ExperimentConfig("pm", runs=1, sim=sim), seed=1).agents
+    controller = DecentralizedController("pm", agents, ArenaSpec(side_length=20.0), sim, PM)
+    world = World(ARENA, sim, agents, controller)
+    world.run()
+    assert world.step_count == 3000
+    assert world.clamp_count == 0
 
 
 def test_an_agent_with_no_neighbour_gets_the_shared_empty_row():
     # Agents 0 and 1 are 2 m apart, agent 2 is alone: only 0 and 1 get a row.
     points = [(0.0, 0.0), (2.0, 0.0), (10.0, 0.0)]
-    near = DecentralizedController("rb", spawns(points), ARENA).neighbours(
-        [p[0] for p in points], [p[1] for p in points], 1, STEP_LEN
+    near = DecentralizedController("rb", spawns(points), ARENA, SimConfig()).neighbours(
+        [p[0] for p in points], [p[1] for p in points], 1
     )
     assert near == [((2.0, 0.0, 2.0),), ((-2.0, -0.0, 2.0),), ()]
     assert type(near[2]) is tuple
 
 
 def test_shared_commands_are_built_once(monkeypatch):
-    # A run builds its cruise and two spins once; only a turn's last,
-    # shortened step builds its own command.
-    world = build_world(ExperimentConfig("rb", runs=1, sim=SimConfig(max_steps=300)), seed=1)
+    # A run builds its cruise and two spins once, with the controller; only
+    # a turn's last, shortened step builds its own command.
     built = []
     new = Unicycle.__new__
     monkeypatch.setattr(Unicycle, "__new__", lambda cls, v, w: built.append((v, w)) or new(cls, v, w))
+    world = build_world(ExperimentConfig("rb", runs=1, sim=SimConfig(max_steps=300)), seed=1)
     controller = world.controller
     ends = 0
     for _ in range(300):
@@ -963,7 +976,7 @@ class TestForwardBound:
             AgentState(id=i, position=p, heading=h, altitude=1.5, rng=agent_stream(0, i))
             for i, (p, h) in enumerate(zip(points, headings))
         ]
-        world = World(ARENA, SimConfig(), agents, DecentralizedController("rb", agents, ARENA))
+        world = World(ARENA, SimConfig(), agents, DecentralizedController("rb", agents, ARENA, SimConfig()))
         near = pairwise_scan_reference(world.xs, world.ys, RB.medium_range, None)[0]
         states = [a.rng.bit_generator.state for a in agents]
         calls = {}

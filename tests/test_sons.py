@@ -253,15 +253,16 @@ class TestBoustrophedon:
         assert cycle == ["sweep", "shift", "sweep"]
 
     def test_strips_planned_for_a_smaller_arena_raise(self):
-        # Strips planned for a 20 m arena, flown in a 40 m one: the sweep
-        # shifts fully past the west edge with 600 cells never visited.
+        # Strips planned for a 20 m arena, flown in a 40 m one: the brain
+        # sweeps the map it was built with, so it shifts fully past that map's
+        # west edge with 1170 of the arena's cells never visited.
         small = ArenaSpec(side_length=20.0, region_size=10.0)
         agents, controller = make_sons_controller("sons_bs", small, CFG, 25)
         world = World(ARENA, CFG, agents, controller)
         with pytest.raises(SweepGeometryError, match="shifted fully past the arena"):
             world.run()
-        assert world.step_count == 1110
-        assert world.visited_count == 1000
+        assert world.step_count == 401
+        assert world.visited_count == 430
 
     def test_brain_never_samples(self):
         world, record = run_sons("sons_bs", seed=1)

@@ -1,7 +1,8 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
 the package's public names resolve, the benchmark's traced functions exist, only
 the arena module decides the arena's shape, only build_world hands out the event log,
-the controllers decide from Senses alone, and ExperimentConfig holds settings only."""
+only the world builds the pheromone field, the controllers decide from Senses alone,
+and ExperimentConfig holds settings only."""
 
 from __future__ import annotations
 
@@ -84,6 +85,19 @@ def test_only_build_world_hands_out_the_event_log():
         if path.name != "harness.py"
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
         if "collect_events" in line
+    ]
+    assert readers == []
+
+
+def test_only_the_world_builds_the_pheromone_field():
+    # World builds the field over its own grid, the one it deposits into; a field
+    # built anywhere else can be sized for another grid than the one indexing it.
+    readers = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))
+        if path.name != "world.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "PheromoneField(" in line
     ]
     assert readers == []
 

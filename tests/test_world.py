@@ -361,14 +361,27 @@ class TestStepLoop:
         world = World(ARENA, CFG, [spawn((0.5, 0.5), heading=-0.0)], ScriptedController([]))
         assert world.hs[0].hex() == "0x0.0p+0"
 
-    @pytest.mark.parametrize("command", [
-        [Unicycle(1.0, 0.5)],
-        PoseTarget((0.5, 0.5), 0.3, ((0.0, 0.0),), True),
-    ], ids=["unicycle", "formation"])
-    def test_senses_is_built_once_over_the_worlds_own_objects(self, command):
+    def test_a_turn_landing_on_minus_two_pi_is_stored_as_zero(self):
+        # fmod(-2 pi, 2 pi) is -0.0, which the unicycle branch used to store.
+        rate = -TWO_PI / CFG.dt
+        assert 0.0 + rate * CFG.dt == -TWO_PI
+        world = World(ARENA, CFG, [spawn((0.5, 0.5))], ScriptedController([[Unicycle(0.0, rate)]]))
+        world.step()
+        assert world.hs[0].hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("command, pheromone", [
+        ([Unicycle(1.0, 0.5)], False),
+        (PoseTarget((0.5, 0.5), 0.3, ((0.0, 0.0),), True), False),
+        ([Unicycle(1.0, 0.5)], True),
+    ], ids=["unicycle", "formation", "unicycle_with_field"])
+    def test_senses_is_built_once_over_the_worlds_own_objects(self, command, pheromone):
         # World.step mutates the pose lists in place; one it rebound would leave
-        # the record, built once in __init__, reading a stale pose.
-        world = World(ARENA, CFG, [spawn((0.5, 0.5))], ScriptedController([command]))
+        # the record, built once in __init__, reading a stale pose. The field is
+        # the world's, built only for a controller that asks for one.
+        controller = ScriptedController([command])
+        controller.pheromone = pheromone
+        world = World(ARENA, CFG, [spawn((0.5, 0.5))], controller)
+        assert (world.pheromone is not None) == pheromone
         senses = world.senses
         assert [f for f in Senses._fields if getattr(senses, f) is not getattr(world, f)] == []
         world.step()
@@ -415,7 +428,7 @@ class ScriptedController:
     """Replays a fixed list of per-step move lists, keeping what each decide was given."""
 
     name = "scripted"
-    pheromone = None
+    pheromone = False
 
     def __init__(self, steps):
         self.steps = list(steps)
@@ -827,7 +840,7 @@ class TestCellSkip:
     def test_signed_zero_headings_match_the_oracles(self):
         # 0.0 == -0.0, but a step along -0.0 moves y = -0.0 by -0.0 and keeps
         # its sign: a step vector cached for one must not serve the other.
-        # A rate of -2 pi / dt turns 0.0 to -2 pi, which wraps to -0.0.
+        # A rate of -2 pi / dt turns 0.0 to -2 pi, whose fmod is -0.0; wrap_angle stores 0.0.
         back = -TWO_PI / CFG.dt
         script = [
             [Unicycle(1.0, -0.0), Unicycle(1.0, 0.0)],
