@@ -46,18 +46,8 @@ def turn_direction(from_angle: float, to_angle: float) -> float:
 
 
 def turn_remaining(from_angle: float, to_angle: float, direction: float) -> float:
-    """Angle left to turn from one heading to another in the given direction.
-
-    wrap_angle(to - from) for a positive direction, else wrap_angle(from -
-    to), with wrap_angle inlined: the same arithmetic in one call, because
-    every turning agent pays for it on every step.
-    """
-    theta = math.fmod(to_angle - from_angle if direction > 0 else from_angle - to_angle, TWO_PI)
-    if theta < 0.0:
-        theta += TWO_PI
-    if theta >= TWO_PI:
-        theta -= TWO_PI
-    return theta + 0.0
+    """Angle left to turn from one heading to another in the given direction, in [0, 2*pi)."""
+    return wrap_angle(to_angle - from_angle if direction > 0 else from_angle - to_angle)
 
 
 # An arc is (start, width) with start in [0, 2*pi) and 0 < width <= 2*pi,

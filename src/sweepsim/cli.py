@@ -45,7 +45,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="output directory (default %(default)s)")
     parser.add_argument("--heatmaps", action="store_true",
                         help="also write per-run visit-count heatmaps")
-    parser.add_argument("--jobs", type=int, default=ExperimentConfig.jobs,
+    parser.add_argument("--jobs", type=int, default=1,
                         help="parallel runs (default %(default)s)")
     parser.add_argument("--config", help="JSON file with the flat option schema; flags override")
     return parser
@@ -86,7 +86,6 @@ def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> Experi
         sim=SimConfig(dt=float(args.dt), max_steps=args.max_steps),
         output_dir=out_dir,
         heatmaps=args.heatmaps,
-        jobs=args.jobs,
     )
 
 
@@ -115,7 +114,7 @@ def main(argv=None) -> int:
         out_dir = out_root / strategy if args.all else out_root
         try:
             config = _experiment(args, strategy, str(out_dir))
-            records, summary = run_experiment(config)
+            records, summary = run_experiment(config, args.jobs)
             export(records, summary, out_dir, config)
         except Exception as exc:  # noqa: BLE001 - one strategy's failure does not stop the rest
             print(f"error: {strategy}: {exc}", file=sys.stderr)

@@ -304,7 +304,7 @@ class DecentralizedController:
         self._pairs: list[tuple[int, int]] = []
         self._pairs_from, self._pairs_until = 1, 0
         self.arena, self.center, self.dt = arena, arena.center, cfg.dt
-        self.step_len = step_len = cfg.target_sampling_velocity * cfg.dt
+        self.step_len = step_len = cfg.step_length
         # The steps a candidate list stays complete for; the margin covers the rounding of the moves.
         self._pairs_life = int((SKIN - 1e-9) / (2.0 * step_len))
         # Shared commands: Unicycle is an immutable tuple, and a turn direction

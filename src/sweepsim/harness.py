@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from statistics import mean
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,11 +27,11 @@ from .metrics import (
     summarize,
     tcu,
 )
-from .sons import make_sons_controller
+from .sons import FORMATIONS, make_sons_controller
 from .world import AgentState, SimConfig, World, agent_stream, check_step_length, harness_stream
 
 DECENTRALIZED = tuple(ADD_ON)
-STRATEGIES = DECENTRALIZED + ("sons_bs", "sons_rw")
+STRATEGIES = DECENTRALIZED + tuple(FORMATIONS)
 
 
 @dataclass(frozen=True)
@@ -160,12 +161,11 @@ class ExperimentConfig:
     output_dir: str = "results"
     placement: PlacementSpec = field(default_factory=PlacementSpec)
     heatmaps: bool = False
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy: {self.strategy}")
-        integer_at_least(self, 1, "runs", "n_uavs", "jobs")
+        integer_at_least(self, 1, "runs", "n_uavs")
         integer_at_least(self, 0, "base_seed")
         boolean(self, "heatmaps")
         if self.sim.seed != 0:
@@ -198,11 +198,12 @@ def _run_index(args: tuple[ExperimentConfig, int]) -> RunRecord:
     return build_world(config, config.base_seed + index).run()
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[RunRecord], StrategySummary]:
-    """Execute the batch and return (records, summary), in run-index order."""
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[list[RunRecord], StrategySummary]:
+    """Execute the batch on up to jobs processes and return (records, summary), in run-index order."""
+    integer_at_least(SimpleNamespace(jobs=jobs), 1, "jobs")
     tasks = [(config, i) for i in range(config.runs)]
     # A pool forks all its workers at the first submit, so more than runs would idle.
-    workers = min(config.jobs, config.runs)
+    workers = min(jobs, config.runs)
     if workers > 1:
         # Imported here: it is a sizeable share of the package's import time.
         from concurrent.futures import ProcessPoolExecutor

@@ -114,7 +114,7 @@ class SonsBsController(SonsController):
     def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig):
         self.stride = formation.span + arena.cell_size
         (self.minx, self.miny), self.maxy = arena.min_corner, arena.max_corner[1]
-        self.step_len = cfg.target_sampling_velocity * cfg.dt
+        self.step_len = cfg.step_length
         start = (arena.max_corner[0] - self.stride / 2.0, self.miny + arena.cell_size / 2.0)
         super().__init__(formation, start, math.pi / 2.0)
         self.phase = "sweep"
@@ -168,8 +168,8 @@ class SonsRwController(SonsController):
     """Random-walk brain: straight runs, boundary overshoot, randomized turns.
 
     The brain starts on the southeastern corner with a random interior-facing
-    heading, the first draw from brain_rng. Its cycle is cruise out past the
-    edge, maybe align, spin, resume.
+    heading, the first draw from brain_rng, agent 0's stream. Its cycle is
+    cruise out past the edge, maybe align, spin, resume.
 
     armed gates the crossing trigger: it fires once per excursion, when the
     brain is beyond the crossing depth and not getting closer to the arena.
@@ -183,13 +183,13 @@ class SonsRwController(SonsController):
     crossing_depth = 0.95  # m past the boundary before turning
     exclusion_half_angle = math.radians(30.0)
 
-    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig, brain_rng):
+    def __init__(self, formation, arena: ArenaSpec, cfg: SimConfig):
         east, _, _, south = EDGE_NORMALS
         start = (arena.max_corner[0], arena.min_corner[1])
-        super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), brain_rng))
+        self.brain_rng = agent_stream(cfg.seed, 0)
+        super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), self.brain_rng))
         self.omega_max = max_formation_omega(formation, cfg.target_sampling_velocity)
-        self.cfg, self.arena, self.step_len = cfg, arena, cfg.target_sampling_velocity * cfg.dt
-        self.brain_rng = brain_rng
+        self.cfg, self.arena, self.step_len = cfg, arena, cfg.step_length
         self.phase = "cruise"
         self.prev_depth = 0.0
         self.armed = True
@@ -284,10 +284,14 @@ class SonsRwController(SonsController):
         return self._emit(sampling_active=True)
 
 
+# Each formation strategy's brain, keyed by the name it labels its runs with.
+FORMATIONS = {brain.name: brain for brain in (SonsBsController, SonsRwController)}
+
+
 def make_sons_controller(
     strategy: str, arena: ArenaSpec, cfg: SimConfig, n_uavs: int
 ) -> tuple[list[AgentState], SonsController]:
-    """Wire up the brain of sons_bs or sons_rw and spawn the n_uavs formation at its start pose.
+    """Wire up the brain FORMATIONS names for strategy and spawn the n_uavs formation at its start pose.
 
     Samplers fly at the sampling altitude; the brain and the supervisors at
     the supervisory altitude.
@@ -299,12 +303,9 @@ def make_sons_controller(
             f"formation span exceeds the arena side, got span {formation.span:g} m over "
             f"{len(formation.sampler_ids)} samplers and a {width:g} m x {depth:g} m arena"
         )
-    if strategy == "sons_bs":
-        controller = SonsBsController(formation, arena, cfg)
-    elif strategy == "sons_rw":
-        controller = SonsRwController(formation, arena, cfg, agent_stream(cfg.seed, 0))
-    else:
+    if strategy not in FORMATIONS:
         raise ValueError(f"unknown formation strategy: {strategy}")
+    controller = FORMATIONS[strategy](formation, arena, cfg)
     heading = controller.brain_heading
     targets = follow_formation(controller.brain_pos, heading, formation)
     agents = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
@@ -56,6 +57,11 @@ class SimConfig:
                 f"both are {self.sampling_altitude!r}"
             )
 
+    @cached_property
+    def step_length(self) -> float:
+        """The cruise step, target_sampling_velocity x dt: cached, and not a field, so not in asdict()."""
+        return self.target_sampling_velocity * self.dt
+
 
 def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
     """Reject a cruise step longer than a cell.
@@ -63,10 +69,9 @@ def check_step_length(cfg: SimConfig, arena: ArenaSpec) -> None:
     Visits are scored where a step ends, so a longer step skips cells
     without crediting them.
     """
-    step_len = cfg.target_sampling_velocity * cfg.dt
-    if step_len > arena.cell_size:
+    if cfg.step_length > arena.cell_size:
         raise ValueError(
-            f"step length {step_len:g} m (target_sampling_velocity x dt) "
+            f"step length {cfg.step_length:g} m (target_sampling_velocity x dt) "
             f"exceeds the cell size {arena.cell_size:g} m"
         )
 
@@ -223,7 +228,8 @@ class World:
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
     rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
-    heading wrapped.
+    heading wrapped. frame holds what every step reads of the arena and cfg, derived once: dt,
+    cols, cell size, the min and max corners, the last column and row, and the speed cap.
     """
 
     def __init__(
@@ -246,6 +252,10 @@ class World:
         self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
         self.rotated = (None, None, [], None)
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
+        self.frame = (
+            cfg.dt, arena.cols, arena.cell_size, *arena.min_corner, *arena.max_corner,
+            arena.cols - 1, arena.rows - 1, cfg.target_sampling_velocity + SPEED_EPS,
+        )
         self.controller = controller
         self.visits = [0] * arena.cell_count
         self.visited_count = 0
@@ -277,8 +287,7 @@ class World:
         same objects, and a formation its rotated offsets and wrapped heading while
         its heading and offsets are: identity, unlike ==, never takes -0.0 for 0.0.
         """
-        cfg = self.cfg
-        dt = cfg.dt
+        dt, cols, cell_size, minx, miny, maxx, maxy, last_col, last_row, speed_cap = self.frame
         xs, ys, hs, cells, samplers = self.xs, self.ys, self.hs, self.cells, self.samplers
         boxes, cruise = self.boxes, self.cruise
         step_idx = self.step_count + 1
@@ -299,13 +308,6 @@ class World:
         if len(moves) != len(xs):
             raise ValueError(f"controller commanded {len(moves)} moves for {len(xs)} agents")
         visits = self.visits
-        arena = self.arena
-        cols = arena.cols
-        cell_size = arena.cell_size
-        minx, miny = arena.min_corner
-        maxx, maxy = arena.max_corner
-        last_col, last_row = cols - 1, arena.rows - 1
-        speed_cap = cfg.target_sampling_velocity + SPEED_EPS
         self.step_count = step_idx
         pheromone = self.pheromone
         events = []

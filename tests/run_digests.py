@@ -120,10 +120,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     default = {}
     for strategy in STRATEGIES:
-        config = ExperimentConfig(
-            strategy=strategy, runs=SWEEP_RUNS, base_seed=SWEEP_BASE_SEED, jobs=JOBS
-        )
-        default.update(digests(run_experiment(config)[0]))
+        config = ExperimentConfig(strategy=strategy, runs=SWEEP_RUNS, base_seed=SWEEP_BASE_SEED)
+        default.update(digests(run_experiment(config, JOBS)[0]))
     current = {"default": default, "matrix": run_matrix()}
     if args.write:
         PATH.write_text(json.dumps(current, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -51,10 +51,8 @@ def sweep():
     jobs = os.cpu_count() or 1
     out = {}
     for strategy in STRATEGIES:
-        config = ExperimentConfig(
-            strategy=strategy, runs=RUNS, base_seed=BASE_SEED, jobs=min(jobs, RUNS)
-        )
-        records, summary = run_experiment(config)
+        config = ExperimentConfig(strategy=strategy, runs=RUNS, base_seed=BASE_SEED)
+        records, summary = run_experiment(config, min(jobs, RUNS))
         out[strategy] = (records, summary)
     return out
 

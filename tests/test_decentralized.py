@@ -697,7 +697,7 @@ def hexed(near):
 
 # Headings for up to 100 agents, one per agent in index order.
 swarm_headings = st.lists(st.floats(0.0, 2.0 * math.pi), min_size=100, max_size=100)
-STEP_LEN = SimConfig().target_sampling_velocity * SimConfig().dt
+STEP_LEN = SimConfig().step_length
 
 
 def spawns(points):

@@ -181,11 +181,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(strategy="rb", runs=0)
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_positive(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
-            ExperimentConfig(strategy="rb", jobs=jobs)
-
     @pytest.mark.parametrize("option", ["dt", "target_sampling_velocity", "turn_rate_default"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_sim_non_finite_rejected(self, option, value):
@@ -229,7 +224,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="max_steps must be an integer"):
             SimConfig(max_steps=value)
 
-    @pytest.mark.parametrize("option", ["runs", "n_uavs", "jobs", "base_seed"])
+    @pytest.mark.parametrize("option", ["runs", "n_uavs", "base_seed"])
     @pytest.mark.parametrize("value", [1.5, True])
     def test_counts_not_an_integer_rejected(self, option, value):
         # n_uavs=True ran a one-agent swarm; 1.5 failed deep in a run, or not at all
@@ -285,7 +280,7 @@ class TestExperimentConfig:
         ExperimentConfig(strategy="rb", sim=SimConfig(dt=1.0))
 
 
-def small_config(strategy="rb", runs=2, max_steps=600, heatmaps=False, out="results", jobs=1):
+def small_config(strategy="rb", runs=2, max_steps=600, heatmaps=False, out="results"):
     return ExperimentConfig(
         strategy=strategy,
         runs=runs,
@@ -293,7 +288,6 @@ def small_config(strategy="rb", runs=2, max_steps=600, heatmaps=False, out="resu
         sim=SimConfig(max_steps=max_steps),
         output_dir=out,
         heatmaps=heatmaps,
-        jobs=jobs,
     )
 
 
@@ -313,14 +307,22 @@ class TestRunExperiment:
         assert summary.complete_runs == 0
 
     def test_jobs_do_not_change_results(self, tmp_path):
-        cfg1 = small_config("sons_bs", runs=2, max_steps=1200, out=str(tmp_path / "a"))
-        cfg2 = small_config("sons_bs", runs=2, max_steps=1200, out=str(tmp_path / "b"), jobs=2)
-        rec1, sum1 = run_experiment(cfg1)
-        rec2, sum2 = run_experiment(cfg2)
-        export(rec1, sum1, tmp_path / "a", cfg1)
-        export(rec2, sum2, tmp_path / "b", cfg2)
-        for name in ("runs.csv", "cpr.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # summary.json used to echo the job count, so --jobs 2 changed a byte of it
+        config = small_config("sons_bs", runs=2, max_steps=1200, out=str(tmp_path))
+        exported = {}
+        for jobs in (1, 2):
+            records, summary = run_experiment(config, jobs)
+            paths = export(records, summary, tmp_path / str(jobs), config)
+            exported[jobs] = {path.name: path.read_bytes() for path in paths}
+        assert sorted(exported[1]) == ["cpr.csv", "runs.csv", "summary.json"]
+        assert exported[1] == exported[2]
+
+    @pytest.mark.parametrize(
+        "jobs, rule", [(0, "at least 1"), (-3, "at least 1"), (1.5, "an integer"), (True, "an integer")]
+    )
+    def test_jobs_positive(self, jobs, rule):
+        with pytest.raises(ValueError, match=f"^jobs must be {rule}, got {jobs!r}$"):
+            run_experiment(small_config(runs=1, max_steps=1), jobs)
 
     @pytest.mark.parametrize("runs, jobs, pools", [(2, 64, [2]), (3, 2, [2]), (1, 64, [])])
     def test_pool_never_outnumbers_the_runs(self, monkeypatch, runs, jobs, pools):
@@ -342,7 +344,7 @@ class TestRunExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        records, _ = run_experiment(small_config(runs=runs, max_steps=20, jobs=jobs))
+        records, _ = run_experiment(small_config(runs=runs, max_steps=20), jobs)
         assert sizes == pools
         assert [r.seed for r in records] == list(range(1, runs + 1))
 

@@ -376,7 +376,7 @@ class TestRandomWalk:
 
     def test_brain_depth_bounded(self, audited_run):
         world, _, audit = audited_run
-        step_travel = world.cfg.target_sampling_velocity * world.cfg.dt
+        step_travel = world.cfg.step_length
         assert audit.max_brain_depth <= SonsRwController.crossing_depth + step_travel + 1e-9
 
     def test_member_excursion_bounded(self, audited_run):
@@ -419,7 +419,7 @@ class TestRandomWalk:
         controller.align_target = controller.theta_rand = heading
         controller.d_adjust = controller.d_rand = 1.0
         command = controller.decide(world.senses, 1)
-        step_len = world.cfg.target_sampling_velocity * world.cfg.dt
+        step_len = world.cfg.step_length
         assert controller.phase == "cruise"
         assert command.sampling_active
         assert command.heading == heading
@@ -506,5 +506,5 @@ class TestOffCentreArena:
     def test_sons_rw_completes_with_brain_depth_bounded(self, seed):
         world, record, audit = audit_rw(seed, arena=OFF_CENTRE)
         assert record.complete
-        step_travel = world.cfg.target_sampling_velocity * world.cfg.dt
+        step_travel = world.cfg.step_length
         assert audit.max_brain_depth <= SonsRwController.crossing_depth + step_travel + 1e-9

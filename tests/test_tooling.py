@@ -1,8 +1,9 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
 the package's public names resolve, the benchmark's traced functions exist, only
 the arena module decides the arena's shape, only build_world hands out the event log,
-only the world builds the pheromone field, the controllers decide from Senses alone,
-and ExperimentConfig holds settings only."""
+only the world builds the pheromone field or derives the step length, each formation
+name is written once, World.step reads its run constants from its frame, the
+controllers decide from Senses alone, and ExperimentConfig holds settings only."""
 
 from __future__ import annotations
 
@@ -100,6 +101,60 @@ def test_only_the_world_builds_the_pheromone_field():
         if "PheromoneField(" in line
     ]
     assert readers == []
+
+
+def test_only_the_world_derives_the_step_length():
+    # SimConfig.step_length is target_sampling_velocity times dt; a module that
+    # multiplies them itself keeps a second copy of the cruise step.
+    readers = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))
+        if path.name != "world.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"target_sampling_velocity\b.*\*.*\bdt\b|\bdt\b.*\*.*target_sampling_velocity", line)
+    ]
+    assert readers == []
+
+
+def test_each_formation_name_is_written_once():
+    # A brain's name labels its runs and keys FORMATIONS, which STRATEGIES lists;
+    # the same literal anywhere else is a second roster that can drift from it.
+    from sweepsim.decentralized import ADD_ON
+    from sweepsim.harness import STRATEGIES
+    from sweepsim.sons import FORMATIONS
+
+    found = []
+    for path in sorted((ROOT / "src" / "sweepsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        brain_names = {  # the values of a class body's `name = ...`
+            id(node.value)
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.Assign) and ast.dump(node.targets[0]) == ast.dump(ast.Name("name", ast.Store()))
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("sons_bs", "sons_rw")
+            and id(node) not in brain_names
+        ]
+    assert found == []
+    assert STRATEGIES == tuple(ADD_ON) + tuple(FORMATIONS)
+
+
+def test_world_step_reads_its_frame_not_the_arena_or_config():
+    # World.__init__ derives what a step needs of the arena and the config once,
+    # into frame; a step that reads them again derives it anew every step.
+    tree = ast.parse((ROOT / "src" / "sweepsim" / "world.py").read_text(encoding="utf-8"))
+    world = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "World")
+    step = next(node for node in world.body if isinstance(node, ast.FunctionDef) and node.name == "step")
+    found = [
+        f"world.py:{node.lineno}: self.{node.attr}"
+        for node in ast.walk(step)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self" and node.attr in ("arena", "cfg")
+    ]
+    assert found == []
 
 
 def test_controllers_decide_from_senses_not_the_world():
