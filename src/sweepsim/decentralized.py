@@ -28,7 +28,7 @@ from .angles import (
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edge_distances
 from .checks import boolean, field_of_view, integer_at_least, positive_finite, turn_range
-from .world import HOLD, PheromoneField, Senses, SimConfig, Unicycle
+from .world import HOLD, PheromoneField, Senses, SimConfig, Unicycle, pm_sense
 
 
 @dataclass(frozen=True)
@@ -176,26 +176,6 @@ def repulsive_escape(rel_positions) -> float | None:
     if mx == 0.0 and my == 0.0:
         return None
     return wrap_angle(math.atan2(-my, -mx))
-
-
-def compass_index(heading: float) -> int:
-    """Quantize a heading to the nearest of 8 compass directions."""
-    return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
-
-
-def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
-    """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
-
-    cell is a flat index, as in Senses.cells. Directions are taken in
-    the nearest compass frame; cells beyond the grid, and every neighbour of
-    cell -1 (outside the arena, or no step taken yet), read as zero.
-    """
-    if cell < 0:
-        return (0.0, 0.0, 0.0)
-    center = field._slot(cell)
-    ahead, left, right = field._sense_offsets[compass_index(heading)]
-    read = field._read
-    return (read(center + ahead, step), read(center + left, step), read(center + right, step))
 
 
 def pm_choose(readings, rng) -> str:

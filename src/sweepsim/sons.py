@@ -23,7 +23,7 @@ from .angles import (
     wrap_angle,
 )
 from .arena import EDGE_NORMALS, ArenaSpec, edges_outside
-from .world import AgentState, PoseTarget, Senses, SimConfig, agent_stream
+from .world import AgentState, PoseTarget, Senses, SimConfig, agent_stream, rotated_terms
 
 
 class SweepGeometryError(RuntimeError):
@@ -73,9 +73,8 @@ def follow_formation(
 ) -> list[tuple[float, float]]:
     """World-frame target position for every member in id order, brain included."""
     bx, by = brain_position
-    c = math.cos(brain_heading)
-    s = math.sin(brain_heading)
-    return [(bx + c * ox - s * oy, by + s * ox + c * oy) for ox, oy in formation.offsets]
+    terms = rotated_terms(brain_heading, formation.offsets)
+    return [(bx + cox - soy, by + sox + coy) for cox, soy, sox, coy in terms]
 
 
 def max_formation_omega(formation: SonsFormation, v_max: float) -> float:
@@ -96,9 +95,6 @@ class SonsController:
         self.formation = formation
         self.brain_pos = brain_pos
         self.brain_heading = brain_heading
-
-    def _emit(self, sampling_active: bool) -> PoseTarget:
-        return PoseTarget(self.brain_pos, self.brain_heading, self.formation.offsets, sampling_active)
 
 
 class SonsBsController(SonsController):
@@ -144,7 +140,7 @@ class SonsBsController(SonsController):
             dx = min(step_len, self.shift_remaining)
             self.shift_remaining -= dx
             self.brain_pos = (x - dx, y)
-        return self._emit(sampling_active=True)
+        return PoseTarget(self.brain_pos, self.brain_heading, self.formation.offsets, True)
 
 
 @dataclass
@@ -189,7 +185,8 @@ class SonsRwController(SonsController):
         self.brain_rng = agent_stream(cfg.seed, 0)
         super().__init__(formation, start, sample_arcs(interior_arcs((east, south)), self.brain_rng))
         self.omega_max = max_formation_omega(formation, cfg.target_sampling_velocity)
-        self.cfg, self.arena, self.step_len = cfg, arena, cfg.step_length
+        self.dt, self.turn_rate, self.step_len = cfg.dt, cfg.turn_rate_default, cfg.step_length
+        self.arena, self.center, self.half_extents = arena, arena.center, arena.half_extents
         self.phase = "cruise"
         self.prev_depth = 0.0
         self.armed = True
@@ -249,13 +246,13 @@ class SonsRwController(SonsController):
         return False
 
     def decide(self, senses: Senses, step: int) -> PoseTarget:
-        cfg, arena, dt = self.cfg, self.arena, self.cfg.dt
-        (x, y), (cx, cy), (hx, hy) = self.brain_pos, arena.center, arena.half_extents
+        dt, offsets = self.dt, self.formation.offsets
+        (x, y), (cx, cy), (hx, hy) = self.brain_pos, self.center, self.half_extents
         # edges_outside's test, exactly: fl(h - d) < 0 just when d > h, fl(d + h) < 0 just when d < -h.
         if -hx <= x - cx <= hx and -hy <= y - cy <= hy:
             outside, depth, exceeded = (), 0.0, _NO_EDGES
         else:
-            outside = edges_outside(self.brain_pos, arena)
+            outside = edges_outside(self.brain_pos, self.arena)
             depth = math.hypot(*(excess for _, excess in outside))
             exceeded = frozenset(n for n, _ in outside)
         if not self.armed and (depth < self.prev_depth - 1e-15 or not exceeded <= self.fired_edges):
@@ -270,18 +267,16 @@ class SonsRwController(SonsController):
         self.prev_depth = depth
         if self.phase == "align":
             if not self._turn(self.align_target, self.d_adjust, self.omega_max, dt):
-                return self._emit(sampling_active=True)
+                return PoseTarget(self.brain_pos, self.brain_heading, offsets, True)
             self.phase = "prepare"
         if self.phase == "prepare":
             # sampling paused, speed cap lifted
-            if not self._turn(self.theta_rand, self.d_rand, cfg.turn_rate_default, dt):
-                return self._emit(sampling_active=False)
+            if not self._turn(self.theta_rand, self.d_rand, self.turn_rate, dt):
+                return PoseTarget(self.brain_pos, self.brain_heading, offsets, False)
             self.phase = "cruise"
-        self.brain_pos = (
-            x + self.step_len * math.cos(self.brain_heading),
-            y + self.step_len * math.sin(self.brain_heading),
-        )
-        return self._emit(sampling_active=True)
+        h, step_len = self.brain_heading, self.step_len
+        self.brain_pos = (x + step_len * math.cos(h), y + step_len * math.sin(h))
+        return PoseTarget(self.brain_pos, h, offsets, True)
 
 
 # Each formation strategy's brain, keyed by the name it labels its runs with.
@@ -296,6 +291,8 @@ def make_sons_controller(
     Samplers fly at the sampling altitude; the brain and the supervisors at
     the supervisory altitude.
     """
+    if strategy not in FORMATIONS:
+        raise ValueError(f"unknown formation strategy: {strategy}")
     formation = build_line_formation(n_uavs, sampler_spacing=arena.cell_size)
     if formation.span > min(arena.extents):
         width, depth = arena.extents
@@ -303,8 +300,6 @@ def make_sons_controller(
             f"formation span exceeds the arena side, got span {formation.span:g} m over "
             f"{len(formation.sampler_ids)} samplers and a {width:g} m x {depth:g} m arena"
         )
-    if strategy not in FORMATIONS:
-        raise ValueError(f"unknown formation strategy: {strategy}")
     controller = FORMATIONS[strategy](formation, arena, cfg)
     heading = controller.brain_heading
     targets = follow_formation(controller.brain_pos, heading, formation)

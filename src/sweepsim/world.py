@@ -135,6 +135,12 @@ class PoseTarget(NamedTuple):
     sampling_active: bool
 
 
+def rotated_terms(heading: float, offsets) -> list[tuple[float, float, float, float]]:
+    """Each offset turned by heading, as its terms (c ox, s oy, s ox, c oy): c ox - s oy, s ox + c oy."""
+    c, s = math.cos(heading), math.sin(heading)
+    return [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
+
+
 HOLD = Unicycle(0.0, 0.0)
 
 
@@ -188,6 +194,26 @@ class PheromoneField:
         self._stamp[slot] = step
 
 
+def compass_index(heading: float) -> int:
+    """Quantize a heading to the nearest of 8 compass directions."""
+    return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
+
+
+def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
+    """Pheromone levels in the cells ahead of and 45 degrees left/right of cell.
+
+    cell is a flat index, as in Senses.cells. Directions are taken in
+    the nearest compass frame; cells beyond the grid, and every neighbour of
+    cell -1 (outside the arena, or no step taken yet), read as zero.
+    """
+    if cell < 0:
+        return (0.0, 0.0, 0.0)
+    center = field._slot(cell)
+    ahead, left, right = field._sense_offsets[compass_index(heading)]
+    read = field._read
+    return (read(center + ahead, step), read(center + left, step), read(center + right, step))
+
+
 class Senses(NamedTuple):
     """What a controller may read to decide: references to one World's own objects.
 
@@ -227,8 +253,8 @@ class World:
     pheromone is the field over the grid a controller asks for, else None; senses holds it and the live pose.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
     boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
-    rotated, the last PoseTarget's heading, offsets, their (c ox, s oy, s ox, c oy) terms and the
-    heading wrapped. frame holds what every step reads of the arena and cfg, derived once: dt,
+    rotated, the last PoseTarget's heading, offsets, their rotated_terms and the heading
+    wrapped. frame holds what every step reads of the arena and cfg, derived once: dt,
     cols, cell size, the min and max corners, the last column and row, and the speed cap.
     """
 
@@ -300,9 +326,7 @@ class World:
             heading, offsets, terms, wrapped = self.rotated
             if moves.heading is not heading or moves.offsets is not offsets:
                 heading, offsets = moves.heading, moves.offsets
-                c, s = math.cos(heading), math.sin(heading)
-                terms = [(c * ox, s * oy, s * ox, c * oy) for ox, oy in offsets]
-                wrapped = wrap_angle(heading)
+                terms, wrapped = rotated_terms(heading, offsets), wrap_angle(heading)
                 self.rotated = (heading, offsets, terms, wrapped)
             moves = terms
         if len(moves) != len(xs):
@@ -313,7 +337,7 @@ class World:
         events = []
         for i, motion in enumerate(moves):
             if formation:
-                cox, soy, sox, coy = motion  # follow_formation's expression, term for term
+                cox, soy, sox, coy = motion
                 x = bx + cox - soy
                 y = by + sox + coy
                 hs[i] = wrapped

@@ -28,11 +28,20 @@ import numpy as np
 
 from sweepsim.angles import Arc, ccw_distance, wrap_angle
 from sweepsim.arena import ArenaSpec
-from sweepsim.decentralized import LdrParams, PheromoneField, compass_index
+from sweepsim.decentralized import LdrParams, PheromoneField
 from sweepsim.harness import ExperimentConfig, PlacementSpec, _fmt
 from sweepsim.metrics import RunRecord, StrategySummary, cpr, tcu, uniformity
 from sweepsim.sons import SonsFormation, follow_formation
-from sweepsim.world import _COMPASS, SPEED_EPS, AgentState, PoseTarget, SimConfig, Unicycle, agent_stream
+from sweepsim.world import (
+    _COMPASS,
+    SPEED_EPS,
+    AgentState,
+    PoseTarget,
+    SimConfig,
+    Unicycle,
+    agent_stream,
+    compass_index,
+)
 
 Cell = tuple[int, int]
 

@@ -38,13 +38,12 @@ from sweepsim.decentralized import (
     RbParams,
     avoidance_turn,
     boundary_escape_heading,
-    compass_index,
     pm_choose,
     pm_sense,
     repulsive_escape,
 )
 from sweepsim.harness import DECENTRALIZED, ExperimentConfig, PlacementSpec, build_world
-from sweepsim.world import HOLD, AgentState, SimConfig, Unicycle, World, agent_stream
+from sweepsim.world import HOLD, AgentState, SimConfig, Unicycle, World, agent_stream, compass_index
 
 ARENA = ArenaSpec()
 SMALL = ArenaSpec(side_length=3.0, region_size=1.0)  # 3 x 3 cells: one interior, four edges, four corners

@@ -169,9 +169,11 @@ class TestSpawn:
         with pytest.raises(ValueError):
             make_sons_controller("sons_bs", ArenaSpec(side_length=10.0, region_size=10.0), CFG, 25)
 
-    def test_unknown_strategy_rejected(self):
+    # The name is checked before the formation, so an arena too narrow for it reports the name too.
+    @pytest.mark.parametrize("arena", [ARENA, ArenaSpec(side_length=10.0)])
+    def test_unknown_strategy_rejected(self, arena):
         with pytest.raises(ValueError, match="unknown formation strategy"):
-            make_sons_controller("sons_xy", ARENA, CFG, 25)
+            make_sons_controller("sons_xy", arena, CFG, 25)
 
 
 def run_sons(strategy, seed, arena=None, on_step=None, max_steps=60_000):

@@ -1,9 +1,10 @@
 """Tooling: the suite's pytest configuration reports a failing test rather than aborting,
-the package's public names resolve, the benchmark's traced functions exist, only
-the arena module decides the arena's shape, only build_world hands out the event log,
-only the world builds the pheromone field or derives the step length, each formation
-name is written once, World.step reads its run constants from its frame, the
-controllers decide from Senses alone, and ExperimentConfig holds settings only."""
+tools/ab_steps.py compares a checkout with itself, the package's public names resolve,
+the benchmark's traced functions exist, only the arena module decides the arena's shape,
+only build_world hands out the event log, only the world builds the pheromone field,
+reads its layout or derives the step length, each formation name is written once,
+World.step reads its run constants from its frame, the controllers decide from Senses
+alone and keep no config, and ExperimentConfig holds settings only."""
 
 from __future__ import annotations
 
@@ -57,6 +58,20 @@ def test_every_traced_function_exists():
     assert len(tracing.TARGETS) > 0
 
 
+def test_ab_steps_runs_a_checkout_against_itself():
+    # tools/ab_steps.py imports both checkouts under their own names and compares
+    # their end states; against itself it must agree and print one ratio line.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_steps.py"), str(ROOT), str(ROOT),
+         "--strategies", "sons_bs", "--seeds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["sons_bs"]
+    assert float(rows[0][-1]) > 0.0
+
+
 def test_every_public_name_resolves():
     # from sweepsim import * fails on any name in __all__ the package lacks
     assert [name for name in sweepsim.__all__ if not hasattr(sweepsim, name)] == []
@@ -101,6 +116,27 @@ def test_only_the_world_builds_the_pheromone_field():
         if "PheromoneField(" in line
     ]
     assert readers == []
+
+
+def test_only_the_world_reads_the_pheromone_layout():
+    # The field's padded slots, read offsets and lazy evaporation are its layout;
+    # a module that reads its underscored names keeps a second copy of that layout.
+    from sweepsim.arena import ArenaSpec
+    from sweepsim.world import PheromoneField
+
+    private = {
+        name for name in (*vars(PheromoneField), *vars(PheromoneField(ArenaSpec())))
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert {"_slot", "_read", "_sense_offsets"} <= private
+    found = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))
+        if path.name != "world.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []
 
 
 def test_only_the_world_derives_the_step_length():
@@ -169,6 +205,19 @@ def test_controllers_decide_from_senses_not_the_world():
                 found.append(f"{name}:{node.lineno}: imports World")
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "world":
                 found.append(f"{name}:{node.lineno}: world.{node.attr}")
+    assert found == []
+
+
+def test_controllers_keep_no_config():
+    # Each controller derives its run constants from the config once, in __init__;
+    # one that keeps the config reads its fields anew on every decide.
+    found = [
+        f"{name}:{node.lineno}: self.cfg"
+        for name in ("decentralized.py", "sons.py")
+        for node in ast.walk(ast.parse((ROOT / "src" / "sweepsim" / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self" and node.attr == "cfg"
+    ]
     assert found == []
 
 

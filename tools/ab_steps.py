@@ -11,9 +11,10 @@ side that goes first alternating from one chunk to the next, until each
 reaches full coverage or the step budget. A drift in host speed then lands
 on both sides alike, which back-to-back benchmark windows do not ensure.
 
-Both sides must end at the same step count with the same visit grid, or the
-tool stops with exit code 1. It prints the microseconds per agent-step of
-World.step for each side, and the change/parent ratio, for each strategy.
+Both sides must end with the same step count, visit grid, live pose (xs, ys,
+hs), cells and clamp_count, or the tool stops with exit code 1. It prints the
+microseconds per agent-step of World.step for each side, and the change/parent
+ratio, for each strategy.
 Only the step calls are timed: building the worlds is not.
 """
 
@@ -27,6 +28,7 @@ from pathlib import Path
 
 CHUNK = 20  # steps a side takes before the other side's turn
 ALL = ("rb", "ldr_random", "ldr_repulsive", "pm", "sons_bs", "sons_rw")
+STATE = ("step_count", "visits", "xs", "ys", "hs", "cells", "clamp_count")  # World fields both sides must end equal on
 
 
 def load(checkout: Path, name: str):
@@ -66,11 +68,9 @@ def measure(harnesses, strategy: str, seed: int) -> tuple[list[float], int]:
             seconds[side] += advance(worlds[side], CHUNK)
         turn = 1 - turn
     parent, change = worlds
-    if parent.step_count != change.step_count or parent.visits != change.visits:
-        raise SystemExit(
-            f"{strategy} seed {seed}: the checkouts disagree "
-            f"({parent.step_count} and {change.step_count} steps, or their visit grids)"
-        )
+    differ = [name for name in STATE if getattr(parent, name) != getattr(change, name)]
+    if differ:
+        raise SystemExit(f"{strategy} seed {seed}: the checkouts disagree on {', '.join(differ)}")
     return seconds, parent.step_count * len(parent.agents)
 
 
