@@ -151,47 +151,37 @@ _COMPASS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)
 class PheromoneField:
     """Per-cell pheromone with fixed deposits and unit-per-step evaporation.
 
-    Evaporation is applied lazily: each cell stores its level at the step it
-    was last written and reads subtract the steps elapsed since, floored at
+    Evaporation is applied lazily: each cell stores the step at which its
+    level runs out, so its level at step s is that step minus s, floored at
     zero. Observationally identical to decrementing every cell once per step.
 
-    The levels live in plain lists over the arena's grid widened by one cell
-    on every side. Nothing deposits in that border, so a read one cell past
-    the arena's edge lands there and reads zero without a bounds check.
-    Every stored value is an integer-valued double, so the arithmetic is exact.
+    The run-out steps live in one plain list over the arena's grid widened by
+    one cell on every side. Nothing deposits in that border, so a read one cell
+    past the arena's edge lands there and reads zero without a bounds check.
+    Every stored value is an integer-valued double below 2**53, so the arithmetic is exact.
     """
 
     def __init__(self, arena: ArenaSpec):
-        # Instance attributes, not class attributes: the reads below look them
-        # up on every pheromone sense, and the instance lookup is the faster one.
         self.deposit_amount = 5000.0
-        self.evaporation_rate = 1.0
-        self._cols = arena.cols
-        stride = arena.cols + 2
-        size = stride * (arena.rows + 2)
-        self._level = [0.0] * size
-        self._stamp = [0] * size
+        cols = arena.cols
+        stride = cols + 2
+        self._until = [0.0] * (stride * (arena.rows + 2))
+        # Padded-list slot of each grid cell, by row-major flat index.
+        self._slots = [idx + 2 * (idx // cols) + stride + 1 for idx in range(arena.cell_count)]
         # Slot offsets of the ahead, left and right cells for each compass index.
         offsets = [dx + dy * stride for dx, dy in _COMPASS]
         self._sense_offsets = tuple(
             (offsets[k], offsets[(k + 1) % 8], offsets[(k - 1) % 8]) for k in range(8)
         )
 
-    def _slot(self, idx: int) -> int:
-        """Padded-list slot of the grid cell at row-major flat index idx."""
-        cols = self._cols
-        return idx + 2 * (idx // cols) + cols + 3
-
-    def _read(self, slot: int, step: int) -> float:
-        raw = self._level[slot] - self.evaporation_rate * (step - self._stamp[slot])
-        return raw if raw > 0.0 else 0.0
-
     def deposit(self, idx: int, step: int) -> None:
-        # The deposit lands before this step's evaporation tick.
-        slot = self._slot(idx)
-        value = self._read(slot, step - 1) + self.deposit_amount - self.evaporation_rate
-        self._level[slot] = value if value > 0.0 else 0.0
-        self._stamp[slot] = step
+        # The deposit lands before this step's evaporation tick: the level after
+        # step - 1, plus the deposit, less this step's tick of one, runs out
+        # deposit_amount steps after the later of the old run-out and step - 1.
+        slot = self._slots[idx]
+        until = self._until
+        ends = until[slot]
+        until[slot] = (ends if ends > step - 1 else step - 1) + self.deposit_amount
 
 
 def compass_index(heading: float) -> int:
@@ -208,10 +198,13 @@ def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
     """
     if cell < 0:
         return (0.0, 0.0, 0.0)
-    center = field._slot(cell)
-    ahead, left, right = field._sense_offsets[compass_index(heading)]
-    read = field._read
-    return (read(center + ahead, step), read(center + left, step), read(center + right, step))
+    center = field._slots[cell]
+    to_ahead, to_left, to_right = field._sense_offsets[compass_index(heading)]
+    until = field._until
+    ahead = until[center + to_ahead] - step
+    left = until[center + to_left] - step
+    right = until[center + to_right] - step
+    return (ahead if ahead > 0.0 else 0.0, left if left > 0.0 else 0.0, right if right > 0.0 else 0.0)
 
 
 class Senses(NamedTuple):

@@ -2,18 +2,31 @@
 
 Each is written once: the formation monitor of a sons_rw run, the check of
 one sons_rw crossing target, the inside-the-arena and inward-heading checks,
-and the pairing of each reaction with its agent's quiet window. Nothing in
-the package uses them.
+the pairing of each reaction with its agent's quiet window, and the
+whole-grid check of the pheromone sense against its bounds-checked
+reference. Nothing in the package uses them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 
+import numpy as np
+
+from oracles import flat_index, pheromone_level, pm_sense_reference
 from sweepsim.arena import ArenaSpec
 from sweepsim.harness import ExperimentConfig, build_world
-from sweepsim.world import SimConfig
+from sweepsim.world import PheromoneField, SimConfig, pm_sense
+
+# The 8 compass headings, the 22.5 degree rounding boundaries between them,
+# and the nearest floats either side of each.
+SENSE_HEADINGS = [
+    h
+    for boundary in (j * math.pi / 8.0 for j in range(16))
+    for h in (math.nextafter(boundary, -math.inf), boundary, math.nextafter(boundary, math.inf))
+]
 
 
 def inside_arena(world) -> bool:
@@ -131,3 +144,24 @@ def reactions_with_windows(world, kind, steps=None):
             world.step()
             pair(world)
     return paired
+
+
+def pm_sense_mismatches(arena: ArenaSpec, seed: int) -> list:
+    """Sense every cell of a seeded field at each of SENSE_HEADINGS; return each
+    (cell, heading) at which pm_sense and pm_sense_reference disagree.
+
+    The field takes 3000 deposits at random cells over steps 1 to 7999 and is
+    read at step 8000, so some cells hold pheromone and some have run out.
+    """
+    rng = np.random.default_rng(seed)
+    field = PheromoneField(arena)
+    for step in np.sort(rng.integers(1, 8000, size=3000)):
+        field.deposit(int(rng.integers(arena.cell_count)), int(step))
+    level = partial(pheromone_level, field)
+    return [
+        (cell, heading)
+        for cell in ((col, row) for row in range(arena.rows) for col in range(arena.cols))
+        for heading in SENSE_HEADINGS
+        if pm_sense(field, 8000, flat_index(cell, arena), heading)
+        != pm_sense_reference(level, 8000, cell, heading, arena)
+    ]

@@ -261,7 +261,8 @@ def pm_probabilities(ahead, left, right) -> tuple[Fraction, Fraction, Fraction]:
 
 def pheromone_level(field: PheromoneField, idx: int, step: int) -> float:
     """One cell's pheromone level at a step, by its row-major index."""
-    return field._read(field._slot(idx), step)
+    level = field._until[field._slots[idx]] - step
+    return level if level > 0.0 else 0.0
 
 
 def pm_sense_reference(
@@ -288,12 +289,9 @@ def pm_sense_reference(
     return tuple(out)
 
 
-def pheromone_snapshot(field: PheromoneField, arena: ArenaSpec, step: int) -> np.ndarray:
+def pheromone_snapshot(field: PheromoneField, step: int) -> np.ndarray:
     """The whole field as of the end of the given step, in grid (row-major) order."""
-    slots = [field._slot(idx) for idx in range(arena.cell_count)]
-    level = np.asarray(field._level)[slots]
-    stamp = np.asarray(field._stamp)[slots]
-    return np.maximum(level - field.evaporation_rate * (step - stamp), 0.0)
+    return np.maximum(np.asarray(field._until)[field._slots] - step, 0.0)
 
 
 def place_decentralized_reference(

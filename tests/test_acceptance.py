@@ -221,11 +221,11 @@ def test_c6_field_nonnegative_over_full_run(sweep):
 
     def check(w):
         nonlocal ok
-        if w.step_count % 500 == 0 and (pheromone_snapshot(w.pheromone, w.arena, w.step_count) < 0.0).any():
+        if w.step_count % 500 == 0 and (pheromone_snapshot(w.pheromone, w.step_count) < 0.0).any():
             ok = False
 
     record = world.run(on_step=check)
-    ok = ok and (pheromone_snapshot(world.pheromone, world.arena, world.step_count) >= 0.0).all()
+    ok = ok and (pheromone_snapshot(world.pheromone, world.step_count) >= 0.0).all()
     assert _report(
         "C6 pheromone: field non-negative over a full PM run",
         ok and record.complete,

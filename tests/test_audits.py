@@ -12,11 +12,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from audits import AuditRW, crossing_target_ok, faces_inward, inside_arena, reactions_with_windows
+from audits import (
+    AuditRW,
+    crossing_target_ok,
+    faces_inward,
+    inside_arena,
+    pm_sense_mismatches,
+    reactions_with_windows,
+)
 from sweepsim.arena import EDGE_NORMALS, ArenaSpec
 from sweepsim.harness import ExperimentConfig, build_world
 from sweepsim.sons import CrossingEvent
-from sweepsim.world import SimConfig
+from sweepsim.world import SimConfig, pm_sense
 
 CENTRED = ArenaSpec(side_length=20.0, region_size=10.0)
 OFF_CENTRE = ArenaSpec(side_length=20.0, center=(7.0, -3.0), region_size=10.0)
@@ -142,3 +149,14 @@ class TestReactionsWithWindows:
     def test_run_to_completion_pairs_as_stepping_does(self):
         stepped = reactions_with_windows(_ldr_world(600), "density", 600)
         assert stepped and reactions_with_windows(_ldr_world(600), "density") == stepped
+
+
+class TestPmSenseMismatches:
+    # The cases it must pass are test_decentralized.py::TestPmSense's and test_world.py::TestRectangle's.
+    def test_a_sense_with_left_and_right_swapped_shows(self, monkeypatch):
+        def swapped(field, step, cell, heading):
+            ahead, left, right = pm_sense(field, step, cell, heading)
+            return (ahead, right, left)
+
+        monkeypatch.setattr("audits.pm_sense", swapped)
+        assert pm_sense_mismatches(OFF_CENTRE, seed=8)

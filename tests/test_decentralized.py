@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from audits import faces_inward, inside_arena, reactions_with_windows
+from audits import faces_inward, inside_arena, pm_sense_mismatches, reactions_with_windows
 from oracles import (
     cw_distance,
     flat_index,
@@ -48,13 +47,6 @@ from sweepsim.world import HOLD, AgentState, SimConfig, Unicycle, World, agent_s
 ARENA = ArenaSpec()
 SMALL = ArenaSpec(side_length=3.0, region_size=1.0)  # 3 x 3 cells: one interior, four edges, four corners
 HALF_METRE = ArenaSpec(side_length=20.0, cell_size=0.5, center=(7.0, -3.0), region_size=10.0)
-# The 8 compass headings, the 22.5 degree rounding boundaries between them,
-# and the nearest floats either side of each.
-SENSE_HEADINGS = [
-    h
-    for boundary in (j * math.pi / 8.0 for j in range(16))
-    for h in (math.nextafter(boundary, -math.inf), boundary, math.nextafter(boundary, math.inf))
-]
 RB = RbParams()
 
 
@@ -189,16 +181,16 @@ class TestPheromoneField:
         field = PheromoneField(SMALL)
         field.deposit(2, step=1)
         field.deposit(5, step=4)
-        snap = pheromone_snapshot(field, SMALL, step=9)
+        snap = pheromone_snapshot(field, step=9)
         for idx in range(SMALL.cell_count):
             assert snap[idx] == pytest.approx(pheromone_level(field, idx, step=9))
 
     def test_decreases_by_exactly_one_per_step(self):
         field = PheromoneField(SMALL)
         field.deposit(3, step=2)
-        previous = pheromone_snapshot(field, SMALL, step=2)
+        previous = pheromone_snapshot(field, step=2)
         for step in range(3, 5010):
-            current = pheromone_snapshot(field, SMALL, step)
+            current = pheromone_snapshot(field, step)
             assert (current >= 0.0).all()
             expected = np.maximum(previous - 1.0, 0.0)
             assert np.array_equal(current, expected)
@@ -209,9 +201,7 @@ class TestPmSense:
     def make_field_with(self, cells, value=100.0, step=1):
         field = PheromoneField(ARENA)
         for cell in cells:
-            slot = field._slot(flat_index(cell, ARENA))
-            field._level[slot] = value
-            field._stamp[slot] = step
+            field._until[field._slots[flat_index(cell, ARENA)]] = step + value
         return field
 
     def test_nearly_east_heading_reads_compass_neighbors(self):
@@ -239,29 +229,18 @@ class TestPmSense:
 
     @pytest.mark.parametrize("arena", [ARENA, HALF_METRE], ids=["default", "half_metre_off_centre"])
     def test_matches_bounds_checked_reference(self, arena):
-        rng = np.random.default_rng(8)
-        field = PheromoneField(arena)
-        for step in np.sort(rng.integers(1, 8000, size=3000)):
-            field.deposit(int(rng.integers(arena.cell_count)), int(step))
-        level = partial(pheromone_level, field)
-        for row in range(arena.rows):
-            for col in range(arena.cols):
-                idx = flat_index((col, row), arena)
-                for heading in SENSE_HEADINGS:
-                    assert pm_sense(field, 8000, idx, heading) == pm_sense_reference(
-                        level, 8000, (col, row), heading, arena
-                    ), (col, row, heading)
+        assert pm_sense_mismatches(arena, seed=8) == []
 
     def test_border_slots_stay_zero_over_a_pm_run(self):
         world, _ = short_world("pm", seed=1, max_steps=3000, collect=False)
         for _ in range(3000):
             world.step()
         field = world.pheromone
-        inside = {field._slot(idx) for idx in range(ARENA.cell_count)}
-        border = [slot for slot in range(len(field._level)) if slot not in inside]
+        inside = set(field._slots)
+        border = [slot for slot in range(len(field._until)) if slot not in inside]
         assert len(border) == 4 * ARENA.cols + 4
-        assert all(field._level[slot] == 0.0 and field._stamp[slot] == 0 for slot in border)
-        assert any(field._level[slot] > 0.0 for slot in inside)
+        assert all(field._until[slot] == 0.0 for slot in border)
+        assert any(field._until[slot] > 0.0 for slot in inside)
 
 
 class EagerPheromone:
@@ -293,19 +272,25 @@ DEPOSIT_SCHEDULES = st.lists(
 )
 
 
+# The step at which the schedule and the eager model begin: a run's first step,
+# or one far from step 0, so the field's stored steps pass 2**31 or 2**40.
+START_STEPS = st.sampled_from([1, 2**31, 2**40])
+
+
 @settings(max_examples=30, deadline=None)
-@given(DEPOSIT_SCHEDULES)
-def test_lazy_evaporation_matches_eager_model(schedule):
+@given(START_STEPS, DEPOSIT_SCHEDULES)
+@example(2**40, [(0, 4, 1), (5000, 4, 1)])  # the first deposit runs out the step before the second
+def test_lazy_evaporation_matches_eager_model(start, schedule):
     field = PheromoneField(SMALL)
     eager = EagerPheromone(SMALL.cell_count)
     due: dict[int, list[int]] = {}
-    step = 1
+    step = start
     for gap, idx, copies in schedule:
         step += gap
         due.setdefault(step, []).extend([idx] * copies)
     cells = [(col, row) for row in range(SMALL.rows) for col in range(SMALL.cols)]
     last = step + 5002
-    for step in range(1, last + 1):
+    for step in range(start, last + 1):
         for idx in due.get(step, ()):
             field.deposit(idx, step)
             eager.deposit(idx)
@@ -640,7 +625,7 @@ class TestPmRunState:
         for _ in range(1200):
             world.step()
             if world.step_count % 100 == 0:
-                assert (pheromone_snapshot(world.pheromone, world.arena, world.step_count) >= 0.0).all()
+                assert (pheromone_snapshot(world.pheromone, world.step_count) >= 0.0).all()
 
 
 # Offsets that put a pair exactly at a range: 2.5 m is the medium range, 5 m

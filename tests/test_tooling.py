@@ -128,7 +128,7 @@ def test_only_the_world_reads_the_pheromone_layout():
         name for name in (*vars(PheromoneField), *vars(PheromoneField(ArenaSpec())))
         if name.startswith("_") and not name.startswith("__")
     }
-    assert {"_slot", "_read", "_sense_offsets"} <= private
+    assert {"_slots", "_until", "_sense_offsets"} <= private
     found = [
         f"{path.name}:{node.lineno}: .{node.attr}"
         for path in sorted((ROOT / "src" / "sweepsim").glob("*.py"))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audits import pm_sense_mismatches
 from oracles import (
     RefAgent,
     RefCoverage,
@@ -734,11 +735,14 @@ class TestRectangle:
         top = range(RECT.cell_count - RECT.cols, RECT.cell_count)
         for idx in top:
             field.deposit(idx, 1)
-        assert len(field._level) == 42 * 22  # the grid and its one-cell border
+        assert len(field._until) == 42 * 22  # the grid and its one-cell border
         north = math.pi / 2.0
         for idx in top:
             assert pm_sense(field, 1, idx, north) == (0.0, 0.0, 0.0)
             assert pm_sense(field, 1, idx - RECT.cols, north)[0] > 0.0
+
+    def test_pm_sense_matches_bounds_checked_reference(self):
+        assert pm_sense_mismatches(RECT, seed=8) == []
 
     def test_rb_stays_inside_without_clamping(self):
         world = build_world(ExperimentConfig(strategy="rb", runs=1, arena=RECT), seed=3, collect_events=True)
