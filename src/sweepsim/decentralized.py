@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import (
+    TWO_PI,
     interior_arcs,
     sample_arcs,
     subtract_arc,
@@ -276,6 +277,7 @@ class DecentralizedController:
         self.turn_target = [0.0] * n
         self.turn_dir = [0.0] * n  # +1.0 or -1.0 while turning, 0.0 while cruising
         self.turn_quiet = [0] * n  # the window the current turn opens when it ends
+        self.spin_until = [0] * n  # the current turn's last step that is certain to be a full spin
         self.quiet_until = [0] * n  # the add-on's last quiet step
         # Upper-triangle pairs (i < j) in row-major order, so a scan over them
         # meets pairs in the same order as a loop over i, then j > i.
@@ -283,7 +285,7 @@ class DecentralizedController:
         # Avoidance candidates (i, j) and the steps they are complete for.
         self._pairs: list[tuple[int, int]] = []
         self._pairs_from, self._pairs_until = 1, 0
-        self.arena, self.center, self.dt = arena, arena.center, cfg.dt
+        self.arena, self.dt = arena, cfg.dt
         self.step_len = step_len = cfg.step_length
         # The steps a candidate list stays complete for; the margin covers the rounding of the moves.
         self._pairs_life = int((SKIN - 1e-9) / (2.0 * step_len))
@@ -292,23 +294,36 @@ class DecentralizedController:
         turn_rate = cfg.turn_rate_default
         self.cruise = Unicycle(cfg.target_sampling_velocity, 0.0)
         self.spins = (Unicycle(0.0, turn_rate), Unicycle(0.0, -turn_rate))  # counterclockwise, clockwise
-        self.last_turn = turn_rate * cfg.dt + 1e-12  # the most a turn's final step covers
+        self.spin = turn_rate * cfg.dt  # the angle World.step adds to a heading on a spin
+        self.last_turn = self.spin + 1e-12  # the most a turn's final step covers
+        self.spin_ulps = math.ulp(TWO_PI) / self.spin  # one rounding of a heading, in spins
         # avoidance_turn dodges only an offset inside the wider half-cone (at
         # most pi): its projection on the heading is at least the cone's cosine
         # times dist, less rounding. Under 1e-150 m, where dd may be subnormal, all pass.
         self.ahead = math.cos(min(math.pi, max(rb.short_fov, rb.medium_fov) / 2.0)) - 1e-9
+        # The box where no wall is in reach, (xlo, xhi, ylo, yhi): strictly inside it the lookahead
+        # ends at least boundary_trigger inside every edge, so rounding never makes a constraint.
         reach = rb.boundary_trigger + step_len
-        self.clear = tuple(h - reach for h in arena.half_extents)  # the largest offsets with no wall in reach
+        (x0, y0), (x1, y1) = arena.min_corner, arena.max_corner
+        self.clear = (x0 + reach, x1 - reach, y0 + reach, y1 - reach)
 
     def _react(self, i: int, now: int, kind: str, heading: float, direction=0.0, target=0.0, quiet=0, **detail):
         """Agent i, flying at heading, reacts at step now: the reaction is logged when there is a log,
-        and a non-zero direction starts the turn to target that opens quiet when it ends."""
+        and a non-zero direction starts the turn to target that opens quiet when it ends.
+
+        decide spins the turn up to spin_until without reading the heading: the spins certain to
+        leave more than last_turn to go. World.step's sum and wrap, and each turn_remaining
+        reading, round by at most one ulp of 2 pi, so the count keeps one per spin, and eight more, in hand.
+        """
         if self.events is not None:
             self.events.append(ReactionEvent(now, i, kind, heading, target if direction else None, **detail))
         if direction:
             self.turn_target[i] = target
             self.turn_dir[i] = direction
             self.turn_quiet[i] = quiet
+            spins = (turn_remaining(heading, target, direction) - self.last_turn) / self.spin
+            spins -= (spins + 8.0) * self.spin_ulps
+            self.spin_until[i] = now + math.ceil(spins) if spins > 0.0 else now
 
     # -- the step -------------------------------------------------------------
 
@@ -358,38 +373,39 @@ class DecentralizedController:
         if n != len(self.turn_dir):
             raise ValueError(f"controller built for {len(self.turn_dir)} agents, world has {n}")
         rb, arena, dt, step_len = self.rb, self.arena, self.dt, self.step_len
-        ahead, last_turn, (cx, cy), (clear_x, clear_y) = self.ahead, self.last_turn, self.center, self.clear
-        cruise, (spin_ccw, spin_cw), ldr = self.cruise, self.spins, self.ldr
-        turn_dir, turn_target, quiet_until = self.turn_dir, self.turn_target, self.quiet_until
+        ahead, last_turn, (xlo, xhi, ylo, yhi) = self.ahead, self.last_turn, self.clear
+        (spin_ccw, spin_cw), ldr = self.spins, self.ldr
+        turn_dir, turn_target, spin_until, quiet_until = self.turn_dir, self.turn_target, self.spin_until, self.quiet_until
         near = self.neighbours(xs, ys, step)
         rows = None  # LDR density, built when the first agent asks
-        moves: list[Unicycle] = []
+        moves = [self.cruise] * n  # a cruising agent's command is already in place
         for i in range(n):
             direction = turn_dir[i]
             if direction:
-                remaining = turn_remaining(hs[i], turn_target[i], direction)
-                if remaining <= last_turn:
-                    moves.append(Unicycle(0.0, direction * remaining / dt))
-                    turn_dir[i] = 0.0
-                    quiet_until[i] = step + self.turn_quiet[i]
-                else:
-                    moves.append(spin_ccw if direction > 0 else spin_cw)
+                if step > spin_until[i]:
+                    remaining = turn_remaining(hs[i], turn_target[i], direction)
+                    if remaining <= last_turn:
+                        moves[i] = Unicycle(0.0, direction * remaining / dt)
+                        turn_dir[i] = 0.0
+                        quiet_until[i] = step + self.turn_quiet[i]
+                        continue
+                moves[i] = spin_ccw if direction > 0 else spin_cw
                 continue
 
             x = xs[i]
             y = ys[i]
-            h = hs[i]
 
             # Boundary reflection: react when sitting in the trigger band with
             # an outward heading, or when this step's straight move would exit
             # (one tick covers twice the trigger band, so the lookahead is what
-            # keeps agents inside without ever clamping). Only an agent with a wall in reach looks.
-            trigger = False
-            if not (x - cx < clear_x and cx - x < clear_x and y - cy < clear_y and cy - y < clear_y):
+            # keeps agents inside without ever clamping). Only an agent outside the clear box looks.
+            if not (xlo < x < xhi and ylo < y < yhi):
+                h = hs[i]
                 cos_h = math.cos(h)
                 sin_h = math.sin(h)
                 nx = x + step_len * cos_h
                 ny = y + step_len * sin_h
+                trigger = False
                 constraints = []
                 for n_vec, dist_now, dist_next in zip(
                     EDGE_NORMALS, edge_distances(x, y, arena), edge_distances(nx, ny, arena)
@@ -399,35 +415,36 @@ class DecentralizedController:
                         outward = cos_h * n_vec[0] + sin_h * n_vec[1] <= 0.0
                         if dist_next < 0.0 or (dist_now <= rb.boundary_trigger and outward):
                             trigger = True
-            if trigger:
-                target = boundary_escape_heading(h, constraints, self.rngs[i], rb.reciprocal_exclusion)
-                self._react(i, step, "boundary", h, turn_direction(h, target), target, self.avoid_quiet,
-                            normals=tuple(constraints))
-                moves.append(HOLD)
-                continue
+                if trigger:
+                    target = boundary_escape_heading(h, constraints, self.rngs[i], rb.reciprocal_exclusion)
+                    self._react(i, step, "boundary", h, turn_direction(h, target), target, self.avoid_quiet,
+                                normals=tuple(constraints))
+                    moves[i] = HOLD
+                    continue
 
             # Obstacle avoidance, short range before medium.
             row = near[i]
-            dodge = None
             if row:
+                h = hs[i]
                 cos_h, sin_h = math.cos(h), math.sin(h)
+                dodge = None
                 for dx, dy, dist in row:
                     if dx * cos_h + dy * sin_h >= ahead * dist or dist < 1e-150:
                         dodge = avoidance_turn(h, row, rb, self.rngs[i])
                         break
-            if dodge is not None:
-                target, direction, tier = dodge
-                self._react(i, step, "avoid_" + tier, h, direction, target, self.avoid_quiet)
-                moves.append(HOLD)
-                continue
+                if dodge is not None:
+                    target, direction, tier = dodge
+                    self._react(i, step, "avoid_" + tier, h, direction, target, self.avoid_quiet)
+                    moves[i] = HOLD
+                    continue
 
             # Strategy add-on, only outside its quiet window.
             if ldr is not None and step > quiet_until[i]:
                 if rows is None:
                     rows = self.density(xs, ys)
                 if not rows.notified(i):
-                    moves.append(cruise)
                     continue
+                h = hs[i]
                 if ldr.repulsive:
                     target = repulsive_escape([(xs[j] - x, ys[j] - y) for j in rows[i]])
                     direction = 0.0 if target is None else turn_direction(h, target)
@@ -437,14 +454,14 @@ class DecentralizedController:
                     direction = -1.0
                 self._react(i, step, "density", h, direction, target, self.react_quiet)
                 if direction:
-                    moves.append(HOLD)
+                    moves[i] = HOLD
                 else:
                     # Perfectly centered neighbors: hold heading, still back off.
                     quiet_until[i] = step + self.react_quiet
-                    moves.append(cruise)
                 continue
 
             if pheromone is not None and step > quiet_until[i]:
+                h = hs[i]
                 readings = pm_sense(pheromone, step - 1, cells[i], h)
                 outcome = pm_choose(readings, self.rngs[i])
                 if outcome != "no_reaction":
@@ -452,10 +469,7 @@ class DecentralizedController:
                     target = wrap_angle(h + direction * self.addon.turn_angle)
                     self._react(i, step, "pheromone", h, direction, target, self.react_quiet, outcome=outcome)
                     if direction:
-                        moves.append(HOLD)
-                        continue
-
-            moves.append(cruise)
+                        moves[i] = HOLD
         return moves
 
 

@@ -342,23 +342,23 @@ class World:
                     if not 0.0 < h < TWO_PI:  # a zero too, so -0.0 is stored as 0.0
                         h = wrap_angle(h)
                     hs[i] = h
-                if speed == 0.0 and step_idx != 1:
-                    # Turning or holding in place: cells[i] is already this
-                    # cell, so no visit can be credited. On step 1 it is
-                    # still -1 and the start cell must be scored.
-                    continue
-                x = xs[i]
-                y = ys[i]
-                if speed != 0.0:
+                if speed:
                     step = cruise[i]
                     if step[0] is not h or step[1] is not speed:
                         step = cruise[i] = (h, speed, speed * dt * math.cos(h), speed * dt * math.sin(h))
-                    x += step[2]
-                    y += step[3]
+                    x = xs[i] + step[2]
+                    y = ys[i] + step[3]
                     if not (minx <= x <= maxx and miny <= y <= maxy):
                         x = minx if x < minx else (maxx if x > maxx else x)
                         y = miny if y < miny else (maxy if y > maxy else y)
                         self.clamp_count += 1
+                elif step_idx != 1:
+                    # Turning or holding in place: cells[i] is already this
+                    # cell, so no visit can be credited. On step 1 it is
+                    # still -1 and the start cell must be scored.
+                    continue
+                else:
+                    x, y = xs[i], ys[i]
             xlo, xhi, ylo, yhi = boxes[cells[i]]
             if not (xlo <= x < xhi and ylo <= y < yhi):  # else the mapping gives cells[i] again
                 if minx <= x <= maxx and miny <= y <= maxy:
@@ -390,11 +390,12 @@ class World:
 
     def run(self, on_step: Callable[["World"], None] | None = None) -> RunRecord:
         """Step until full coverage or the step budget runs out."""
-        cell_count = self.arena.cell_count
+        cell_count, max_steps, step = self.arena.cell_count, self.cfg.max_steps, self.step
         coverage: list[float] = []
-        while self.visited_count < cell_count and self.step_count < self.cfg.max_steps:
-            self.step()
-            coverage.append(self.visited_count / cell_count)
+        covered = coverage.append
+        while self.visited_count < cell_count and self.step_count < max_steps:
+            step()
+            covered(self.visited_count / cell_count)
             if on_step is not None:
                 on_step(self)
         cct = self.step_count if self.visited_count == cell_count else None

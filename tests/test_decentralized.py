@@ -23,7 +23,7 @@ from oracles import (
     pm_sense_reference,
 )
 from sweepsim import decentralized
-from sweepsim.angles import ccw_distance, wrap_angle
+from sweepsim.angles import TWO_PI, ccw_distance, turn_remaining, wrap_angle
 from sweepsim.arena import ArenaSpec
 from sweepsim.decentralized import (
     ADD_ON,
@@ -914,6 +914,67 @@ def test_shared_commands_are_built_once(monkeypatch):
     assert ends > 0
     assert len(built) == 3 + ends
     assert sorted(built[:3]) == [(0.0, -math.pi / 6.0), (0.0, math.pi / 6.0), (1.0, 0.0)]
+
+
+def spin_once(heading, rate, dt):
+    """A turning agent's heading after one World.step: the sum, then the wrap outside (0, 2 pi)."""
+    heading += rate * dt
+    if not 0.0 < heading < TWO_PI:
+        heading = wrap_angle(heading)
+    return heading
+
+
+def turn_end(controller, heading, target, direction, checked_from):
+    """The step a turn begun at step 0 ends at, and its last rate, when decide reads
+    turn_remaining from step checked_from on and spins before it; each spin before it must
+    leave more than last_turn to go."""
+    rate, dt, last_turn = direction * controller.spins[0].angular_rate, controller.dt, controller.last_turn
+    for step in range(1, 10_000):
+        remaining = turn_remaining(heading, target, direction)
+        if step < checked_from:
+            assert remaining > last_turn, (step, remaining)
+        elif remaining <= last_turn:
+            return step, direction * remaining / dt
+        heading = spin_once(heading, rate, dt)
+    raise AssertionError("the turn did not end")
+
+
+@st.composite
+def turns(draw):
+    """A spin envelope, and a turn's heading, direction and target. The angle to turn is the
+    last step's reach plus some whole spins, plus a fraction of one or nudged a few ulps either
+    side of the whole number, so counts near the spin boundary are drawn; a heading on either
+    side of the 0 / 2 pi wrap sends the target across it."""
+    rate = draw(st.floats(1e-6, 1e3))
+    dt = draw(st.one_of(st.sampled_from([0.05, 0.1, 1.0]), st.floats(1e-3, 1.0)))  # 1 s: a cruise step fills a cell
+    cfg = SimConfig(dt=dt, turn_rate_default=rate)
+    heading = draw(st.one_of(
+        st.sampled_from([0.0, math.ulp(0.0), 1e-12, math.nextafter(TWO_PI, 0.0), TWO_PI - 1e-12]),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+    ))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    spin = rate * dt
+    spins = draw(st.integers(0, 300)) + draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    angle = spin + 1e-12 + spins * spin + draw(st.integers(-64, 64)) * math.ulp(TWO_PI)
+    if not 0.0 <= angle < TWO_PI:  # a spin this long ends any turn within a few hundred steps
+        angle = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    return cfg, heading, direction, wrap_angle(heading + direction * angle)
+
+
+@settings(max_examples=500, deadline=None)
+@given(turns())
+@example((SimConfig(), 0.0, -1.0, math.radians(300.0)))
+@example((SimConfig(), math.nextafter(TWO_PI, 0.0), 1.0, math.radians(60.0)))
+def test_a_turn_spins_without_reading_the_heading_only_where_it_must_spin(turn):
+    # decide spins a turning agent without turn_remaining through spin_until; the turn
+    # must end on the step, and with the rate, that reading it on every step gives.
+    cfg, heading, direction, target = turn
+    controller = DecentralizedController("rb", spawns([(0.0, 0.0)]), ARENA, cfg)
+    controller._react(0, 0, "boundary", heading, direction, target)
+    certain = controller.spin_until[0]
+    assert turn_end(controller, heading, target, direction, certain + 1) == turn_end(
+        controller, heading, target, direction, 1
+    )
 
 
 # Offsets on avoidance's edges: the 30 and 45 degree half-cones either side,

@@ -28,7 +28,7 @@ from oracles import (
 from sweepsim import world as world_module
 from sweepsim.angles import TWO_PI, wrap_angle
 from sweepsim.arena import ArenaSpec, cell_boxes, edge_distances, edges_outside
-from sweepsim.decentralized import PheromoneField, pm_sense
+from sweepsim.decentralized import DecentralizedController, PheromoneField, pm_sense
 from sweepsim.harness import ExperimentConfig, PlacementSpec, build_world, place_decentralized
 from sweepsim.metrics import RunRecord, block_uniformities, uniformity
 from sweepsim.sons import SonsFormation, follow_formation, make_sons_controller
@@ -779,6 +779,32 @@ class TestRectangle:
 
 
 OFF_CENTRE_HALF_METRE = ArenaSpec(side_length=20.0, cell_size=0.5, center=(7.0, -3.0), region_size=10.0)
+
+
+@pytest.mark.parametrize("arena", [ARENA, RECT, OFF_CENTRE_HALF_METRE], ids=["default", "rect", "off_centre"])
+def test_no_position_the_clear_box_passes_has_a_wall_in_reach(arena):
+    # decide skips the boundary check strictly inside DecentralizedController.clear. Probe each
+    # box edge and one ulp either side of it, by the centre and the other edges, at the 8 compass
+    # headings: wherever the box calls a position clear, the full check finds no constraint.
+    controller = DecentralizedController("rb", [AgentState(0, arena.center, 0.0, 1.5)], arena, CFG)
+    xlo, xhi, ylo, yhi = controller.clear
+    trigger, step_len = controller.rb.boundary_trigger, controller.step_len
+
+    def around(v):
+        return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+    (cx, cy), clear = arena.center, 0
+    for x in (*around(xlo), cx, *around(xhi)):
+        for y in (*around(ylo), cy, *around(yhi)):
+            if not (xlo < x < xhi and ylo < y < yhi):
+                continue
+            clear += 1
+            for k in range(8):
+                h = k * math.pi / 4.0
+                nx, ny = x + step_len * math.cos(h), y + step_len * math.sin(h)
+                for dist_now, dist_next in zip(edge_distances(x, y, arena), edge_distances(nx, ny, arena)):
+                    assert not (dist_now <= trigger or dist_next < 0.0), (x, y, h)
+    assert clear == 9  # one ulp inside each edge, and the centre, on both axes
 
 
 def grid_line_scene(arena):

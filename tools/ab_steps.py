@@ -12,7 +12,9 @@ reaches full coverage or the step budget. A drift in host speed then lands
 on both sides alike, which back-to-back benchmark windows do not ensure.
 
 Both sides must end with the same step count, visit grid, live pose (xs, ys,
-hs), cells and clamp_count, or the tool stops with exit code 1. It prints the
+hs), cells and clamp_count, and with the same controller turn state (turn_dir,
+turn_target, turn_quiet, quiet_until) wherever both controllers keep it, or
+the tool stops with exit code 1. It prints the
 microseconds per agent-step of World.step for each side, and the change/parent
 ratio, for each strategy.
 Only the step calls are timed: building the worlds is not.
@@ -29,6 +31,7 @@ from pathlib import Path
 CHUNK = 20  # steps a side takes before the other side's turn
 ALL = ("rb", "ldr_random", "ldr_repulsive", "pm", "sons_bs", "sons_rw")
 STATE = ("step_count", "visits", "xs", "ys", "hs", "cells", "clamp_count")  # World fields both sides must end equal on
+TURN_STATE = ("turn_dir", "turn_target", "turn_quiet", "quiet_until")  # the same, of controllers that keep them
 
 
 def load(checkout: Path, name: str):
@@ -69,6 +72,11 @@ def measure(harnesses, strategy: str, seed: int) -> tuple[list[float], int]:
         turn = 1 - turn
     parent, change = worlds
     differ = [name for name in STATE if getattr(parent, name) != getattr(change, name)]
+    controllers = parent.controller, change.controller
+    differ += [
+        f"controller.{name}" for name in TURN_STATE
+        if all(hasattr(c, name) for c in controllers) and getattr(controllers[0], name) != getattr(controllers[1], name)
+    ]
     if differ:
         raise SystemExit(f"{strategy} seed {seed}: the checkouts disagree on {', '.join(differ)}")
     return seconds, parent.step_count * len(parent.agents)
