@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .arena import ArenaSpec
+from .checks import integer_at_least
 from .harness import STRATEGIES, ExperimentConfig, export, run_experiment
 from .world import SimConfig
 
@@ -76,7 +77,7 @@ def _options(argv) -> argparse.Namespace:
     return args
 
 
-def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> ExperimentConfig:
+def _experiment(args: argparse.Namespace, strategy: str) -> ExperimentConfig:
     return ExperimentConfig(
         strategy=strategy,
         runs=args.runs,
@@ -84,7 +85,7 @@ def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> Experi
         arena=ArenaSpec(side_length=float(args.arena_side)),
         n_uavs=args.uavs,
         sim=SimConfig(dt=float(args.dt), max_steps=args.max_steps),
-        output_dir=out_dir,
+        output_dir=str(Path(args.out) / strategy if args.all else Path(args.out)),
         heatmaps=args.heatmaps,
     )
 
@@ -92,28 +93,22 @@ def _experiment(args: argparse.Namespace, strategy: str, out_dir: str) -> Experi
 def main(argv=None) -> int:
     try:
         args = _options(argv)
+        if args.all and args.strategy:
+            raise ValueError("give --strategy or --all, not both")
+        if not (args.all or args.strategy):
+            raise ValueError("provide --strategy or --all")
+        # A bad option is every strategy's, so it is reported once and nothing runs.
+        configs = [_experiment(args, s) for s in (STRATEGIES if args.all else [args.strategy])]
+        integer_at_least(args, 1, "jobs")
     except SystemExit as exc:  # argparse has printed its help (code 0) or its usage error (2)
         return 1 if exc.code else 0
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.all and args.strategy:
-        print("error: give --strategy or --all, not both", file=sys.stderr)
-        return 1
-    if args.all:
-        strategies = list(STRATEGIES)
-    elif args.strategy:
-        strategies = [args.strategy]
-    else:
-        print("error: provide --strategy or --all", file=sys.stderr)
-        return 1
-
-    out_root = Path(args.out)
     incomplete = failed = 0
-    for strategy in strategies:
-        out_dir = out_root / strategy if args.all else out_root
+    for config in configs:
+        strategy, out_dir = config.strategy, Path(config.output_dir)
         try:
-            config = _experiment(args, strategy, str(out_dir))
             records, summary = run_experiment(config, args.jobs)
             export(records, summary, out_dir, config)
         except Exception as exc:  # noqa: BLE001 - one strategy's failure does not stop the rest

@@ -245,7 +245,7 @@ class World:
     samplers marks the agents at the sampling altitude, which never changes.
     pheromone is the field over the grid a controller asks for, else None; senses holds it and the live pose.
     visits counts visits per flat cell index; visited_count, its non-zero cells.
-    boxes is the arena's cell_boxes; cruise, each agent's last (heading, speed, x step, y step);
+    boxes is the arena's cell_boxes; cruise, each agent's last (command, heading, x step, y step, speed);
     rotated, the last PoseTarget's heading, offsets, their rotated_terms and the heading
     wrapped. frame holds what every step reads of the arena and cfg, derived once: dt,
     cols, cell size, the min and max corners, the last column and row, and the speed cap.
@@ -268,7 +268,7 @@ class World:
         self.pheromone = PheromoneField(arena) if controller.pheromone else None
         self.senses = Senses(self.xs, self.ys, self.hs, self.cells, self.pheromone)
         self.boxes = cell_boxes(arena)
-        self.cruise = [(None, None)] * n  # no heading, speed or offsets is None
+        self.cruise = [(None, None)] * n  # no command or offsets is None
         self.rotated = (None, None, [], None)
         self.samplers = [a.altitude == cfg.sampling_altitude for a in self.agents]
         self.frame = (
@@ -294,17 +294,20 @@ class World:
         sample), the sampling altitude, and then a speed of at most the
         target velocity: the commanded one, or the jump over dt, computed
         only at that point.
-        A unicycle move that would leave the arena ends on its edge and
-        counts in clamp_count. Only here is a position mapped to a cell (its
-        flat index, -1 outside), kept in cells and reported in visit_events
-        as (agent, cell); visits and visited_count count each visit at once,
-        so a later raise leaves them agreeing. After step 1 a zero-speed
-        agent only turns, and its unchanged cell is not mapped or scored.
-        A position in the box of cells[i] is stored unmapped: the boxes are
-        derived from this mapping, which stays the one definition. A move
-        reuses the agent's last step vector while its heading and speed are the very
-        same objects, and a formation its rotated offsets and wrapped heading while
-        its heading and offsets are: identity, unlike ==, never takes -0.0 for 0.0.
+        Only here is a position mapped to a cell (its flat index, -1
+        outside), kept in cells and reported in visit_events as (agent,
+        cell); visits and visited_count count each visit at once, so a later
+        raise leaves them agreeing. After step 1 a zero-speed agent only
+        turns, and its unchanged cell is not mapped or scored. A position in
+        the box of cells[i] is stored unmapped: the boxes are derived from
+        this mapping, which stays the one definition, and all lie in the
+        arena. Only a position outside its box is tested against the arena;
+        a moving unicycle agent outside it ends on its edge and counts in
+        clamp_count. The same command object at the very same heading
+        object as the agent's last straight move adds that move's cached step
+        vector, read without unpacking the command; a turning one keys no reuse. A formation reuses
+        its rotated offsets and wrapped heading while its heading and offsets
+        are the same objects: identity, unlike ==, never takes -0.0 for 0.0.
         """
         dt, cols, cell_size, minx, miny, maxx, maxy, last_col, last_row, speed_cap = self.frame
         xs, ys, hs, cells, samplers = self.xs, self.ys, self.hs, self.cells, self.samplers
@@ -335,32 +338,38 @@ class World:
                 y = by + sox + coy
                 hs[i] = wrapped
             else:
-                speed, rate = motion
                 h = hs[i]
-                if rate or not 0.0 < h < TWO_PI:  # else h + rate * dt is h itself
-                    h += rate * dt
-                    if not 0.0 < h < TWO_PI:  # a zero too, so -0.0 is stored as 0.0
-                        h = wrap_angle(h)
-                    hs[i] = h
-                if speed:
-                    step = cruise[i]
-                    if step[0] is not h or step[1] is not speed:
-                        step = cruise[i] = (h, speed, speed * dt * math.cos(h), speed * dt * math.sin(h))
+                step = cruise[i]
+                if motion is step[0] and h is step[1]:  # a repeated straight command
+                    speed = step[4]
                     x = xs[i] + step[2]
                     y = ys[i] + step[3]
-                    if not (minx <= x <= maxx and miny <= y <= maxy):
-                        x = minx if x < minx else (maxx if x > maxx else x)
-                        y = miny if y < miny else (maxy if y > maxy else y)
-                        self.clamp_count += 1
-                elif step_idx != 1:
-                    # Turning or holding in place: cells[i] is already this
-                    # cell, so no visit can be credited. On step 1 it is
-                    # still -1 and the start cell must be scored.
-                    continue
                 else:
-                    x, y = xs[i], ys[i]
+                    speed, rate = motion
+                    if rate or not 0.0 < h < TWO_PI:  # else h + rate * dt is h itself
+                        h += rate * dt
+                        if not 0.0 < h < TWO_PI:  # a zero too, so -0.0 is stored as 0.0
+                            h = wrap_angle(h)
+                        hs[i] = h
+                        motion = None  # a turned heading keys no reuse
+                    if speed:
+                        step = cruise[i] = (motion, h, speed * dt * math.cos(h), speed * dt * math.sin(h), speed)
+                        x = xs[i] + step[2]
+                        y = ys[i] + step[3]
+                    elif step_idx != 1:
+                        # Turning or holding in place: cells[i] is already this
+                        # cell, so no visit can be credited. On step 1 it is
+                        # still -1 and the start cell must be scored.
+                        continue
+                    else:
+                        x, y = xs[i], ys[i]
             xlo, xhi, ylo, yhi = boxes[cells[i]]
             if not (xlo <= x < xhi and ylo <= y < yhi):  # else the mapping gives cells[i] again
+                # Every box lies in the arena, so only here can a moving unicycle need its clamp.
+                if not formation and speed and not (minx <= x <= maxx and miny <= y <= maxy):
+                    x = minx if x < minx else (maxx if x > maxx else x)
+                    y = miny if y < miny else (maxy if y > maxy else y)
+                    self.clamp_count += 1
                 if minx <= x <= maxx and miny <= y <= maxy:
                     col = int((x - minx) / cell_size)
                     row = int((y - miny) / cell_size)

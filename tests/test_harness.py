@@ -588,7 +588,7 @@ class TestCli:
     def test_negative_seed_rejected(self, tmp_path, capsys):
         code = main(["--strategy", "rb", "--seed", "-1", "--runs", "1", "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "error: rb: base_seed must be non-negative" in capsys.readouterr().err
+        assert "error: base_seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_step_longer_than_cell_rejected(self, tmp_path, capsys):
@@ -601,9 +601,26 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["--strategy", "rb", "--arena-side", "25", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: rb: side_length must be an integer multiple of region_size, "
+            "error: side_length must be an integer multiple of region_size, "
             "got side_length 25 and region_size 10\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "jobs must be at least 1, got 0"),
+            (["--runs", "0"], "runs must be at least 1, got 0"),
+            (["--seed", "-1"], "base_seed must be non-negative, got -1"),
+        ],
+    )
+    def test_a_bad_option_is_reported_once_and_nothing_runs(self, tmp_path, capsys, flags, message):
+        # Every strategy shares these options, so --all names the fault once, not once per strategy.
+        out = tmp_path / "o"
+        assert main(["--all", *flags, "--max-steps", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
         assert not out.exists()
 
     def test_formation_wider_than_the_arena_names_its_sizes(self, tmp_path, capsys):

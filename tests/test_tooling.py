@@ -4,12 +4,14 @@ the benchmark's traced functions exist, only the arena module decides the arena'
 only build_world hands out the event log, only the world builds the pheromone field,
 reads its layout or derives the step length, each formation name is written once,
 World.step reads its run constants from its frame, the controllers decide from Senses
-alone and keep no config, and ExperimentConfig holds settings only."""
+alone and keep no config, ExperimentConfig holds settings only, and every committed
+BENCH_*.json has a row, with its seed, in README's snapshot table."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -233,3 +235,15 @@ def test_experiment_config_holds_settings_only():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "__post_init__"
     ]
     assert methods == []
+
+
+def test_every_snapshot_has_a_row_in_the_readme_table():
+    # README's snapshot table is how a reader finds which parent and seed a
+    # committed BENCH_*.json compared; each row's seed must be the file's.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(BENCH_\d+\.json)` \| [0-9a-f]{7,} \| (\d+) \|", readme, re.MULTILINE))
+    snapshots = sorted(path.name for path in ROOT.glob("BENCH_*.json"))
+    assert snapshots
+    assert [name for name in snapshots if name not in rows] == []
+    seeds = {name: json.loads((ROOT / name).read_text(encoding="utf-8"))["seed"] for name in snapshots}
+    assert {name: int(rows[name]) for name in snapshots} == seeds

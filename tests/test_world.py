@@ -451,6 +451,9 @@ def assert_step_matches_oracles(arena, start, heading, commands):
 def assert_swarm_matches_oracles(arena, starts, headings, script, writes=(), heading_writes=()):
     """Run script, one command per agent a step, through World.step and through the oracles; compare.
 
+    A step of script may instead be one PoseTarget for the whole swarm, which
+    pose_step_reference applies to the oracles.
+
     The oracles move and score one agent at a time, in id order. World.step
     clamps every unicycle move, so the oracle path applies clamp_into after
     each command with a non-zero linear speed. Poses are compared by
@@ -475,16 +478,19 @@ def assert_swarm_matches_oracles(arena, starts, headings, script, writes=(), hea
             if when == step:
                 world.hs[i] = manual[i].heading = heading
         world.step()
-        events = []
-        for agent, command in zip(manual, commands, strict=True):
-            step_kinematics(agent, command, CFG.dt)
-            if command.linear_speed != 0.0:
-                clamped = clamp_into(agent.position, arena)
-                clamps += clamped != agent.position
-                agent.position = clamped
-            cell = record_visit(agent, coverage, CFG)
-            if cell is not None:
-                events.append((agent.id, flat_index(cell, arena)))
+        if commands.__class__ is PoseTarget:
+            events = [(i, flat_index(c, arena)) for i, c in pose_step_reference(manual, coverage, CFG, commands)]
+        else:
+            events = []
+            for agent, command in zip(manual, commands, strict=True):
+                step_kinematics(agent, command, CFG.dt)
+                if command.linear_speed != 0.0:
+                    clamped = clamp_into(agent.position, arena)
+                    clamps += clamped != agent.position
+                    agent.position = clamped
+                cell = record_visit(agent, coverage, CFG)
+                if cell is not None:
+                    events.append((agent.id, flat_index(cell, arena)))
         where = (arena, starts, step)
         # pm_sense reads the world's cells, so they must be the oracle's cells too
         assert member_views(world) == reference_views(manual), where
@@ -934,6 +940,66 @@ class TestCellSkip:
         script = [[Unicycle(1.0, rate)] * len(written)] * 6
         writes = [(step, i, h) for step in (2, 4) for i, h in enumerate(written)]
         assert_swarm_matches_oracles(ARENA, starts, [1.0] * len(written), script, heading_writes=writes)
+
+
+# Shared commands, so a script repeats the very same objects, as the controllers do.
+STRAIGHTS = (Unicycle(1.0, 0.0), Unicycle(1.0, -0.0), Unicycle(0.6, 0.0))
+TURN_MOVES = (Unicycle(1.0, 0.5), Unicycle(0.3, -2.0))
+TURNS = (Unicycle(0.0, 0.7), Unicycle(0.0, -TWO_PI / CFG.dt))
+HOLDS = (HOLD, Unicycle(0.0, -0.0))
+WRITTEN_HEADINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, TWO_PI, 7.0, math.nextafter(TWO_PI, 0.0), 5e-324, 1.0]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def shared_command_script(draw):
+    """Starts, headings, a script drawn from the shared commands, and heading writes.
+
+    Each agent flies runs of one command object, so a repeated command meets
+    the heading it left (a turn, or a hold at a heading outside (0, 2 pi),
+    leaves a new one). Starts reach past the edges, so some moves are clamped
+    and some held agents stay outside.
+    """
+    n = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 24))
+    edge = st.sampled_from([-20.0, -19.95, 19.95, 20.0, 20.5])
+    coordinate = st.one_of(st.floats(-21.0, 21.0), edge)
+    starts = [(draw(coordinate), draw(coordinate)) for _ in range(n)]
+    headings = [draw(WRITTEN_HEADINGS) for _ in range(n)]
+    command = st.sampled_from(STRAIGHTS + TURN_MOVES + TURNS + HOLDS)
+    columns = []
+    for _ in range(n):
+        column = []
+        while len(column) < steps:
+            column += [draw(command)] * draw(st.integers(1, 6))
+        columns.append(column[:steps])
+    script = [list(row) for row in zip(*columns)]
+    writes = draw(st.lists(st.tuples(st.integers(1, steps), st.integers(0, n - 1), WRITTEN_HEADINGS), max_size=4))
+    return starts, headings, script, writes
+
+
+class TestCruiseReuse:
+    """World.step adds a cached step vector for a straight command repeated at the very same heading object."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_command_script())
+    def test_shared_commands_match_the_oracles(self, scene):
+        starts, headings, script, writes = scene
+        assert_swarm_matches_oracles(ARENA, starts, headings, script, heading_writes=writes)
+
+    def test_pose_targets_between_repeated_straight_commands_match_the_oracles(self):
+        # Each PoseTarget moves the swarm and gives it a new heading; the
+        # straight command that follows must step along that heading, not
+        # along the one its last use cached.
+        offsets = ((0.0, 0.0), (0.5, -1.0), (-1.5, 2.0))
+        straight = STRAIGHTS[0]
+        script = [[straight] * 3, [straight] * 3]
+        for k, heading in enumerate([1.0, 2.5, -0.0, 7.0, 1.0, 4.0]):
+            script += [PoseTarget((0.3 * k, -0.2 * k), heading, offsets, True), [straight] * 3, [straight] * 3]
+        starts = [(0.5, 0.5), (1.0, -0.5), (-1.0, 2.5)]
+        assert_swarm_matches_oracles(ARENA, starts, [0.5] * 3, script)
 
 
 FORMATION_ARENAS = [
