@@ -32,6 +32,11 @@ def wrap_pi(theta: float) -> float:
     return theta - math.pi
 
 
+def uniform(rng, lo: float, hi: float) -> float:
+    """The double rng.uniform(lo, hi) returns, from the one rng.random() draw it makes, without its argument checks."""
+    return lo + (hi - lo) * rng.random()
+
+
 def ccw_distance(from_angle: float, to_angle: float) -> float:
     """Counterclockwise angular distance from one heading to another, in [0, 2*pi)."""
     return wrap_angle(to_angle - from_angle)
@@ -130,13 +135,13 @@ def total_width(arcs: list[Arc]) -> float:
 def sample_arcs(arcs: list[Arc], rng) -> float:
     """Draw a direction uniformly (by arc length) from an arc set.
 
-    Consumes exactly one uniform draw from rng. Raises ValueError on an
+    Consumes exactly one rng.random() double. Raises ValueError on an
     empty set; callers decide their own fallback.
     """
     total = total_width(arcs)
     if total <= 0.0:
         raise ValueError("cannot sample from an empty arc set")
-    u = rng.uniform(0.0, total)
+    u = uniform(rng, 0.0, total)
     for start, width in arcs:
         if u <= width:
             return wrap_angle(start + u)

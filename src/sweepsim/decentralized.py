@@ -24,6 +24,7 @@ from .angles import (
     subtract_arc,
     turn_direction,
     turn_remaining,
+    uniform,
     wrap_angle,
     wrap_pi,
 )
@@ -159,7 +160,7 @@ def avoidance_turn(heading, neighbors, params: RbParams, rng):
         return None
     dist, dx, dy, tier = best
     lo, hi = params.short_turn if tier == 0 else params.medium_turn
-    magnitude = rng.uniform(lo, hi)
+    magnitude = uniform(rng, lo, hi)
     cross = cos_h * dy - sin_h * dx
     direction = -1.0 if cross >= 0.0 else 1.0  # left (or dead ahead) -> clockwise
     target = wrap_angle(heading + direction * magnitude)
@@ -190,7 +191,7 @@ def pm_choose(readings, rng) -> str:
     total = ahead + left + right
     if total <= 0.0 or ahead <= 0.0:
         return "no_reaction"
-    u = rng.uniform(0.0, 2.0 * total)
+    u = uniform(rng, 0.0, 2.0 * total)
     if u < total - ahead:
         return "ahead"
     if u < (total - ahead) + (total - right):
@@ -450,7 +451,7 @@ class DecentralizedController:
                     direction = 0.0 if target is None else turn_direction(h, target)
                 else:
                     lo, hi = ldr.random_turn
-                    target = wrap_angle(h - self.rngs[i].uniform(lo, hi))
+                    target = wrap_angle(h - uniform(self.rngs[i], lo, hi))
                     direction = -1.0
                 self._react(i, step, "density", h, direction, target, self.react_quiet)
                 if direction:
@@ -463,8 +464,10 @@ class DecentralizedController:
             if pheromone is not None and step > quiet_until[i]:
                 h = hs[i]
                 readings = pm_sense(pheromone, step - 1, cells[i], h)
-                outcome = pm_choose(readings, self.rngs[i])
-                if outcome != "no_reaction":
+                # With nothing ahead pm_choose draws nothing and picks no reaction; with some ahead
+                # it always reacts, since the readings are never negative.
+                if readings[0] > 0.0:
+                    outcome = pm_choose(readings, self.rngs[i])
                     direction = _PM_TURN[outcome]
                     target = wrap_angle(h + direction * self.addon.turn_angle)
                     self._react(i, step, "pheromone", h, direction, target, self.react_quiet, outcome=outcome)

@@ -184,9 +184,12 @@ class PheromoneField:
         until[slot] = (ends if ends > step - 1 else step - 1) + self.deposit_amount
 
 
+QUARTER = math.pi / 4.0  # one compass step
+
+
 def compass_index(heading: float) -> int:
     """Quantize a heading to the nearest of 8 compass directions."""
-    return round(wrap_angle(heading) / (math.pi / 4.0)) % 8
+    return round(wrap_angle(heading) / QUARTER) % 8
 
 
 def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
@@ -198,8 +201,10 @@ def pm_sense(field: PheromoneField, step: int, cell: int, heading: float):
     """
     if cell < 0:
         return (0.0, 0.0, 0.0)
+    # wrap_angle returns a heading in [0, 2 pi) unchanged, so compass_index's wrap is skipped there.
+    k = round(heading / QUARTER) % 8 if 0.0 <= heading < TWO_PI else compass_index(heading)
     center = field._slots[cell]
-    to_ahead, to_left, to_right = field._sense_offsets[compass_index(heading)]
+    to_ahead, to_left, to_right = field._sense_offsets[k]
     until = field._until
     ahead = until[center + to_ahead] - step
     left = until[center + to_left] - step

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import contains_angle, cw_distance
+from sweepsim.decentralized import LDR_RANDOM, RbParams
 from sweepsim.angles import (
     arc_around,
     ccw_distance,
@@ -21,6 +22,7 @@ from sweepsim.angles import (
     total_width,
     turn_direction,
     turn_remaining,
+    uniform,
     wrap_angle,
     wrap_pi,
 )
@@ -181,3 +183,28 @@ def test_sampling_is_uniform_against_rejection_oracle():
     for c1, c2 in zip(h1, h2):
         sigma = math.sqrt(max(c2, 1.0))
         assert abs(c1 - c2) < 5 * sigma
+
+
+UNIFORM_CANARY = (
+    "numpy's Generator.uniform(lo, hi) no longer returns lo + (hi - lo) * random() from one "
+    "random() double: angles.uniform must follow it, or every seeded run changes"
+)
+
+
+def test_uniform_is_generator_uniform_bit_for_bit():
+    # Every reaction draws through angles.uniform; it must return Generator.uniform's
+    # double and leave the stream where Generator.uniform leaves it.
+    rb = RbParams()
+    pairs = [rb.short_turn, rb.medium_turn, LDR_RANDOM.random_turn]
+    pairs += [(0.0, total) for total in (TWO_PI, math.pi / 2.0, 1e-12, 5e-324, 1e4)]  # sample_arcs, pm_choose
+    pairs += [(x, x) for x in (0.0, 1.0, -2.5, TWO_PI)]
+    rng = np.random.default_rng(3800)
+    for _ in range(3000):
+        lo, hi = sorted(rng.standard_normal(2) * 10.0 ** rng.integers(-6, 7))
+        pairs.append((float(lo), float(hi)))
+    for seed in (0, 1, 38):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for lo, hi in pairs:
+            got, expected = uniform(ours, lo, hi), numpys.uniform(lo, hi)
+            same_state = ours.bit_generator.state == numpys.bit_generator.state
+            assert (got.hex(), same_state) == (expected.hex(), True), f"{UNIFORM_CANARY}: seed {seed}, {lo!r}, {hi!r}"

@@ -62,16 +62,17 @@ def test_every_traced_function_exists():
 
 def test_ab_steps_runs_a_checkout_against_itself():
     # tools/ab_steps.py imports both checkouts under their own names and compares
-    # their end states, with the decentralized controller's turn state; against
-    # itself it must agree and print one ratio line per strategy.
+    # their end states, with the decentralized controller's turn state and every
+    # agent's stream state; against itself it must agree and print one ratio line
+    # per strategy.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_steps.py"), str(ROOT), str(ROOT),
-         "--strategies", "sons_bs", "rb", "--seeds", "1"],
-        capture_output=True, text=True, timeout=120,
+         "--strategies", "sons_bs", "rb", "pm", "--seeds", "1"],
+        capture_output=True, text=True, timeout=180,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["sons_bs", "rb"]
+    assert [row[0] for row in rows] == ["sons_bs", "rb", "pm"]
     assert all(float(row[-1]) > 0.0 for row in rows)
 
 

@@ -12,11 +12,12 @@ reaches full coverage or the step budget. A drift in host speed then lands
 on both sides alike, which back-to-back benchmark windows do not ensure.
 
 Both sides must end with the same step count, visit grid, live pose (xs, ys,
-hs), cells and clamp_count, and with the same controller turn state (turn_dir,
-turn_target, turn_quiet, quiet_until) wherever both controllers keep it, or
-the tool stops with exit code 1. It prints the
-microseconds per agent-step of World.step for each side, and the change/parent
-ratio, for each strategy.
+hs), cells and clamp_count, with every agent's random stream (where it has
+one) in the same state, and with the same controller turn state (turn_dir,
+turn_target, turn_quiet, spin_until, quiet_until) wherever both controllers
+keep it, or the tool stops with exit code 1. It prints the microseconds per
+agent-step of World.step for each side, and the change/parent ratio, for
+each strategy.
 Only the step calls are timed: building the worlds is not.
 """
 
@@ -31,7 +32,7 @@ from pathlib import Path
 CHUNK = 20  # steps a side takes before the other side's turn
 ALL = ("rb", "ldr_random", "ldr_repulsive", "pm", "sons_bs", "sons_rw")
 STATE = ("step_count", "visits", "xs", "ys", "hs", "cells", "clamp_count")  # World fields both sides must end equal on
-TURN_STATE = ("turn_dir", "turn_target", "turn_quiet", "quiet_until")  # the same, of controllers that keep them
+TURN_STATE = ("turn_dir", "turn_target", "turn_quiet", "spin_until", "quiet_until")  # the same, of controllers that keep them
 
 
 def load(checkout: Path, name: str):
@@ -61,6 +62,11 @@ def finished(world) -> bool:
     return world.visited_count == world.arena.cell_count or world.step_count == world.cfg.max_steps
 
 
+def streams(world) -> list:
+    """The state of each agent's random stream, None for an agent without one (a formation member)."""
+    return [None if a.rng is None else a.rng.bit_generator.state for a in world.agents]
+
+
 def measure(harnesses, strategy: str, seed: int) -> tuple[list[float], int]:
     """Seconds spent stepping on each side, and the agent-steps each side took."""
     worlds = [h.build_world(h.ExperimentConfig(strategy=strategy), seed) for h in harnesses]
@@ -72,6 +78,8 @@ def measure(harnesses, strategy: str, seed: int) -> tuple[list[float], int]:
         turn = 1 - turn
     parent, change = worlds
     differ = [name for name in STATE if getattr(parent, name) != getattr(change, name)]
+    if streams(parent) != streams(change):
+        differ.append("agents[i].rng states")
     controllers = parent.controller, change.controller
     differ += [
         f"controller.{name}" for name in TURN_STATE
