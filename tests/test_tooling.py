@@ -68,7 +68,7 @@ def test_ab_steps_runs_a_checkout_against_itself():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_steps.py"), str(ROOT), str(ROOT),
          "--strategies", "sons_bs", "rb", "pm", "--seeds", "1"],
-        capture_output=True, text=True, timeout=180,
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
